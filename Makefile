@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test check vet race invariants cover bench-smoke bench-fluid bench-alloc bench-clock bench-fleet bench-tenant trace-smoke serve-smoke grid-smoke clean
+.PHONY: all build test check vet race invariants cover bench-smoke perf-smoke bench-fluid bench-alloc bench-clock bench-fleet bench-tenant trace-smoke serve-smoke grid-smoke clean
 
 all: check
 
@@ -42,6 +42,15 @@ cover:
 # (single iteration of a mid-weight figure), not a measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Figure4 -benchtime 1x .
+
+# perf-smoke gates on the steady benchmark's output check: smrperf's
+# own tests, then a short fig3-matrix run whose every iteration must
+# reproduce the golden digest of the Figure-3 milestones (run.sh exits
+# non-zero on any mismatch). Any change that moves a simulated output
+# fails here. A 5 s run, not a measurement.
+perf-smoke:
+	cd smrperf && $(GO) test ./...
+	bash smrperf/run.sh --workload fig3-matrix --seed 1 --seconds 5 --trace 0
 
 # bench-fluid regenerates BENCH_fluid.json (baseline vs incremental
 # fluid-rate resolver timings).

@@ -62,14 +62,14 @@ type Cluster struct {
 	// Multi-tenant capacity management (capacity.go): the attached
 	// policy, its periodic tick, the applied per-tenant task caps and
 	// running counters, the sorted tenant name list and the decision log.
-	capacity      CapacityPolicy
-	capEvent      sim.EventRef
-	capFn         func()
+	capacity          CapacityPolicy
+	capEvent          sim.EventRef
+	capFn             func()
 	tenantCaps        map[string]int
 	tenantRunning     map[string]int
 	tenantRunningMaps map[string]int
-	tenantNames   []string
-	capLog        []CapacityDecision
+	tenantNames       []string
+	capLog            []CapacityDecision
 
 	// sampleFn/ctrlFn are the periodic tick callbacks, bound once so
 	// re-arming the sampler and controller each tick does not allocate
@@ -77,10 +77,18 @@ type Cluster struct {
 	sampleFn func()
 	ctrlFn   func()
 
-	// Object pooling. opPool recycles retired fluidOps; flow recycling
-	// lives on the fabric. noPool (Config.NoPooling or SMR_NO_POOL=1)
-	// disables both for the pooled-vs-unpooled differential verifier.
-	opPool []*fluidOp
+	// Completion handlers shared by every task op, bound once so task
+	// phases and shuffle fetches start without allocating a closure;
+	// each finds its task (and fetch source) through the op's id.
+	mapOpDoneFn    func(*fluidOp)
+	reduceOpDoneFn func(*fluidOp)
+	fetchDoneFn    func(*fluidOp)
+
+	// Object pooling. sim.ops recycles retired fluidOps; flow
+	// recycling lives on the fabric. noPool (Config.NoPooling or
+	// SMR_NO_POOL=1) disables both for the pooled-vs-unpooled
+	// differential verifier.
+	sim    *SimState
 	noPool bool
 
 	// Trace, when non-nil, receives one line per notable runtime event
@@ -254,29 +262,26 @@ func newCluster(cfg Config, st *SimState) (*Cluster, error) {
 	if cfg.ProbationPeriod == 0 {
 		cfg.ProbationPeriod = 5 * cfg.HeartbeatPeriod
 	}
-	var clock *sim.Clock
-	var fabric *netsim.Fabric
 	if st == nil {
-		clock, fabric = sim.NewClock(), netsim.NewFabric(net)
+		st = NewSimState()
+	}
+	if st.clock == nil {
+		st.clock = sim.NewClock()
 	} else {
-		if st.clock == nil {
-			st.clock = sim.NewClock()
-		} else {
-			st.clock.Reset()
-		}
-		if st.fabric == nil {
-			st.fabric = netsim.NewFabric(net)
-		} else {
-			st.fabric.Reset(net)
-		}
-		clock, fabric = st.clock, st.fabric
+		st.clock.Reset()
+	}
+	if st.fabric == nil {
+		st.fabric = netsim.NewFabric(net)
+	} else {
+		st.fabric.Reset(net)
 	}
 	rng := sim.NewRand(cfg.Seed)
 	c := &Cluster{
 		cfg:     cfg,
-		clock:   clock,
+		clock:   st.clock,
 		rng:     rng.Fork(0),
-		fabric:  fabric,
+		fabric:  st.fabric,
+		sim:     st,
 		fs:      dfs.New(cfg.Workers, cfg.DFS, rng.Fork(1)),
 		nodeOps: make([][]*fluidOp, cfg.Workers),
 		inv:     telemetry.NewInvariants(),
@@ -309,6 +314,9 @@ func newCluster(cfg Config, st *SimState) (*Cluster, error) {
 		c.trackers = append(c.trackers, newTaskTracker(c, i, node))
 	}
 	c.jt = newJobTracker(c)
+	c.mapOpDoneFn = c.mapOpDone
+	c.reduceOpDoneFn = c.reduceOpDone
+	c.fetchDoneFn = c.fetchDone
 	return c, nil
 }
 
@@ -322,9 +330,11 @@ func MustNewCluster(cfg Config) *Cluster {
 }
 
 // newFlow builds a shuffle/read/replication flow, recycled from the
-// fabric's pool unless pooling is disabled. The caller registers it
-// with c.fabric.Add and must pair every removal with releaseFlow.
-func (c *Cluster) newFlow(src, dst int, mb, capMBps float64, label string) *netsim.Flow {
+// fabric's pool unless pooling is disabled. Its Label stays empty: the
+// op it drives carries its identity (see startFlow). The caller
+// registers it with c.fabric.Add and must pair every removal with
+// releaseFlow.
+func (c *Cluster) newFlow(src, dst int, mb, capMBps float64) *netsim.Flow {
 	var f *netsim.Flow
 	if c.noPool {
 		f = &netsim.Flow{}
@@ -333,7 +343,6 @@ func (c *Cluster) newFlow(src, dst int, mb, capMBps float64, label string) *nets
 	}
 	f.Src, f.Dst = src, dst
 	f.RemainingMB, f.CapMBps = mb, capMBps
-	f.Label = label
 	return f
 }
 
@@ -798,7 +807,7 @@ func (c *Cluster) Snapshot() Stats {
 		s.MapOutputProducedMB += tt.mapOutputDoneMB + tt.inFlightMapOutputMB()
 		s.ShuffleMovedMB += tt.shuffleDoneMB + tt.inFlightShuffleMB()
 		shuffling := 0
-		for r := range tt.runningReduces {
+		for _, r := range tt.runningReduces {
 			if r.phase == 0 {
 				shuffling++
 			}

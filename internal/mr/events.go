@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // EventKind labels one entry of the structured runtime event log.
@@ -37,11 +38,11 @@ const (
 	// tick; Detail carries "tenant=cap" (or "tenant=uncapped").
 	EvTenantCap EventKind = "tenant-cap"
 
-	EvNodeDegraded       EventKind = "node-degraded"
-	EvNodeRestored       EventKind = "node-restored"
-	EvLinkDegraded       EventKind = "link-degraded"
-	EvLinkRestored       EventKind = "link-restored"
-	EvFaultError         EventKind = "fault-error"
+	EvNodeDegraded EventKind = "node-degraded"
+	EvNodeRestored EventKind = "node-restored"
+	EvLinkDegraded EventKind = "link-degraded"
+	EvLinkRestored EventKind = "link-restored"
+	EvFaultError   EventKind = "fault-error"
 )
 
 // Event is one structured log entry. Tracker is -1 when not applicable.
@@ -97,6 +98,16 @@ func (c *Cluster) emit(kind EventKind, job, task string, tracker int, detail str
 		e := &l.events[len(l.events)-1]
 		c.inv.CheckEventAppend(e.At, len(l.events), l.limit)
 	}
+}
+
+// emitTask logs a task-level event. The "<type>/<id>" task name is
+// formatted only when a log is attached, so task launches and commits
+// on an unlogged run format nothing.
+func (c *Cluster) emitTask(kind EventKind, j *Job, typ string, id, tracker int, detail string) {
+	if c.events == nil {
+		return
+	}
+	c.emit(kind, j.Spec.Name, typ+"/"+strconv.Itoa(id), tracker, detail)
 }
 
 // Events returns a copy of the collected events in emission order. The

@@ -2,6 +2,7 @@ package mr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"smapreduce/internal/resource"
@@ -87,26 +88,24 @@ func (c *Cluster) failTracker(tt *TaskTracker) {
 			if r.state != TaskRunning {
 				continue
 			}
-			if sf := r.flows[tt.id]; sf != nil {
-				c.fabric.Remove(sf.flow)
-				c.dropOp(sf.op) // unbinds first: Userdata must be clear before release
-				c.releaseFlow(sf.flow)
-				r.flows[tt.id] = nil
+			s := &r.srcs[tt.id]
+			if s.flow != nil {
+				c.fabric.Remove(s.flow)
+				c.dropOp(s.op) // unbinds first: Userdata must be clear before release
+				c.releaseFlow(s.flow)
+				s.flow, s.op = nil, nil
 				r.nflows--
-				r.flowMaps[tt.id] = nil
 			}
-			r.pending[tt.id] = 0
-			r.pendingMaps[tt.id] = nil
+			s.pendingMB = 0
+			s.maps = s.maps[:0]
 		}
 	}
 
 	// 2. Abort and requeue the tasks running on the dead tracker, in
-	// task order: map iteration order is randomised and would leak
-	// nondeterminism into the requeue sequence.
-	maps := make([]*mapTask, 0, len(tt.runningMaps))
-	for m := range tt.runningMaps {
-		maps = append(maps, m)
-	}
+	// task order: the running lists' order depends on which earlier
+	// tasks finished, and would leak into the requeue sequence. The
+	// aborts remove from the lists, so iterate over copies.
+	maps := slices.Clone(tt.runningMaps)
 	sort.Slice(maps, func(i, k int) bool { return mapAttemptLess(maps[i], maps[k]) })
 	for _, m := range maps {
 		// Speculation interplay: kill every attempt of the affected
@@ -129,10 +128,7 @@ func (c *Cluster) failTracker(tt *TaskTracker) {
 		}
 		c.abortMap(m)
 	}
-	reduces := make([]*reduceTask, 0, len(tt.runningReduces))
-	for r := range tt.runningReduces {
-		reduces = append(reduces, r)
-	}
+	reduces := slices.Clone(tt.runningReduces)
 	sort.Slice(reduces, func(i, k int) bool { return reduceAttemptLess(reduces[i], reduces[k]) })
 	for _, r := range reduces {
 		c.abortReduce(r)
@@ -216,17 +212,10 @@ func (c *Cluster) outputStillNeeded(j *Job, m *mapTask) bool {
 // the pending queue.
 func (c *Cluster) abortMap(m *mapTask) {
 	tt := m.tracker
-	if m.cpuAct != nil {
-		tt.node.Remove(m.cpuAct)
-		m.cpuAct = nil
-	}
-	if m.diskAct != nil {
-		tt.node.Remove(m.diskAct)
-		m.diskAct = nil
-	}
 	if m.readFlow != nil {
 		c.fabric.Remove(m.readFlow)
 	}
+	// Dropping an op also takes its activity off the node.
 	c.dropOp(m.computeOp)
 	c.dropOp(m.readOp) // unbinds the read flow before it goes back to the pool
 	c.dropOp(m.sortOp)
@@ -236,7 +225,7 @@ func (c *Cluster) abortMap(m *mapTask) {
 		m.readFlow = nil
 	}
 	m.computeOp, m.readOp, m.sortOp, m.spillOp = nil, nil, nil, nil
-	delete(tt.runningMaps, m)
+	removeRunning(&tt.runningMaps, m)
 	c.tenantTaskStopped(m.job, true)
 	c.traceMapEnd(m, "aborted")
 	m.state = TaskPending
@@ -244,7 +233,7 @@ func (c *Cluster) abortMap(m *mapTask) {
 	m.phase = 0
 	m.pendingOps = 0
 	c.jt.requeueMap(m.job, m)
-	c.emit(EvRequeued, m.job.Spec.Name, fmt.Sprintf("map/%d", m.id), tt.id, "attempt aborted")
+	c.emitTask(EvRequeued, m.job, "map", m.id, tt.id, "attempt aborted")
 }
 
 // abortReduce tears a running reduce attempt down and returns the task
@@ -252,26 +241,16 @@ func (c *Cluster) abortMap(m *mapTask) {
 // so the attempt restarts from zero on the next tracker.
 func (c *Cluster) abortReduce(r *reduceTask) {
 	tt := r.tracker
-	if r.phantom != nil {
-		tt.node.Remove(r.phantom)
-		r.phantom = nil
-	}
-	if r.cpuAct != nil {
-		tt.node.Remove(r.cpuAct)
-		r.cpuAct = nil
-	}
-	if r.diskAct != nil {
-		tt.node.Remove(r.diskAct)
-		r.diskAct = nil
-	}
-	for src, sf := range r.flows {
-		if sf == nil {
+	tt.node.Remove(&r.phantom)
+	for i := range r.srcs {
+		s := &r.srcs[i]
+		if s.flow == nil {
 			continue
 		}
-		c.fabric.Remove(sf.flow)
-		c.dropOp(sf.op)
-		c.releaseFlow(sf.flow)
-		r.flows[src] = nil
+		c.fabric.Remove(s.flow)
+		c.dropOp(s.op)
+		c.releaseFlow(s.flow)
+		s.flow, s.op = nil, nil
 	}
 	r.nflows = 0
 	c.dropOp(r.sortOp)
@@ -281,15 +260,11 @@ func (c *Cluster) abortReduce(r *reduceTask) {
 	r.sortOp, r.mergeOp, r.redOp, r.writeOp = nil, nil, nil, nil
 	// Pipeline pieces retire individually (completions nil their own
 	// slots), so teardown skips the already-gone entries. Ops drop
-	// before flows release: dropping unbinds Flow.Userdata.
+	// before flows release: dropping unbinds Flow.Userdata (and takes
+	// the remote disk writes off their nodes).
 	for _, f := range r.pipeFlows {
 		if f != nil {
 			c.fabric.Remove(f)
-		}
-	}
-	for i, a := range r.pipeActs {
-		if a != nil {
-			c.nodes[r.pipeNodes[i]].Remove(a)
 		}
 	}
 	for _, op := range r.pipeOps {
@@ -300,8 +275,8 @@ func (c *Cluster) abortReduce(r *reduceTask) {
 			c.releaseFlow(f)
 		}
 	}
-	r.pipeFlows, r.pipeActs, r.pipeNodes, r.pipeOps = nil, nil, nil, nil
-	delete(tt.runningReduces, r)
+	r.pipeFlows, r.pipeOps = nil, nil
+	removeRunning(&tt.runningReduces, r)
 	c.tenantTaskStopped(r.job, false)
 	c.traceReduceEnd(r, "aborted")
 
@@ -311,10 +286,9 @@ func (c *Cluster) abortReduce(r *reduceTask) {
 	r.pendingOps = 0
 	r.started = 0
 	r.fetchedMB = 0
-	for i := range r.pending {
-		r.pending[i] = 0
-		r.pendingMaps[i] = nil
-		r.flowMaps[i] = nil
+	for i := range r.srcs {
+		r.srcs[i].pendingMB = 0
+		r.srcs[i].maps = r.srcs[i].maps[:0]
 	}
 	for i := range r.got {
 		r.got[i] = false
@@ -331,9 +305,9 @@ func (c *Cluster) abortReduce(r *reduceTask) {
 		if m.outputLost || c.trackers[m.outputHost].failed {
 			continue
 		}
-		share := m.shuffleMB * r.job.partWeights[r.partition]
-		r.pending[m.outputHost] += share
-		r.pendingMaps[m.outputHost] = append(r.pendingMaps[m.outputHost], m)
+		s := &r.srcs[m.outputHost]
+		s.pendingMB += m.shuffleMB * r.job.partWeights[r.partition]
+		s.maps = append(s.maps, m)
 	}
 }
 
@@ -353,7 +327,7 @@ func (c *Cluster) requeueCommittedMap(j *Job, m *mapTask) {
 		j.BarrierAt = -1 // the barrier is no longer crossed
 	}
 	c.jt.requeueMap(j, m)
-	c.emit(EvRequeued, j.Spec.Name, fmt.Sprintf("map/%d", m.id), -1, "output lost")
+	c.emitTask(EvRequeued, j, "map", m.id, -1, "output lost")
 	c.tracef("map %s/%d re-queued: output lost", j.Spec.Name, m.id)
 }
 

@@ -25,21 +25,26 @@ import (
 // closures — allocated once per object — ride along, so steady-state
 // task churn creates no ops and no closures.
 type fluidOp struct {
-	label      string
+	id         opID    // what the op does, formatted only on demand
 	total      float64 // initial work, for progress fractions
 	remaining  float64 // outstanding work as of lastSettle
 	lastRate   float64
 	lastSettle float64
 	event      sim.EventRef
-	onDone     func() // runs inside the mutation scope that retired the op
-	handler    func() // cached completion closure, reused across reschedules
-	complete   func() // cached Mutate body for handler, allocated once
+	// onDone runs inside the mutation scope that retired the op, with
+	// the op still intact. Task ops share handlers bound once per
+	// cluster, which find their task through id.
+	onDone   func(*fluidOp)
+	handler  func() // cached completion closure, reused across reschedules
+	complete func() // cached Mutate body for handler, allocated once
 
-	// Rate source. Exactly one of flow, act, rateFn is set: fabric
-	// flows and node activities are bound directly (no per-op closure),
-	// loose ops carry an arbitrary closure (tests).
+	// Rate source: a fabric flow, a node activity (nodeID >= 0) or a
+	// closure (loose ops, tests). A node-bound op owns its activity:
+	// act is registered on the node for exactly as long as the op is
+	// bound, and is recycled with the op, so task phases allocate no
+	// activities and tear down with the op.
 	rateFn func() float64
-	act    *resource.Activity
+	act    resource.Activity
 	flow   *netsim.Flow
 
 	// Dirty-tracking state. An op is bound to the rate source that can
@@ -61,7 +66,7 @@ func (o *fluidOp) currentRate() float64 {
 	switch {
 	case o.flow != nil:
 		return o.flow.Rate()
-	case o.act != nil:
+	case o.nodeID >= 0:
 		return o.act.Rate()
 	default:
 		return o.rateFn()
@@ -134,9 +139,12 @@ func (c *Cluster) markNodeOpsDirty(id int) {
 // bindHandlers allocates the op's two long-lived closures, once per
 // arena object: handler is what completion events invoke, complete is
 // the Mutate body it wraps. Allocating them here (not per schedule)
-// keeps the event loop allocation-free.
-func (c *Cluster) bindHandlers(op *fluidOp) {
+// keeps the event loop allocation-free. They reach the cluster through
+// op.c, so a pooled op serves whichever cluster reuses it, and a
+// retired op in the pool pins no cluster.
+func bindHandlers(op *fluidOp) {
 	op.complete = func() {
+		c := op.c
 		// Settle may leave a hair of work if rates fell since the
 		// event was scheduled; in that case re-arm instead of
 		// completing early.
@@ -150,39 +158,40 @@ func (c *Cluster) bindHandlers(op *fluidOp) {
 		op.event = 0
 		done := op.onDone
 		if done != nil {
-			done() // may read op fields (e.g. total); release comes after
+			done(op) // may read op fields (e.g. total); release comes after
 		}
 		c.releaseOp(op)
 	}
 	op.handler = func() {
-		if !c.hasOp(op) {
+		if op.pos < 0 {
 			return // dropped between scheduling and firing
 		}
 		op.event = 0 // this event has fired; it no longer guards the op
-		c.Mutate(op.complete)
+		op.c.Mutate(op.complete)
 	}
 }
 
 // newOp builds and registers an unbound op, recycling from the pool
 // when possible. Must be called inside Mutate. The caller binds it
 // (node/flow/loose) before the scope ends.
-func (c *Cluster) newOp(label string, work float64, onDone func()) *fluidOp {
+func (c *Cluster) newOp(id opID, work float64, onDone func(*fluidOp)) *fluidOp {
 	if c.mutDepth == 0 {
 		panic("mr: addOp outside Mutate")
 	}
 	if work < 0 || math.IsNaN(work) {
-		panic(fmt.Sprintf("mr: op %q with invalid work %v", label, work))
+		panic(fmt.Sprintf("mr: op %q with invalid work %v", id, work))
 	}
 	var op *fluidOp
-	if n := len(c.opPool); n > 0 {
-		op = c.opPool[n-1]
-		c.opPool[n-1] = nil
-		c.opPool = c.opPool[:n-1]
+	if pool := c.sim.ops; len(pool) > 0 {
+		op = pool[len(pool)-1]
+		pool[len(pool)-1] = nil
+		c.sim.ops = pool[:len(pool)-1]
 	} else {
-		op = &fluidOp{c: c}
-		c.bindHandlers(op)
+		op = &fluidOp{}
+		bindHandlers(op)
 	}
-	op.label = label
+	op.c = c
+	op.id = id
 	op.total = work
 	op.remaining = work
 	op.lastRate = 0
@@ -204,7 +213,8 @@ func (c *Cluster) releaseOp(op *fluidOp) {
 	if c.noPool || op.dirty || op.pos >= 0 {
 		return
 	}
-	op.label = ""
+	op.c = nil // the pool outlives the cluster (see SimState)
+	op.id = opID{}
 	op.total = 0
 	op.remaining = 0
 	op.lastRate = 0
@@ -212,17 +222,16 @@ func (c *Cluster) releaseOp(op *fluidOp) {
 	op.event = 0
 	op.onDone = nil
 	op.rateFn = nil
-	op.act = nil
 	op.flow = nil
 	op.loose = false
 	op.nodeID = -1
-	c.opPool = append(c.opPool, op)
+	c.sim.ops = append(c.sim.ops, op)
 }
 
 // addOp registers loose fluid work whose rate has no tracked source;
 // it is re-read on every Mutate. Tests use it with closure rates.
-func (c *Cluster) addOp(label string, work float64, rateFn func() float64, onDone func()) *fluidOp {
-	op := c.newOp(label, work, onDone)
+func (c *Cluster) addOp(work float64, rateFn func() float64, onDone func(*fluidOp)) *fluidOp {
+	op := c.newOp(opID{kind: opLoose}, work, onDone)
 	op.rateFn = rateFn
 	op.loose = true
 	op.looseSlot = len(c.looseOps)
@@ -230,24 +239,31 @@ func (c *Cluster) addOp(label string, work float64, rateFn func() float64, onDon
 	return op
 }
 
-// addNodeOp registers fluid work whose rate derives from act, one of
-// node id's activities (CPU and disk phases). Binding the activity
-// directly — instead of taking a rate closure — keeps task launch
-// allocation-free; the op's label is the activity's.
-func (c *Cluster) addNodeOp(id int, work float64, act *resource.Activity, onDone func()) *fluidOp {
-	op := c.newOp(act.Label, work, onDone)
+// addNodeOp registers fluid work driven by act (CPU and disk phases),
+// which it registers on node as the op's own activity; retiring or
+// dropping the op removes it again. Binding the activity directly —
+// instead of taking a rate closure — keeps task launch allocation-free.
+func (c *Cluster) addNodeOp(node int, id opID, work float64, act resource.Activity, onDone func(*fluidOp)) *fluidOp {
+	op := c.newOp(id, work, onDone)
 	op.act = act
-	op.nodeID = id
-	op.nodeSlot = len(c.nodeOps[id])
-	c.nodeOps[id] = append(c.nodeOps[id], op)
+	op.nodeID = node
+	op.nodeSlot = len(c.nodeOps[node])
+	c.nodeOps[node] = append(c.nodeOps[node], op)
+	c.nodes[node].Add(&op.act)
 	return op
 }
 
-// addFlowOp registers fluid work driven by a fabric flow's rate.
-func (c *Cluster) addFlowOp(flow *netsim.Flow, label string, work float64, onDone func()) *fluidOp {
-	op := c.newOp(label, work, onDone)
+// startFlow opens a src→dst transfer of mb and registers the op it
+// drives. The op is bound (Flow.Userdata) before the fabric sees the
+// flow, so the trace observer can name the flow from the op's id. The
+// live flow is op.flow; callers keep their own pointer to it, since
+// retiring the op unbinds it before onDone runs.
+func (c *Cluster) startFlow(id opID, src, dst int, mb, capMBps float64, onDone func(*fluidOp)) *fluidOp {
+	flow := c.newFlow(src, dst, mb, capMBps)
+	op := c.newOp(id, mb, onDone)
 	op.flow = flow
 	flow.Userdata = op
+	c.fabric.Add(flow)
 	return op
 }
 
@@ -278,7 +294,9 @@ func (c *Cluster) removeFromOps(op *fluidOp) {
 	c.unbindOp(op)
 }
 
-// unbindOp detaches an op from its dirty source.
+// unbindOp detaches an op from its dirty source. A node-bound op's
+// activity leaves the node after the op has left the node's op list,
+// so the removal dirties only the ops that stay.
 func (c *Cluster) unbindOp(op *fluidOp) {
 	switch {
 	case op.nodeID >= 0:
@@ -288,8 +306,8 @@ func (c *Cluster) unbindOp(op *fluidOp) {
 		list[op.nodeSlot].nodeSlot = op.nodeSlot
 		list[last] = nil
 		c.nodeOps[op.nodeID] = list[:last]
+		c.nodes[op.nodeID].Remove(&op.act)
 		op.nodeID = -1
-		op.act = nil
 	case op.flow != nil:
 		op.flow.Userdata = nil
 		op.flow = nil
@@ -332,10 +350,10 @@ func (c *Cluster) topUpOp(op *fluidOp, work float64) {
 		panic("mr: topUpOp outside Mutate")
 	}
 	if work < 0 {
-		panic(fmt.Sprintf("mr: topUpOp %q with negative work %v", op.label, work))
+		panic(fmt.Sprintf("mr: topUpOp %q with negative work %v", op.id, work))
 	}
 	if !c.hasOp(op) {
-		panic(fmt.Sprintf("mr: topUpOp on retired op %q", op.label))
+		panic(fmt.Sprintf("mr: topUpOp on retired op %q", op.id))
 	}
 	c.settleOp(op)
 	op.total += work
@@ -354,7 +372,7 @@ func (c *Cluster) settleOp(op *fluidOp) {
 			// A completion event at exactly this instant is still
 			// queued; tolerate the epsilon and clamp.
 			if op.remaining < -1e-6*math.Max(1, op.total) {
-				panic(fmt.Sprintf("mr: op %q overshot by %v", op.label, -op.remaining))
+				panic(fmt.Sprintf("mr: op %q overshot by %v", op.id, -op.remaining))
 			}
 			op.remaining = 0
 		}
@@ -391,7 +409,7 @@ func (c *Cluster) refreshDirty() {
 		c.settleOp(op)
 		rate := op.currentRate()
 		if math.IsNaN(rate) || rate < 0 {
-			panic(fmt.Sprintf("mr: op %q has invalid rate %v", op.label, rate))
+			panic(fmt.Sprintf("mr: op %q has invalid rate %v", op.id, rate))
 		}
 		// Unchanged rate with a live event: the scheduled completion is
 		// still exact, so skip the reschedule churn. This is the common
@@ -422,7 +440,7 @@ func (c *Cluster) refreshDirty() {
 		if c.clock.EventLive(op.event) {
 			op.event = c.clock.Reschedule(op.event, at)
 		} else {
-			op.event = c.clock.Schedule(at, op.label, op.handler)
+			op.event = c.clock.Schedule(at, op.id.kind.String(), op.handler)
 		}
 	}
 	c.dirtyOps = c.dirtyOps[:0]

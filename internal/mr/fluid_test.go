@@ -1,8 +1,12 @@
 package mr
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
+
+	"smapreduce/internal/resource"
 )
 
 // fluidHarness gives tests a cluster whose clock only carries the
@@ -18,7 +22,7 @@ func TestOpCompletesAtExactTime(t *testing.T) {
 	c := fluidHarness()
 	done := -1.0
 	c.Mutate(func() {
-		c.addOp("x", 10, func() float64 { return 2 }, func() { done = c.clock.Now() })
+		c.addOp(10, func() float64 { return 2 }, func(*fluidOp) { done = c.clock.Now() })
 	})
 	c.clock.RunUntilIdle(100)
 	if done != 5 {
@@ -31,7 +35,7 @@ func TestOpRateChangeMidFlight(t *testing.T) {
 	rate := 2.0
 	done := -1.0
 	c.Mutate(func() {
-		c.addOp("x", 10, func() float64 { return rate }, func() { done = c.clock.Now() })
+		c.addOp(10, func() float64 { return rate }, func(*fluidOp) { done = c.clock.Now() })
 	})
 	// At t=2.5 (half done), halve the rate: the remaining 5 units take
 	// 5 more seconds → completion at 7.5.
@@ -49,7 +53,7 @@ func TestOpZeroRateStalls(t *testing.T) {
 	rate := 0.0
 	done := -1.0
 	c.Mutate(func() {
-		c.addOp("x", 4, func() float64 { return rate }, func() { done = c.clock.Now() })
+		c.addOp(4, func() float64 { return rate }, func(*fluidOp) { done = c.clock.Now() })
 	})
 	c.clock.Schedule(10, "start", func() {
 		c.Mutate(func() { rate = 2 })
@@ -66,7 +70,7 @@ func TestTopUpExtendsCompletion(t *testing.T) {
 	total := -1.0
 	var op *fluidOp
 	c.Mutate(func() {
-		op = c.addOp("x", 10, func() float64 { return 2 }, func() {
+		op = c.addOp(10, func() float64 { return 2 }, func(*fluidOp) {
 			done = c.clock.Now()
 			// Fields are intact during onDone; afterwards the op may be
 			// reset and recycled by the pool.
@@ -91,7 +95,7 @@ func TestDropOpCancels(t *testing.T) {
 	fired := false
 	var op *fluidOp
 	c.Mutate(func() {
-		op = c.addOp("x", 10, func() float64 { return 2 }, func() { fired = true })
+		op = c.addOp(10, func() float64 { return 2 }, func(*fluidOp) { fired = true })
 	})
 	c.clock.Schedule(1, "drop", func() {
 		c.Mutate(func() { c.dropOp(op) })
@@ -108,7 +112,7 @@ func TestZeroWorkCompletesImmediately(t *testing.T) {
 	c := fluidHarness()
 	done := -1.0
 	c.Mutate(func() {
-		c.addOp("x", 0, func() float64 { return 0 }, func() { done = c.clock.Now() })
+		c.addOp(0, func() float64 { return 0 }, func(*fluidOp) { done = c.clock.Now() })
 	})
 	c.clock.RunUntilIdle(10)
 	if done != 0 {
@@ -123,7 +127,7 @@ func TestAddOpOutsideMutatePanics(t *testing.T) {
 			t.Fatal("addOp outside Mutate did not panic")
 		}
 	}()
-	c.addOp("x", 1, func() float64 { return 1 }, nil)
+	c.addOp(1, func() float64 { return 1 }, nil)
 }
 
 func TestAddOpInvalidWorkPanics(t *testing.T) {
@@ -136,7 +140,37 @@ func TestAddOpInvalidWorkPanics(t *testing.T) {
 					t.Fatalf("addOp(%v) did not panic", w)
 				}
 			}()
-			c.Mutate(func() { c.addOp("x", w, func() float64 { return 1 }, nil) })
+			c.Mutate(func() { c.addOp(w, func() float64 { return 1 }, nil) })
+		}()
+	}
+}
+
+// TestInvalidWorkPanicNamesTask pins that a task op's panic still names
+// its job and task although nothing formats a label up front: the
+// typed identity is formatted when the message is built.
+func TestInvalidWorkPanicNamesTask(t *testing.T) {
+	c := fluidHarness()
+	j := &Job{Spec: JobSpec{Name: "wordcount"}}
+	m := &mapTask{job: j, id: 7}
+	r := &reduceTask{job: j, partition: 2}
+	cases := []struct {
+		start func()
+		want  string
+	}{
+		{func() {
+			c.addNodeOp(0, opID{kind: opSort, m: m}, math.NaN(), resource.Activity{Kind: resource.CPU}, nil)
+		}, `"sort wordcount/7"`},
+		{func() { c.startFlow(opID{kind: opShuffle, r: r, peer: 1}, 1, 0, -1, 0, nil) }, `"shuffle wordcount/r2<-1"`},
+	}
+	for _, tc := range cases {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "invalid work") || !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want an invalid-work panic naming %s", msg, tc.want)
+				}
+			}()
+			c.Mutate(tc.start)
 		}()
 	}
 }
@@ -145,7 +179,7 @@ func TestTopUpErrors(t *testing.T) {
 	c := fluidHarness()
 	var op *fluidOp
 	c.Mutate(func() {
-		op = c.addOp("x", 1, func() float64 { return 1 }, nil)
+		op = c.addOp(1, func() float64 { return 1 }, nil)
 	})
 	func() {
 		defer func() {
@@ -199,7 +233,7 @@ func TestNestedMutateSettlesOnce(t *testing.T) {
 	c := fluidHarness()
 	var op *fluidOp
 	c.Mutate(func() {
-		op = c.addOp("x", 10, func() float64 { return 1 }, nil)
+		op = c.addOp(10, func() float64 { return 1 }, nil)
 		c.Mutate(func() {
 			// Nested scope: op must exist and be untouched.
 			if !c.hasOp(op) {
@@ -219,7 +253,7 @@ func TestManyOpsShareAndComplete(t *testing.T) {
 	c.Mutate(func() {
 		for i := 1; i <= 5; i++ {
 			i := i
-			c.addOp("x", float64(i), func() float64 { return 1 }, func() {
+			c.addOp(float64(i), func() float64 { return 1 }, func(*fluidOp) {
 				dones = append(dones, c.clock.Now())
 			})
 		}

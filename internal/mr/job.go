@@ -131,23 +131,44 @@ func newJob(id int, spec JobSpec, file *dfs.File, beta float64, workers int) *Jo
 		Progress:    metrics.NewProgress(fmt.Sprintf("%s#%d", spec.Name, id)),
 		mapPressure: resource.PressureForPeak(spec.Profile.MapPeakSlots, beta),
 	}
-	for i, split := range file.Splits() {
-		j.maps = append(j.maps, &mapTask{job: j, id: i, split: split, outputHost: -1})
+	// Tasks and their per-reducer bookkeeping are carved out of a few
+	// job-sized arrays rather than allocated one by one; the full slice
+	// expressions cap each window at its own length, so a list that
+	// outgrows its room moves out instead of overwriting its neighbour.
+	splits := file.Splits()
+	nm := len(splits)
+	maps := make([]mapTask, nm)
+	j.maps = make([]*mapTask, nm)
+	for i, split := range splits {
+		maps[i] = mapTask{job: j, id: i, split: split, outputHost: -1}
+		j.maps[i] = &maps[i]
 	}
 	j.partWeights = partitionWeights(spec.Reduces, spec.PartitionSkew)
-	for p := 0; p < spec.Reduces; p++ {
-		j.reduces = append(j.reduces, &reduceTask{
-			job:         j,
-			partition:   p,
-			pending:     make([]float64, workers),
-			pendingMaps: make([][]*mapTask, workers),
-			flows:       make([]*shuffleFlow, workers),
-			flowMaps:    make([][]*mapTask, workers),
-			got:         make([]bool, len(j.maps)),
-		})
+	reduces := make([]reduceTask, spec.Reduces)
+	j.reduces = make([]*reduceTask, spec.Reduces)
+	srcs := make([]fetchSource, spec.Reduces*workers)
+	k := min(sourceListCap, nm)
+	lists := make([]*mapTask, len(srcs)*k)
+	for i := range srcs {
+		srcs[i].maps = lists[i*k : i*k : (i+1)*k]
+	}
+	got := make([]bool, spec.Reduces*nm)
+	for p := range reduces {
+		reduces[p] = reduceTask{
+			job:       j,
+			partition: p,
+			srcs:      srcs[p*workers : (p+1)*workers : (p+1)*workers],
+			got:       got[p*nm : (p+1)*nm : (p+1)*nm],
+		}
+		j.reduces[p] = &reduces[p]
 	}
 	return j
 }
+
+// sourceListCap is the room each fetch source's map list starts with:
+// enough for the outputs a source typically commits while one fetch
+// from it is queued or in flight, so lists rarely grow.
+const sourceListCap = 4
 
 // partitionWeights returns the Zipf(s) share vector over n partitions.
 func partitionWeights(n int, skew float64) []float64 {
@@ -293,9 +314,9 @@ type mapTask struct {
 	sortOp     *fluidOp
 	spillOp    *fluidOp
 
-	cpuAct   *resource.Activity
-	diskAct  *resource.Activity
 	readFlow *netsim.Flow // live remote read, for abort on failure
+
+	runSlot int // position in tracker.runningMaps while running
 
 	// Speculative execution: an original task may have one backup
 	// attempt racing it on another node; the first to commit wins and
@@ -348,10 +369,17 @@ func (m *mapTask) progressFraction() float64 {
 	return mapWeight + spillWeight*f
 }
 
-// shuffleFlow tracks one reducer's transfer from one source node.
-type shuffleFlow struct {
-	op   *fluidOp
-	flow *netsim.Flow
+// fetchSource is a reducer's shuffle state for one source node. Shares
+// from the source queue (pendingMB) only while no flow from it is open:
+// a live flow absorbs every later share as a top-up, so queued bytes
+// and a live flow never coexist, and maps lists the map outputs
+// covered by whichever of the two holds. The list is truncated, not
+// dropped, when its bytes land, so steady-state shuffling reuses it.
+type fetchSource struct {
+	pendingMB float64
+	maps      []*mapTask
+	flow      *netsim.Flow // live transfer, nil when none
+	op        *fluidOp     // the op flow drives
 }
 
 // reduceTask is one reduce task attempt.
@@ -366,41 +394,32 @@ type reduceTask struct {
 	phase      int
 	pendingOps int
 
-	// Shuffle bookkeeping, indexed by source node: pending[src] holds
-	// committed-but-not-yet-flowing MB; flows[src] is the live transfer
-	// from src, nil when none (nflows counts the non-nil entries, kept
-	// ≤ Fetchers). got marks map outputs fully received, by logical map
-	// id (durable at the reducer — fetched segments survive the source
-	// tracker's death, so only un-received outputs force map
-	// re-execution). pendingMaps and flowMaps record which map outputs
-	// each queue/flow covers. Dense slices rather than maps: sources
-	// are small integers and these are the hottest structures in the
-	// shuffle path.
-	pending     []float64
-	pendingMaps [][]*mapTask
-	flows       []*shuffleFlow
-	flowMaps    [][]*mapTask
-	nflows      int
-	got         []bool
-	fetchedMB   float64
+	// Shuffle bookkeeping: srcs[src] is the fetch state for source
+	// node src, sized to the cluster once per job (nflows counts the
+	// live flows, kept ≤ Fetchers). got marks map outputs fully
+	// received, by logical map id (durable at the reducer — fetched
+	// segments survive the source tracker's death, so only un-received
+	// outputs force map re-execution). Dense slices rather than maps:
+	// sources are small integers and these are the hottest structures
+	// in the shuffle path.
+	srcs      []fetchSource
+	nflows    int
+	got       []bool
+	fetchedMB float64
 
-	// fetchLabel caches the "shuffle job/rN<-" label prefix shared by
-	// every fetch this reducer starts.
-	fetchLabel string
-
-	phantom *resource.Activity
-	cpuAct  *resource.Activity
-	diskAct *resource.Activity
+	// phantom stands for the fetcher threads on the node during the
+	// shuffle; the later phases' activities belong to their ops.
+	phantom resource.Activity
 	sortOp  *fluidOp
 	mergeOp *fluidOp
 	redOp   *fluidOp
 	writeOp *fluidOp
 
+	runSlot int // position in tracker.runningReduces while running
+
 	// Output replication pipelines (flows to replica nodes and their
 	// remote disk writes), tracked for teardown on failure.
 	pipeFlows []*netsim.Flow
-	pipeActs  []*resource.Activity
-	pipeNodes []int
 	pipeOps   []*fluidOp
 
 	started  float64 // launch time of the surviving attempt
@@ -412,8 +431,8 @@ type reduceTask struct {
 // pendingTotal sums committed bytes not yet transferred.
 func (r *reduceTask) pendingTotal() float64 {
 	s := 0.0
-	for _, mb := range r.pending {
-		s += mb
+	for i := range r.srcs {
+		s += r.srcs[i].pendingMB
 	}
 	return s
 }

@@ -101,15 +101,15 @@ func TestOpPoolRecycles(t *testing.T) {
 	c := MustNewCluster(DefaultConfig())
 	var first *fluidOp
 	c.Mutate(func() {
-		first = c.addOp("a", 1, func() float64 { return 1 }, nil)
+		first = c.addOp(1, func() float64 { return 1 }, nil)
 	})
 	c.clock.RunUntilIdle(100)
-	if len(c.opPool) != 1 {
-		t.Fatalf("pool has %d ops after completion, want 1", len(c.opPool))
+	if len(c.sim.ops) != 1 {
+		t.Fatalf("pool has %d ops after completion, want 1", len(c.sim.ops))
 	}
 	var second *fluidOp
 	c.Mutate(func() {
-		second = c.addOp("b", 1, func() float64 { return 1 }, nil)
+		second = c.addOp(1, func() float64 { return 1 }, nil)
 	})
 	if second != first {
 		t.Fatal("pool did not recycle the completed op")
@@ -118,10 +118,10 @@ func TestOpPoolRecycles(t *testing.T) {
 
 	u := MustNewCluster(func() Config { cfg := DefaultConfig(); cfg.NoPooling = true; return cfg }())
 	u.Mutate(func() {
-		first = u.addOp("a", 1, func() float64 { return 1 }, nil)
+		first = u.addOp(1, func() float64 { return 1 }, nil)
 	})
 	u.clock.RunUntilIdle(100)
-	if len(u.opPool) != 0 {
+	if len(u.sim.ops) != 0 {
 		t.Fatal("NoPooling cluster pooled an op")
 	}
 }

@@ -106,8 +106,9 @@ func (c *Cluster) recoverTracker(tt *TaskTracker) {
 			if r.state == TaskDone || r.state == TaskRunning {
 				continue // running reducers were purged at crash time
 			}
-			r.pending[tt.id] = 0
-			r.pendingMaps[tt.id] = nil
+			s := &r.srcs[tt.id]
+			s.pendingMB = 0
+			s.maps = s.maps[:0]
 		}
 	}
 

@@ -96,7 +96,7 @@ func (c *Cluster) launchBackup(tt *TaskTracker, original *mapTask) {
 	}
 	original.backup = clone
 	original.job.SpeculativeLaunched++
-	c.emit(EvSpeculative, original.job.Spec.Name, fmt.Sprintf("map/%d", original.id), tt.id, "")
+	c.emitTask(EvSpeculative, original.job, "map", original.id, tt.id, "")
 	if c.tracer.Enabled() {
 		c.tracer.Instant(c.clock.Now(), trackerPID(tt.id), "speculation", "speculative-backup",
 			trace.Str("task", original.job.Spec.Name+"/map/"+strconv.Itoa(original.id)),
@@ -140,14 +140,6 @@ func (c *Cluster) resolveSpeculation(m *mapTask) bool {
 // killAttempt tears down a running attempt without requeueing it.
 func (c *Cluster) killAttempt(m *mapTask) {
 	tt := m.tracker
-	if m.cpuAct != nil {
-		tt.node.Remove(m.cpuAct)
-		m.cpuAct = nil
-	}
-	if m.diskAct != nil {
-		tt.node.Remove(m.diskAct)
-		m.diskAct = nil
-	}
 	if m.readFlow != nil {
 		c.fabric.Remove(m.readFlow)
 	}
@@ -160,7 +152,7 @@ func (c *Cluster) killAttempt(m *mapTask) {
 		m.readFlow = nil
 	}
 	m.computeOp, m.readOp, m.sortOp, m.spillOp = nil, nil, nil, nil
-	delete(tt.runningMaps, m)
+	removeRunning(&tt.runningMaps, m)
 	c.tenantTaskStopped(m.job, true)
 	c.traceMapEnd(m, "killed")
 	m.state = TaskDone // retired; the logical task's result came from the winner

@@ -2,7 +2,6 @@ package mr
 
 import (
 	"fmt"
-	"strconv"
 
 	"smapreduce/internal/dfs"
 	"smapreduce/internal/resource"
@@ -25,14 +24,14 @@ func (c *Cluster) launchMap(tt *TaskTracker, m *mapTask) {
 		// shuffleMB is what crosses disk and network: compressed bytes.
 		m.shuffleMB *= c.cfg.CompressionRatio
 	}
-	tt.runningMaps[m] = struct{}{}
+	addRunning(&tt.runningMaps, m)
 	c.tenantTaskStarted(m.job, true)
 	if c.inv != nil && c.cfg.Policy != YARN {
 		// Under YARN the memory pool, not mapTarget, bounds occupancy.
 		c.inv.CheckMapLaunch(tt.id, len(tt.runningMaps), tt.mapTarget)
 	}
 	c.inv.CheckLaunchTracker(tt.id, tt.failed, tt.draining, tt.hbLost, tt.blacklisted, tt.probation)
-	c.emit(EvTaskStarted, m.job.Spec.Name, fmt.Sprintf("map/%d", m.id), tt.id, "")
+	c.emitTask(EvTaskStarted, m.job, "map", m.id, tt.id, "")
 	c.traceMapBegin(tt, m)
 	if m.job.Started < 0 {
 		m.job.Started = c.clock.Now()
@@ -42,37 +41,43 @@ func (c *Cluster) launchMap(tt *TaskTracker, m *mapTask) {
 	// the map function. The phase completes when both finish.
 	m.phase = 0
 	m.pendingOps = 1
-	m.cpuAct = &resource.Activity{
+	work := m.split.SizeMB * prof.MapCPUPerMB * c.rng.Jitter(c.cfg.Jitter)
+	m.computeOp = c.addNodeOp(tt.id, opID{kind: opMap, m: m}, work, resource.Activity{
 		Kind:        resource.CPU,
 		Remaining:   1, // work is tracked by the op; the activity provides the rate
 		Weight:      1,
 		Pressure:    m.job.mapPressure,
 		FootprintMB: prof.MapFootprintMB,
-		Label:       fmt.Sprintf("map %s/%d", m.job.Spec.Name, m.id),
-	}
-	tt.node.Add(m.cpuAct)
-	work := m.split.SizeMB * prof.MapCPUPerMB * c.rng.Jitter(c.cfg.Jitter)
-	m.computeOp = c.addNodeOp(tt.id, work, m.cpuAct, func() {
-		tt.node.Remove(m.cpuAct)
-		m.cpuAct = nil
-		m.computeOp = nil
-		c.mapPhaseOpDone(m)
-	})
+	}, c.mapOpDoneFn)
 
 	if host := c.nearestLiveHost(tt.id, m.split); host != tt.id {
 		m.pendingOps++
-		flow := c.newFlow(host, tt.id, m.split.SizeMB, 0,
-			fmt.Sprintf("read %s/%d", m.job.Spec.Name, m.id))
-		c.fabric.Add(flow)
-		m.readFlow = flow
-		m.readOp = c.addFlowOp(flow, flow.Label, m.split.SizeMB, func() {
-			c.fabric.Remove(flow)
-			m.readFlow = nil
-			m.readOp = nil
-			c.releaseFlow(flow)
-			c.mapPhaseOpDone(m)
-		})
+		m.readOp = c.startFlow(opID{kind: opRead, m: m}, host, tt.id, m.split.SizeMB, 0, c.mapOpDoneFn)
+		m.readFlow = m.readOp.flow
 	}
+}
+
+// mapOpDone is the completion handler of every map phase op: it
+// clears the task's reference to the op (and releases a read's flow),
+// then advances the phase. The op's activity has already left the node.
+func (c *Cluster) mapOpDone(op *fluidOp) {
+	m := op.id.m
+	switch op.id.kind {
+	case opMap:
+		m.computeOp = nil
+	case opRead:
+		c.fabric.Remove(m.readFlow)
+		c.releaseFlow(m.readFlow)
+		m.readFlow = nil
+		m.readOp = nil
+	case opSort:
+		m.sortOp = nil
+	case opSpill:
+		m.spillOp = nil
+	default:
+		panic(fmt.Sprintf("mr: map op %q has no handler", op.id))
+	}
+	c.mapPhaseOpDone(m)
 }
 
 // nearestLiveHost is dfs.NearestHost restricted to live trackers; a
@@ -131,37 +136,21 @@ func (c *Cluster) startMapSpill(m *mapTask) {
 	}
 	if sortWork > 0 {
 		m.pendingOps++
-		m.cpuAct = &resource.Activity{
+		m.sortOp = c.addNodeOp(tt.id, opID{kind: opSort, m: m}, sortWork, resource.Activity{
 			Kind:        resource.CPU,
 			Remaining:   1,
 			Weight:      1,
 			Pressure:    m.job.mapPressure,
 			FootprintMB: prof.MapFootprintMB,
-			Label:       fmt.Sprintf("sort %s/%d", m.job.Spec.Name, m.id),
-		}
-		tt.node.Add(m.cpuAct)
-		m.sortOp = c.addNodeOp(tt.id, sortWork, m.cpuAct, func() {
-			tt.node.Remove(m.cpuAct)
-			m.cpuAct = nil
-			m.sortOp = nil
-			c.mapPhaseOpDone(m)
-		})
+		}, c.mapOpDoneFn)
 	}
 	if m.preCombineMB > 0 {
 		m.pendingOps++
-		m.diskAct = &resource.Activity{
+		m.spillOp = c.addNodeOp(tt.id, opID{kind: opSpill, m: m}, m.preCombineMB, resource.Activity{
 			Kind:      resource.Disk,
 			Remaining: 1,
 			Weight:    0.2, // spill writers are mostly I/O wait
-			Label:     fmt.Sprintf("spill %s/%d", m.job.Spec.Name, m.id),
-		}
-		tt.node.Add(m.diskAct)
-		m.spillOp = c.addNodeOp(tt.id, m.preCombineMB, m.diskAct, func() {
-			tt.node.Remove(m.diskAct)
-			m.diskAct = nil
-			m.spillOp = nil
-			c.mapPhaseOpDone(m)
-		})
+		}, c.mapOpDoneFn)
 	}
 	if m.pendingOps == 0 {
 		// Jobs that emit no map output (pure filters with no matches)
@@ -177,7 +166,7 @@ func (c *Cluster) commitMap(m *mapTask) {
 	tt := m.tracker
 	logical := m.original()
 	m.state = TaskDone
-	delete(tt.runningMaps, m)
+	removeRunning(&tt.runningMaps, m)
 	c.tenantTaskStopped(m.job, true)
 	if !c.resolveSpeculation(m) {
 		// The sibling attempt committed first; this one is a duplicate.
@@ -216,7 +205,7 @@ func (c *Cluster) commitMap(m *mapTask) {
 		}
 	}
 
-	c.emit(EvTaskDone, j.Spec.Name, fmt.Sprintf("map/%d", logical.id), tt.id, "")
+	c.emitTask(EvTaskDone, j, "map", logical.id, tt.id, "")
 	if j.BarrierReached() {
 		j.BarrierAt = c.clock.Now()
 		c.emit(EvBarrier, j.Spec.Name, "", -1, "")
@@ -247,21 +236,19 @@ func (c *Cluster) deliverShare(r *reduceTask, src int, mb float64, m *mapTask) {
 		r.got[m.id] = true
 		return
 	}
-	if r.state == TaskRunning {
-		if sf := r.flows[src]; sf != nil {
-			c.topUpOp(sf.op, mb)
-			c.fabric.TopUp(sf.flow, mb)
-			r.flowMaps[src] = append(r.flowMaps[src], m)
-			return
-		}
-		r.pending[src] += mb
-		r.pendingMaps[src] = append(r.pendingMaps[src], m)
-		c.activateFetches(r)
+	s := &r.srcs[src]
+	s.maps = append(s.maps, m)
+	if s.flow != nil {
+		// Only a running reducer has live flows.
+		c.topUpOp(s.op, mb)
+		c.fabric.TopUp(s.flow, mb)
 		return
 	}
-	// Not running yet: queue for launch time.
-	r.pending[src] += mb
-	r.pendingMaps[src] = append(r.pendingMaps[src], m)
+	s.pendingMB += mb
+	if r.state == TaskRunning {
+		c.activateFetches(r)
+	}
+	// Not running yet: the share waits for launch time.
 }
 
 // activateFetches starts transfers from pending sources until the
@@ -271,50 +258,47 @@ func (c *Cluster) activateFetches(r *reduceTask) {
 		if src >= c.cfg.Workers {
 			return
 		}
-		mb := r.pending[src]
-		if mb <= 0 || r.flows[src] != nil {
+		s := &r.srcs[src]
+		mb := s.pendingMB
+		if mb <= 0 || s.flow != nil {
 			continue
 		}
-		r.pending[src] = 0
-		r.flowMaps[src] = r.pendingMaps[src]
-		r.pendingMaps[src] = nil
+		s.pendingMB = 0
 		c.startFetch(r, src, mb)
 	}
 }
 
-// startFetch opens one capped shuffle flow from src to the reducer.
-// Fetches are the highest-volume op kind, so their labels come from a
-// cached per-reducer prefix instead of a fresh format call each time.
+// startFetch opens one capped shuffle flow from src to the reducer,
+// covering the map outputs queued on the source.
 func (c *Cluster) startFetch(r *reduceTask, src int, mb float64) {
-	if r.fetchLabel == "" {
-		r.fetchLabel = "shuffle " + r.job.Spec.Name + "/r" + strconv.Itoa(r.partition) + "<-"
-	}
-	flow := c.newFlow(src, r.tracker.id, mb, c.cfg.PerFetchMBps,
-		r.fetchLabel+strconv.Itoa(src))
-	c.fabric.Add(flow)
-	sf := &shuffleFlow{flow: flow}
-	tt := r.tracker
-	sf.op = c.addFlowOp(flow, flow.Label, mb, func() {
-		c.fabric.Remove(flow)
-		r.flows[src] = nil
-		r.nflows--
-		for _, m := range r.flowMaps[src] {
-			r.got[m.id] = true
-		}
-		r.flowMaps[src] = nil
-		// total includes post-launch top-ups, so read it from the op
-		// (still intact inside onDone) rather than the launch-time mb.
-		moved := sf.op.total
-		r.fetchedMB += moved
-		tt.shuffleDoneMB += moved
-		sf.op = nil
-		sf.flow = nil
-		c.releaseFlow(flow)
-		c.activateFetches(r)
-		c.checkShuffleDone(r)
-	})
-	r.flows[src] = sf
+	s := &r.srcs[src]
+	s.op = c.startFlow(opID{kind: opShuffle, r: r, peer: src}, src, r.tracker.id, mb, c.cfg.PerFetchMBps, c.fetchDoneFn)
+	s.flow = s.op.flow
 	r.nflows++
+}
+
+// fetchDone is the completion handler of every shuffle fetch: the
+// source's bytes have landed, so the maps they cover are received and
+// the next queued source may start.
+func (c *Cluster) fetchDone(op *fluidOp) {
+	r, src := op.id.r, op.id.peer
+	s := &r.srcs[src]
+	flow := s.flow
+	c.fabric.Remove(flow)
+	s.flow, s.op = nil, nil
+	r.nflows--
+	for _, m := range s.maps {
+		r.got[m.id] = true
+	}
+	s.maps = s.maps[:0]
+	// total includes post-launch top-ups, so read it from the op
+	// (still intact inside onDone) rather than the launch-time mb.
+	moved := op.total
+	r.fetchedMB += moved
+	r.tracker.shuffleDoneMB += moved
+	c.releaseFlow(flow)
+	c.activateFetches(r)
+	c.checkShuffleDone(r)
 }
 
 // launchReduce starts reduce task r on tracker tt.
@@ -327,13 +311,13 @@ func (c *Cluster) launchReduce(tt *TaskTracker, r *reduceTask) {
 	r.tracker = tt
 	r.phase = 0
 	r.started = c.clock.Now()
-	tt.runningReduces[r] = struct{}{}
+	addRunning(&tt.runningReduces, r)
 	c.tenantTaskStarted(r.job, false)
 	if c.inv != nil && c.cfg.Policy != YARN {
 		c.inv.CheckReduceLaunch(tt.id, len(tt.runningReduces), tt.reduceTarget)
 	}
 	c.inv.CheckLaunchTracker(tt.id, tt.failed, tt.draining, tt.hbLost, tt.blacklisted, tt.probation)
-	c.emit(EvTaskStarted, r.job.Spec.Name, fmt.Sprintf("reduce/%d", r.partition), tt.id, "")
+	c.emitTask(EvTaskStarted, r.job, "reduce", r.partition, tt.id, "")
 	c.traceReduceBegin(tt, r)
 	if r.job.Started < 0 {
 		r.job.Started = c.clock.Now()
@@ -341,24 +325,23 @@ func (c *Cluster) launchReduce(tt *TaskTracker, r *reduceTask) {
 
 	// The shuffle infrastructure occupies the node: copier threads and
 	// merge buffers, modelled as a phantom activity.
-	r.phantom = &resource.Activity{
+	r.phantom = resource.Activity{
 		Kind:        resource.Phantom,
 		Weight:      prof.FetcherWeight * float64(c.cfg.Fetchers),
 		Pressure:    prof.FetcherPressure,
 		FootprintMB: prof.ReduceFootprint,
-		Label:       fmt.Sprintf("fetch %s/r%d", r.job.Spec.Name, r.partition),
 	}
-	tt.node.Add(r.phantom)
+	tt.node.Add(&r.phantom)
 
 	// Any shares committed before launch: local ones are already on
 	// disk here, remote ones start fetching now.
-	if mb := r.pending[tt.id]; mb > 0 || len(r.pendingMaps[tt.id]) > 0 {
-		r.pending[tt.id] = 0
-		for _, m := range r.pendingMaps[tt.id] {
+	if s := &r.srcs[tt.id]; s.pendingMB > 0 || len(s.maps) > 0 {
+		for _, m := range s.maps {
 			r.got[m.id] = true
 		}
-		r.pendingMaps[tt.id] = nil
-		r.fetchedMB += mb
+		s.maps = s.maps[:0]
+		r.fetchedMB += s.pendingMB
+		s.pendingMB = 0
 	}
 	c.activateFetches(r)
 	c.checkShuffleDone(r)
@@ -373,8 +356,7 @@ func (c *Cluster) checkShuffleDone(r *reduceTask) {
 	if !r.job.BarrierReached() || !r.shuffleSettled() {
 		return
 	}
-	r.tracker.node.Remove(r.phantom)
-	r.phantom = nil
+	r.tracker.node.Remove(&r.phantom)
 	c.startReduceSort(r)
 }
 
@@ -397,41 +379,45 @@ func (c *Cluster) startReduceSort(r *reduceTask) {
 	}
 	if mergeWork > 0 {
 		r.pendingOps++
-		r.cpuAct = &resource.Activity{
+		r.sortOp = c.addNodeOp(tt.id, opID{kind: opRSort, r: r}, mergeWork, resource.Activity{
 			Kind:        resource.CPU,
 			Remaining:   1,
 			Weight:      1,
 			Pressure:    r.job.mapPressure,
 			FootprintMB: prof.ReduceFootprint,
-			Label:       fmt.Sprintf("rsort %s/r%d", r.job.Spec.Name, r.partition),
-		}
-		tt.node.Add(r.cpuAct)
-		r.sortOp = c.addNodeOp(tt.id, mergeWork, r.cpuAct, func() {
-			tt.node.Remove(r.cpuAct)
-			r.cpuAct = nil
-			r.sortOp = nil
-			c.reducePhaseOpDone(r)
-		})
+		}, c.reduceOpDoneFn)
 	}
 	if r.fetchedMB > 0 {
 		r.pendingOps++
-		r.diskAct = &resource.Activity{
+		r.mergeOp = c.addNodeOp(tt.id, opID{kind: opRMerge, r: r}, r.fetchedMB, resource.Activity{
 			Kind:      resource.Disk,
 			Remaining: 1,
 			Weight:    0.2,
-			Label:     fmt.Sprintf("rmerge %s/r%d", r.job.Spec.Name, r.partition),
-		}
-		tt.node.Add(r.diskAct)
-		r.mergeOp = c.addNodeOp(tt.id, r.fetchedMB, r.diskAct, func() {
-			tt.node.Remove(r.diskAct)
-			r.diskAct = nil
-			r.mergeOp = nil
-			c.reducePhaseOpDone(r)
-		})
+		}, c.reduceOpDoneFn)
 	}
 	if r.pendingOps == 0 {
 		c.startReduceCompute(r)
 	}
+}
+
+// reduceOpDone is the completion handler of the reducer's sort and
+// reduce phase ops: it clears the task's reference to the op, then
+// advances the phase. Replication pipelines carry their own handlers.
+func (c *Cluster) reduceOpDone(op *fluidOp) {
+	r := op.id.r
+	switch op.id.kind {
+	case opRSort:
+		r.sortOp = nil
+	case opRMerge:
+		r.mergeOp = nil
+	case opReduce:
+		r.redOp = nil
+	case opROut:
+		r.writeOp = nil
+	default:
+		panic(fmt.Sprintf("mr: reduce op %q has no handler", op.id))
+	}
+	c.reducePhaseOpDone(r)
 }
 
 // reducePhaseOpDone advances the reducer when its phase ops retire.
@@ -464,38 +450,22 @@ func (c *Cluster) startReduceCompute(r *reduceTask) {
 	redWork := redVolume * prof.ReduceCPUPerMB * c.rng.Jitter(c.cfg.Jitter)
 	if redWork > 0 {
 		r.pendingOps++
-		r.cpuAct = &resource.Activity{
+		r.redOp = c.addNodeOp(tt.id, opID{kind: opReduce, r: r}, redWork, resource.Activity{
 			Kind:        resource.CPU,
 			Remaining:   1,
 			Weight:      1,
 			Pressure:    r.job.mapPressure,
 			FootprintMB: prof.ReduceFootprint,
-			Label:       fmt.Sprintf("reduce %s/r%d", r.job.Spec.Name, r.partition),
-		}
-		tt.node.Add(r.cpuAct)
-		r.redOp = c.addNodeOp(tt.id, redWork, r.cpuAct, func() {
-			tt.node.Remove(r.cpuAct)
-			r.cpuAct = nil
-			r.redOp = nil
-			c.reducePhaseOpDone(r)
-		})
+		}, c.reduceOpDoneFn)
 	}
 	outMB := redVolume * prof.OutputRatio
 	if outMB > 0 {
 		r.pendingOps++
-		r.diskAct = &resource.Activity{
+		r.writeOp = c.addNodeOp(tt.id, opID{kind: opROut, r: r}, outMB, resource.Activity{
 			Kind:      resource.Disk,
 			Remaining: 1,
 			Weight:    0.2,
-			Label:     fmt.Sprintf("rout %s/r%d", r.job.Spec.Name, r.partition),
-		}
-		tt.node.Add(r.diskAct)
-		r.writeOp = c.addNodeOp(tt.id, outMB, r.diskAct, func() {
-			tt.node.Remove(r.diskAct)
-			r.diskAct = nil
-			r.writeOp = nil
-			c.reducePhaseOpDone(r)
-		})
+		}, c.reduceOpDoneFn)
 		// HDFS write pipeline: each extra replica streams the output
 		// over the fabric to another live node and lands on its disk.
 		// The pipeline is fluid (not store-and-forward), so each hop is
@@ -506,12 +476,6 @@ func (c *Cluster) startReduceCompute(r *reduceTask) {
 				break // not enough live nodes; degrade like HDFS does
 			}
 			r.pendingOps++
-			flow := c.newFlow(tt.id, target, outMB, 0,
-				fmt.Sprintf("repl %s/r%d->%d", r.job.Spec.Name, r.partition, target))
-			c.fabric.Add(flow)
-			remoteDisk := &resource.Activity{Kind: resource.Disk, Remaining: 1, Weight: 0.2,
-				Label: fmt.Sprintf("repl-disk %s/r%d@%d", r.job.Spec.Name, r.partition, target)}
-			c.nodes[target].Add(remoteDisk)
 			// The effective pipeline rate is min(network, remote disk);
 			// model it as the flow gated by the remote disk via a cap
 			// refresh is overkill — run the two ops in series-free
@@ -522,7 +486,6 @@ func (c *Cluster) startReduceCompute(r *reduceTask) {
 			// slices (slot indices captured here), so teardown after a
 			// failure only sees the pieces that are still live.
 			flowSlot := len(r.pipeFlows)
-			actSlot := len(r.pipeActs)
 			opSlot := len(r.pipeOps)
 			flowDone := false
 			diskDone := false
@@ -531,7 +494,8 @@ func (c *Cluster) startReduceCompute(r *reduceTask) {
 					c.reducePhaseOpDone(r)
 				}
 			}
-			fOp := c.addFlowOp(flow, flow.Label, outMB, func() {
+			fOp := c.startFlow(opID{kind: opRepl, r: r, peer: target}, tt.id, target, outMB, 0, func(*fluidOp) {
+				flow := r.pipeFlows[flowSlot]
 				c.fabric.Remove(flow)
 				r.pipeFlows[flowSlot] = nil
 				r.pipeOps[opSlot] = nil
@@ -539,19 +503,17 @@ func (c *Cluster) startReduceCompute(r *reduceTask) {
 				flowDone = true
 				finish()
 			})
-			dOp := c.addNodeOp(target, outMB, remoteDisk, func() {
-				c.nodes[target].Remove(remoteDisk)
-				r.pipeActs[actSlot] = nil
+			remoteDisk := resource.Activity{Kind: resource.Disk, Remaining: 1, Weight: 0.2}
+			dOp := c.addNodeOp(target, opID{kind: opReplDisk, r: r, peer: target}, outMB, remoteDisk, func(*fluidOp) {
 				r.pipeOps[opSlot+1] = nil
 				diskDone = true
 				finish()
 			})
 			// Both ops gate completion but count as ONE pendingOp: the
 			// pipeline finishes when its slower stage drains. Track the
-			// pieces so a writer-side failure can tear them down.
-			r.pipeFlows = append(r.pipeFlows, flow)
-			r.pipeActs = append(r.pipeActs, remoteDisk)
-			r.pipeNodes = append(r.pipeNodes, target)
+			// pieces so a writer-side failure can tear them down (the
+			// remote disk write leaves its node with its op).
+			r.pipeFlows = append(r.pipeFlows, fOp.flow)
 			r.pipeOps = append(r.pipeOps, fOp, dOp)
 		}
 	}
@@ -579,11 +541,11 @@ func (c *Cluster) finishReduce(r *reduceTask) {
 	tt := r.tracker
 	r.state = TaskDone
 	r.finished = c.clock.Now()
-	delete(tt.runningReduces, r)
+	removeRunning(&tt.runningReduces, r)
 	c.tenantTaskStopped(r.job, false)
 	r.job.reducesDone++
 	c.traceReduceEnd(r, "done")
-	c.emit(EvTaskDone, r.job.Spec.Name, fmt.Sprintf("reduce/%d", r.partition), tt.id, "")
+	c.emitTask(EvTaskDone, r.job, "reduce", r.partition, tt.id, "")
 	c.jt.taskFreed(tt)
 	c.checkJobCompletion(r.job)
 }

@@ -49,29 +49,30 @@ func (c *Cluster) Tracer() *trace.Tracer { return c.tracer }
 // trackerPID maps a tracker id to its trace track.
 func trackerPID(id int) int { return trace.PIDTrackerBase + id }
 
-// flowCategory classifies a fabric flow by its label prefix, mirroring
-// how the runtime names its flows, and reports the verbosity level the
-// span requires. Unknown labels trace at the highest level.
-func flowCategory(label string) (cat string, minVerbosity int) {
-	switch {
-	case len(label) >= 8 && label[:8] == "shuffle ":
+// flowCategory reports a flow's trace category — the kind of the op it
+// drives — and the verbosity level the span requires.
+func flowCategory(kind opKind) (cat string, minVerbosity int) {
+	switch kind {
+	case opShuffle:
 		return "shuffle", trace.VerbosityFlows
-	case len(label) >= 5 && label[:5] == "read ":
+	case opRead:
 		return "read", trace.VerbosityAllFlows
-	case len(label) >= 5 && label[:5] == "repl ":
+	case opRepl:
 		return "repl", trace.VerbosityAllFlows
 	}
 	return "flow", trace.VerbosityAllFlows
 }
 
 // traceFlowAdd opens a span for a newly registered flow, if the
-// verbosity admits its category.
+// verbosity admits its category. Every runtime flow is started bound
+// to its op (startFlow), whose id names the span.
 func (c *Cluster) traceFlowAdd(f *netsim.Flow) {
-	cat, min := flowCategory(f.Label)
+	id := f.Userdata.(*fluidOp).id
+	cat, min := flowCategory(id.kind)
 	if c.tracer.Verbosity() < min {
 		return
 	}
-	c.flowSpans[f] = c.tracer.Begin(c.clock.Now(), trace.PIDNetwork, cat, f.Label,
+	c.flowSpans[f] = c.tracer.Begin(c.clock.Now(), trace.PIDNetwork, cat, id.String(),
 		trace.Num("src", float64(f.Src)), trace.Num("dst", float64(f.Dst)),
 		trace.Num("MB", f.RemainingMB))
 }

@@ -25,8 +25,12 @@ type TaskTracker struct {
 	mapTarget    int
 	reduceTarget int
 
-	runningMaps    map[*mapTask]struct{}
-	runningReduces map[*reduceTask]struct{}
+	// Occupied slots, insertion-ordered with swap-remove (see
+	// addRunning). Every reader either only counts them or sorts or
+	// sums order-independently (sumAscending), so the order that
+	// removals leave behind is never observable.
+	runningMaps    []*mapTask
+	runningReduces []*reduceTask
 
 	// Cumulative counters and EWMA rate estimates sampled at heartbeats.
 	mapInputDoneMB  float64
@@ -82,21 +86,51 @@ type TaskTracker struct {
 
 func newTaskTracker(c *Cluster, id int, node *resource.Node) *TaskTracker {
 	tt := &TaskTracker{
-		c:              c,
-		id:             id,
-		node:           node,
-		mapTarget:      c.cfg.MapSlots,
-		reduceTarget:   c.cfg.ReduceSlots,
-		runningMaps:    make(map[*mapTask]struct{}),
-		runningReduces: make(map[*reduceTask]struct{}),
-		mapInputRate:   stats.NewEWMA(0.3),
-		mapOutputRate:  stats.NewEWMA(0.3),
-		shuffleRate:    stats.NewEWMA(0.3),
-		hbLabel:        fmt.Sprintf("hb tt%d", id),
+		c:             c,
+		id:            id,
+		node:          node,
+		mapTarget:     c.cfg.MapSlots,
+		reduceTarget:  c.cfg.ReduceSlots,
+		mapInputRate:  stats.NewEWMA(0.3),
+		mapOutputRate: stats.NewEWMA(0.3),
+		shuffleRate:   stats.NewEWMA(0.3),
+		hbLabel:       fmt.Sprintf("hb tt%d", id),
 	}
 	tt.hbFn = tt.heartbeat
 	tt.hbTickFn = tt.hbTick
 	return tt
+}
+
+// runningTask is a task attempt that records its own position in its
+// tracker's running list.
+type runningTask interface {
+	*mapTask | *reduceTask
+	slot() *int
+}
+
+func (m *mapTask) slot() *int    { return &m.runSlot }
+func (r *reduceTask) slot() *int { return &r.runSlot }
+
+// addRunning appends t to a tracker's running list.
+func addRunning[T runningTask](list *[]T, t T) {
+	*t.slot() = len(*list)
+	*list = append(*list, t)
+}
+
+// removeRunning swap-removes t from a tracker's running list; removing
+// a task that is not on the list is a no-op.
+func removeRunning[T runningTask](list *[]T, t T) {
+	l := *list
+	i := *t.slot()
+	if i >= len(l) || l[i] != t {
+		return
+	}
+	last := len(l) - 1
+	l[i] = l[last]
+	*l[i].slot() = i
+	var zero T
+	l[last] = zero
+	*list = l[:last]
 }
 
 // lazyLabel formats a per-id event label on first use and caches it in
@@ -238,10 +272,7 @@ func (tt *TaskTracker) killSurplusMaps() {
 	if surplus <= 0 {
 		return
 	}
-	victims := make([]*mapTask, 0, len(tt.runningMaps))
-	for m := range tt.runningMaps {
-		victims = append(victims, m)
-	}
+	victims := slices.Clone(tt.runningMaps)
 	// Kill the least-progressed attempts first (cheapest to redo),
 	// breaking ties by the total attempt order so the victim sequence
 	// is pinned even between attempts of the same logical task.
@@ -329,7 +360,7 @@ func (tt *TaskTracker) hbTick() {
 // reused call to call.
 func (tt *TaskTracker) inFlightMapInputMB() float64 {
 	vals := tt.scratch[:0]
-	for m := range tt.runningMaps {
+	for _, m := range tt.runningMaps {
 		if m.phase == 0 && m.computeOp != nil {
 			vals = append(vals, m.split.SizeMB*m.computeOp.fraction())
 		} else if m.phase > 0 {
@@ -344,7 +375,7 @@ func (tt *TaskTracker) inFlightMapInputMB() float64 {
 // inFlightMapOutputMB mirrors inFlightMapInputMB for produced output.
 func (tt *TaskTracker) inFlightMapOutputMB() float64 {
 	vals := tt.scratch[:0]
-	for m := range tt.runningMaps {
+	for _, m := range tt.runningMaps {
 		if m.phase == 0 && m.computeOp != nil {
 			vals = append(vals, m.shuffleMB*m.computeOp.fraction())
 		} else if m.phase > 0 {
@@ -359,10 +390,10 @@ func (tt *TaskTracker) inFlightMapOutputMB() float64 {
 // inFlightShuffleMB counts bytes moved by still-active fetch flows.
 func (tt *TaskTracker) inFlightShuffleMB() float64 {
 	vals := tt.scratch[:0]
-	for r := range tt.runningReduces {
-		for _, sf := range r.flows {
-			if sf != nil {
-				vals = append(vals, sf.op.movedMB())
+	for _, r := range tt.runningReduces {
+		for i := range r.srcs {
+			if op := r.srcs[i].op; op != nil {
+				vals = append(vals, op.movedMB())
 			}
 		}
 	}
@@ -372,7 +403,7 @@ func (tt *TaskTracker) inFlightShuffleMB() float64 {
 }
 
 // sumAscending adds the values smallest-first, making the float result
-// independent of map iteration order. The full-precision sums feed the
+// independent of the running lists' order. The full-precision sums feed the
 // audit records and trace export, which must be bit-reproducible
 // run-to-run.
 func sumAscending(vals []float64) float64 {

@@ -19,17 +19,14 @@ func TestLazySlotSemantics(t *testing.T) {
 	// Simulate running tasks beyond a shrunken target: free slots clamp
 	// to zero instead of going negative — the lazy changer in action.
 	for i := 0; i < 3; i++ {
-		tt.runningMaps[&mapTask{id: i}] = struct{}{}
+		addRunning(&tt.runningMaps, &mapTask{id: i})
 	}
 	tt.setTargets(1, 1)
 	if got := tt.freeMapSlots(); got != 0 {
 		t.Fatalf("free map slots = %d, want 0 under lazy shrink", got)
 	}
 	// As tasks drain, capacity reappears only below the target.
-	for m := range tt.runningMaps {
-		delete(tt.runningMaps, m)
-		break
-	}
+	removeRunning(&tt.runningMaps, tt.runningMaps[0])
 	if got := tt.freeMapSlots(); got != 0 {
 		t.Fatalf("free map slots = %d, want 0 with 2 running and target 1", got)
 	}
@@ -108,8 +105,8 @@ func TestYARNMemoryMath(t *testing.T) {
 		t.Fatalf("map burst = %d, want 6", got)
 	}
 	// Occupy two reduce containers: 12288 − 6144 = 6144 → 3 maps.
-	tt.runningReduces[&reduceTask{partition: 0}] = struct{}{}
-	tt.runningReduces[&reduceTask{partition: 1}] = struct{}{}
+	addRunning(&tt.runningReduces, &reduceTask{partition: 0})
+	addRunning(&tt.runningReduces, &reduceTask{partition: 1})
 	if got := tt.freeMapSlots(); got != 3 {
 		t.Fatalf("maps with reduces = %d, want 3", got)
 	}

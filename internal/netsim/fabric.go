@@ -131,6 +131,16 @@ type Flow struct {
 	pooled bool
 }
 
+// String names the flow for diagnostics: its Label when set, otherwise
+// its endpoints (callers that identify their flows elsewhere leave
+// Label empty so starting a flow never formats a string).
+func (f *Flow) String() string {
+	if f.Label != "" {
+		return f.Label
+	}
+	return fmt.Sprintf("flow %d->%d", f.Src, f.Dst)
+}
+
 // Rate returns the flow's current allocation in MB/s, valid until the
 // next membership change.
 func (f *Flow) Rate() float64 { return f.rate }
@@ -489,19 +499,19 @@ func (fb *Fabric) fastRemove(f *Flow) bool {
 // are read from disk).
 func (fb *Fabric) Add(f *Flow) {
 	if f.fabric != nil {
-		panic(fmt.Sprintf("netsim: flow %q already registered", f.Label))
+		panic(fmt.Sprintf("netsim: flow %q already registered", f))
 	}
 	if f.pooled {
-		panic(fmt.Sprintf("netsim: flow %q used after release to pool", f.Label))
+		panic(fmt.Sprintf("netsim: flow %q used after release to pool", f))
 	}
 	if f.Src < 0 || f.Src >= fb.cfg.Nodes || f.Dst < 0 || f.Dst >= fb.cfg.Nodes {
-		panic(fmt.Sprintf("netsim: flow %q endpoints (%d,%d) out of range", f.Label, f.Src, f.Dst))
+		panic(fmt.Sprintf("netsim: flow %q endpoints (%d,%d) out of range", f, f.Src, f.Dst))
 	}
 	if f.RemainingMB < 0 {
-		panic(fmt.Sprintf("netsim: flow %q negative remaining", f.Label))
+		panic(fmt.Sprintf("netsim: flow %q negative remaining", f))
 	}
 	if f.CapMBps < 0 {
-		panic(fmt.Sprintf("netsim: flow %q negative cap", f.Label))
+		panic(fmt.Sprintf("netsim: flow %q negative cap", f))
 	}
 	f.fabric = fb
 	f.idx = len(fb.flows)
@@ -582,10 +592,10 @@ func (fb *Fabric) AcquireFlow() *Flow {
 // field including Userdata, so no caller state leaks across reuse.
 func (fb *Fabric) ReleaseFlow(f *Flow) {
 	if f.fabric != nil {
-		panic(fmt.Sprintf("netsim: release of still-registered flow %q", f.Label))
+		panic(fmt.Sprintf("netsim: release of still-registered flow %q", f))
 	}
 	if f.pooled {
-		panic(fmt.Sprintf("netsim: double release of flow %q", f.Label))
+		panic(fmt.Sprintf("netsim: double release of flow %q", f))
 	}
 	*f = Flow{pooled: true}
 	fb.flowPool = append(fb.flowPool, f)
@@ -709,7 +719,7 @@ func (fb *Fabric) verifyAgainstFull() {
 		d := f.rate - snap[i]
 		if d > fullResolveTol || d < -fullResolveTol {
 			panic(fmt.Sprintf("netsim: incremental resolve diverged on flow %q (%d->%d): incremental %v, full %v",
-				f.Label, f.Src, f.Dst, snap[i], f.rate))
+				f, f.Src, f.Dst, snap[i], f.rate))
 		}
 	}
 }
@@ -925,10 +935,10 @@ func (fb *Fabric) waterfill(flows []*Flow) {
 // allocation, so TopUp never dirties any link. Negative mb panics.
 func (fb *Fabric) TopUp(f *Flow, mb float64) {
 	if mb < 0 {
-		panic(fmt.Sprintf("netsim: TopUp %q with negative volume %v", f.Label, mb))
+		panic(fmt.Sprintf("netsim: TopUp %q with negative volume %v", f, mb))
 	}
 	if f.fabric != fb {
-		panic(fmt.Sprintf("netsim: TopUp on foreign flow %q", f.Label))
+		panic(fmt.Sprintf("netsim: TopUp on foreign flow %q", f))
 	}
 	f.RemainingMB += mb
 }

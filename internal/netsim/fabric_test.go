@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -173,8 +175,13 @@ func TestDoubleAddPanics(t *testing.T) {
 func TestOutOfRangePanics(t *testing.T) {
 	fb := NewFabric(cfg(2))
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("out-of-range endpoint did not panic")
+		}
+		// An unlabelled flow is named by its endpoints.
+		if msg := fmt.Sprint(r); !strings.Contains(msg, `"flow 0->5"`) {
+			t.Fatalf("panic %q does not name the flow", msg)
 		}
 	}()
 	fb.Add(&Flow{Src: 0, Dst: 5})

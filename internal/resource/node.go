@@ -120,10 +120,25 @@ type Activity struct {
 	Weight      float64 // thread weight toward the multiprogramming level (usually 1, fetchers <1)
 	Pressure    float64 // contention pressure contribution (job-calibrated)
 	FootprintMB float64 // resident memory while active
-	Label       string  // diagnostics
+	Label       string  // diagnostics; optional, see String
 
 	node *Node
 	rate float64
+	slot int // position in node.acts while registered
+}
+
+// String names the activity for diagnostics: its Label when set,
+// otherwise its kind and the node it is registered on (callers that
+// identify their work elsewhere leave Label empty so registering an
+// activity never formats a string).
+func (a *Activity) String() string {
+	if a.Label != "" {
+		return a.Label
+	}
+	if a.node == nil {
+		return a.Kind.String() + " activity"
+	}
+	return fmt.Sprintf("%v activity on node %d", a.Kind, a.node.id)
 }
 
 // Rate returns the activity's current work rate, valid until the next
@@ -135,7 +150,9 @@ type Node struct {
 	spec Spec
 	id   int
 
-	acts map[*Activity]struct{}
+	// acts is the registered set in insertion order; each activity
+	// records its own position (slot) so removal is a swap-remove.
+	acts []*Activity
 
 	// Cached aggregates, maintained incrementally.
 	nCPU, nDisk int
@@ -162,7 +179,7 @@ func NewNode(id int, spec Spec) *Node {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	return &Node{spec: spec, id: id, acts: make(map[*Activity]struct{}), cpuScale: 1, diskScale: 1}
+	return &Node{spec: spec, id: id, cpuScale: 1, diskScale: 1}
 }
 
 // ID returns the node's cluster-wide identifier.
@@ -194,16 +211,17 @@ func (n *Node) FootprintMB() float64 { return n.footprintMB }
 // Adding the same activity twice or an activity owned elsewhere panics.
 func (n *Node) Add(a *Activity) {
 	if a.node != nil {
-		panic(fmt.Sprintf("resource: activity %q already registered", a.Label))
+		panic(fmt.Sprintf("resource: activity %q already registered", a))
 	}
 	if a.Kind != Phantom && a.Remaining < 0 {
-		panic(fmt.Sprintf("resource: activity %q has negative remaining work", a.Label))
+		panic(fmt.Sprintf("resource: activity %q on node %d has negative remaining work", a, n.id))
 	}
 	if a.Weight < 0 || a.Pressure < 0 || a.FootprintMB < 0 {
-		panic(fmt.Sprintf("resource: activity %q has negative weight/pressure/footprint", a.Label))
+		panic(fmt.Sprintf("resource: activity %q on node %d has negative weight/pressure/footprint", a, n.id))
 	}
 	a.node = n
-	n.acts[a] = struct{}{}
+	a.slot = len(n.acts)
+	n.acts = append(n.acts, a)
 	switch a.Kind {
 	case CPU:
 		n.nCPU++
@@ -226,7 +244,11 @@ func (n *Node) Remove(a *Activity) {
 	if a.node != n {
 		return
 	}
-	delete(n.acts, a)
+	last := len(n.acts) - 1
+	n.acts[a.slot] = n.acts[last]
+	n.acts[a.slot].slot = a.slot
+	n.acts[last] = nil
+	n.acts = n.acts[:last]
 	a.node = nil
 	a.rate = 0
 	switch a.Kind {
@@ -349,7 +371,7 @@ func (n *Node) recompute() {
 	if n.nDisk > 0 {
 		diskShare = n.spec.DiskMBps * n.diskScale / float64(n.nDisk)
 	}
-	for a := range n.acts {
+	for _, a := range n.acts {
 		switch a.Kind {
 		case CPU:
 			a.rate = cpuShare

@@ -1,7 +1,9 @@
 package resource
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -159,8 +161,13 @@ func TestDoubleAddPanics(t *testing.T) {
 	a := &Activity{Kind: CPU, Remaining: 1, Weight: 1}
 	n.Add(a)
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("double Add did not panic")
+		}
+		// An unlabelled activity is named by its kind and node.
+		if msg := fmt.Sprint(r); !strings.Contains(msg, `"cpu activity on node 0"`) {
+			t.Fatalf("panic %q does not name the activity", msg)
 		}
 	}()
 	n.Add(a)
@@ -189,8 +196,12 @@ func TestNegativeFieldsPanics(t *testing.T) {
 	for i, a := range cases {
 		func() {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Fatalf("case %d: bad activity did not panic", i)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, `"cpu activity" on node 0`) {
+					t.Fatalf("case %d: panic %q does not name the activity", i, msg)
 				}
 			}()
 			n.Add(a)
