@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test check vet race invariants cover bench-smoke perf-smoke bench-fluid bench-alloc bench-clock bench-fleet bench-tenant trace-smoke serve-smoke grid-smoke clean
+.PHONY: all build test check vet race invariants cover bench-smoke perf-smoke trace-smoke serve-smoke grid-smoke clean
 
 all: check
 
@@ -51,44 +51,6 @@ bench-smoke:
 perf-smoke:
 	cd smrperf && $(GO) test ./...
 	bash smrperf/run.sh --workload fig3-matrix --seed 1 --seconds 5 --trace 0
-
-# bench-fluid regenerates BENCH_fluid.json (baseline vs incremental
-# fluid-rate resolver timings).
-bench-fluid:
-	$(GO) run ./cmd/smrbench -benchjson
-
-# bench-alloc regenerates BENCH_alloc.json (allocs/op, bytes/op and GC
-# cycles of the figure macro-runs against the pre-pooling baselines,
-# plus the pooled-vs-unpooled netsim churn loop), and runs the zero-
-# alloc AllocsPerRun guards in short mode as a quick gate first.
-bench-alloc:
-	$(GO) test -short -run 'ZeroAlloc|AllocFree' ./internal/sim/ ./internal/netsim/ ./internal/mr/
-	$(GO) run ./cmd/smrbench -memjson
-
-# bench-clock regenerates BENCH_clock.json (timing wheel vs heap-only
-# event scheduler: periodic-beat and churn microbenchmarks plus figure
-# and fleet macro-runs, both backends measured live), after running the
-# wheel-vs-heap differential pins as a gate.
-bench-clock:
-	$(GO) test -run 'WheelVsHeapSchedDifferential|SchedDiffSeeded' ./internal/mr/ ./internal/sim/
-	$(GO) run ./cmd/smrbench -clockjson
-
-# bench-fleet regenerates BENCH_fleet.json (the fleet runner's
-# 1→GOMAXPROCS scaling curve over a 256-cluster fleet: runs/sec,
-# speedup and parallel efficiency per worker count), after running the
-# fleet determinism pin as a gate. The curve is machine-dependent —
-# efficiency is only meaningful up to the runner's core count.
-bench-fleet:
-	$(GO) test -run 'FleetDeterminism' ./internal/fleet/
-	$(GO) run ./cmd/smrbench -fleetjson
-
-# bench-tenant regenerates BENCH_tenant.json (the multi-tenant
-# capacity-policy shoot-out: every engine replays identical open
-# arrival streams at three offered loads), after pinning open-arrival
-# determinism across fleet worker counts as a gate.
-bench-tenant:
-	$(GO) test -run 'FleetDeterminismOpenArrivals|ShootoutDeterministic' ./internal/fleet/ ./internal/experiments/
-	$(GO) run ./cmd/smrbench -tenantjson
 
 # trace-smoke proves the observability pipeline end to end: a traced
 # default run must produce a valid Chrome trace (tracecheck) and a

@@ -1,25 +1,26 @@
 // Command smrbench regenerates the paper's evaluation figures (Fig. 1
 // and Figs. 3–9) on the simulated cluster and prints one table per
-// figure — the data behind EXPERIMENTS.md.
+// figure — the data behind EXPERIMENTS.md. With -extras it also runs
+// the beyond-the-paper experiments (ablations, heterogeneous cluster,
+// schedulers, speculation, multi-tenant shoot-out, …).
 //
 // Usage:
 //
 //	smrbench                 # all figures at paper scale
 //	smrbench -fig 3 -fig 6   # a subset
 //	smrbench -scale 0.25     # quicker, smaller inputs
-//	smrbench -benchjson      # time the fluid resolver, write BENCH_fluid.json
-//	smrbench -memjson        # measure allocs/bytes/GC, write BENCH_alloc.json
-//	smrbench -fleetjson      # time the fleet runner's scaling curve, write BENCH_fleet.json
-//	smrbench -clockjson      # benchmark the event scheduler (wheel vs heap), write BENCH_clock.json
+//	smrbench -extras -csv d  # figures plus extras, each table also as d/<name>.csv
 //
-// Any mode accepts -cpuprofile / -memprofile to write pprof profiles
-// of the run.
+// -cpuprofile / -memprofile write pprof profiles of the run. Exit
+// status is 0 on success, 1 if any figure or experiment failed and 2
+// on a bad flag.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -31,10 +32,10 @@ import (
 
 	"smapreduce/internal/experiments"
 	"smapreduce/internal/metrics"
-	"smapreduce/internal/netsim"
-	"smapreduce/internal/telemetry"
-	"smapreduce/internal/trace"
 )
+
+// allFigures is the default -fig set: every key of figures, in order.
+var allFigures = []int{1, 3, 4, 5, 6, 7, 8, 9}
 
 // figList collects repeated -fig flags.
 type figList []int
@@ -46,45 +47,100 @@ func (f *figList) Set(s string) error {
 	if err != nil {
 		return err
 	}
+	if _, ok := figures[n]; !ok {
+		return fmt.Errorf("no figure %d (figures are 1 and 3–9; figure 2 is the architecture diagram)", n)
+	}
 	*f = append(*f, n)
 	return nil
 }
 
+// result is what every experiment returns; figures with a chart also
+// implement charter.
+type result interface{ Table() *metrics.Table }
+
+type charter interface{ Chart() string }
+
+type experiment struct {
+	slug string // CSV file name; also the progress label of an extra
+	run  func(experiments.Config) (result, error)
+}
+
+// exp adapts a typed experiments entry point to the common shape.
+func exp[R result](slug string, fn func(experiments.Config) (R, error)) experiment {
+	return experiment{slug, func(cfg experiments.Config) (result, error) { return fn(cfg) }}
+}
+
+var figures = map[int]experiment{
+	1: exp("fig1", experiments.Figure1),
+	3: exp("fig3", experiments.Figure3),
+	4: exp("fig4", experiments.Figure4),
+	5: exp("fig5", experiments.Figure5),
+	6: exp("fig6", experiments.Figure6),
+	7: exp("fig7", experiments.Figure7),
+	8: exp("fig8", experiments.Figure8),
+	9: exp("fig9", experiments.Figure9),
+}
+
+var extras = []experiment{
+	exp("ablation-bounds", experiments.AblationBounds),
+	exp("ablation-slowstart", experiments.AblationSlowStart),
+	exp("ablation-confirmations", experiments.AblationConfirmations),
+	exp("ablation-lazy-eager", experiments.AblationLazyVsEager),
+	exp("ablation-tailboost", experiments.AblationTailBoost),
+	exp("heterogeneous", experiments.Heterogeneous),
+	exp("schedulers", experiments.Schedulers),
+	exp("speculation", experiments.Speculation),
+	exp("oversubscription", experiments.Oversubscription),
+	exp("oracle-gap", experiments.OracleGap),
+	exp("controllers", experiments.ControllerComparison),
+	exp("skew", experiments.SkewSensitivity),
+	exp("trace", experiments.TraceWorkload),
+	exp("multitenant", experiments.MultiTenantShootout),
+}
+
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with injectable arguments, streams and status code, so
+// the command is testable in-process and every exit path flushes the
+// profiles.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("smrbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var figs figList
-	scale := flag.Float64("scale", 1.0, "input size multiplier (1.0 = paper scale)")
-	workers := flag.Int("workers", 16, "task trackers")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	trials := flag.Int("trials", 1, "average metrics over N trials (the paper uses 2)")
-	csvDir := flag.String("csv", "", "also write each figure's data as CSV into this directory")
-	charts := flag.Bool("charts", false, "print an ASCII chart under each figure that has one")
-	extras := flag.Bool("extras", false, "also run the beyond-the-paper experiments (ablations, heterogeneous cluster, schedulers, speculation)")
-	benchJSON := flag.Bool("benchjson", false, "time the fluid-rate resolver (figure macro-runs and netsim churn) and write BENCH_fluid.json instead of running figures")
-	memJSON := flag.Bool("memjson", false, "measure heap behaviour (allocs/op, bytes/op, GC cycles) of the figure macro-runs and the netsim churn loop, write BENCH_alloc.json instead of running figures")
-	fleetJSON := flag.Bool("fleetjson", false, "time a 256-cluster fleet at worker counts 1,2,4,… and write the scaling curve to BENCH_fleet.json instead of running figures")
-	clockJSON := flag.Bool("clockjson", false, "benchmark the event scheduler — timing wheel vs heap-only baseline, micro and macro — and write BENCH_clock.json instead of running figures")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
-	tenantJSON := flag.Bool("tenantjson", false, "run the multi-tenant capacity shoot-out (every engine × offered loads on identical open arrival streams) and write BENCH_tenant.json instead of running figures")
-	telemPath := flag.String("telemetry", "", "capture a seeded SMapReduce histogram-ratings run, write its telemetry series to this file (CSV if it ends in .csv, else JSONL) and print the slot/rate timeline instead of running figures")
-	tracePath := flag.String("trace", "", "capture a seeded SMapReduce histogram-ratings run and write its Chrome trace-event JSON to this file (combinable with -telemetry) instead of running figures")
-	flag.Var(&figs, "fig", "figure number to run (repeatable; default: all)")
-	flag.Parse()
+	scale := fs.Float64("scale", 1.0, "input size multiplier (1.0 = paper scale)")
+	workers := fs.Int("workers", 16, "task trackers")
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	trials := fs.Int("trials", 1, "average metrics over N trials (the paper uses 2)")
+	csvDir := fs.String("csv", "", "also write each figure's data as CSV into this directory")
+	charts := fs.Bool("charts", false, "print an ASCII chart under each figure that has one")
+	withExtras := fs.Bool("extras", false, "also run the beyond-the-paper experiments (ablations, heterogeneous cluster, schedulers, speculation)")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
+	fs.Var(&figs, "fig", "figure number to run (repeatable; default: all)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if len(figs) == 0 {
-		figs = figList{1, 3, 4, 5, 6, 7, 8, 9}
+		figs = allFigures
 	}
 	sort.Ints(figs)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "smrbench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "smrbench: %v\n", err)
+			return 1
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "smrbench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "smrbench: %v\n", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -92,12 +148,12 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "smrbench: %v\n", err)
+				fmt.Fprintf(stderr, "smrbench: %v\n", err)
 				return
 			}
 			runtime.GC() // settle the heap so the profile shows live objects
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "smrbench: %v\n", err)
+				fmt.Fprintf(stderr, "smrbench: %v\n", err)
 			}
 			f.Close()
 		}()
@@ -109,680 +165,60 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Trials = *trials
 
-	if *benchJSON {
-		if err := writeBenchJSON(cfg, "BENCH_fluid.json"); err != nil {
-			fmt.Fprintf(os.Stderr, "smrbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *memJSON {
-		if err := writeMemJSON(cfg, "BENCH_alloc.json"); err != nil {
-			fmt.Fprintf(os.Stderr, "smrbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *fleetJSON {
-		if err := writeFleetJSON(*seed, "BENCH_fleet.json"); err != nil {
-			fmt.Fprintf(os.Stderr, "smrbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *clockJSON {
-		if err := writeClockJSON(cfg, "BENCH_clock.json"); err != nil {
-			fmt.Fprintf(os.Stderr, "smrbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *tenantJSON {
-		if err := writeTenantJSON(cfg, "BENCH_tenant.json"); err != nil {
-			fmt.Fprintf(os.Stderr, "smrbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *telemPath != "" || *tracePath != "" {
-		if err := captureTelemetry(cfg, *telemPath, *tracePath); err != nil {
-			fmt.Fprintf(os.Stderr, "smrbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	type figOut struct {
-		table *metrics.Table
-		chart string
-	}
-	type runner struct {
-		name string
-		run  func() (figOut, error)
-	}
-	runners := map[int]runner{
-		1: {"Figure 1", func() (figOut, error) {
-			r, err := experiments.Figure1(cfg)
-			if err != nil {
-				return figOut{}, err
-			}
-			return figOut{r.Table(), r.Chart()}, nil
-		}},
-		3: {"Figure 3", func() (figOut, error) {
-			r, err := experiments.Figure3(cfg)
-			if err != nil {
-				return figOut{}, err
-			}
-			return figOut{r.Table(), r.Chart()}, nil
-		}},
-		4: {"Figure 4", func() (figOut, error) {
-			r, err := experiments.Figure4(cfg)
-			if err != nil {
-				return figOut{}, err
-			}
-			return figOut{r.Table(), r.Chart()}, nil
-		}},
-		5: {"Figure 5", func() (figOut, error) {
-			r, err := experiments.Figure5(cfg)
-			if err != nil {
-				return figOut{}, err
-			}
-			return figOut{r.Table(), ""}, nil
-		}},
-		6: {"Figure 6", func() (figOut, error) {
-			r, err := experiments.Figure6(cfg)
-			if err != nil {
-				return figOut{}, err
-			}
-			return figOut{r.Table(), r.Chart()}, nil
-		}},
-		7: {"Figure 7", func() (figOut, error) {
-			r, err := experiments.Figure7(cfg)
-			if err != nil {
-				return figOut{}, err
-			}
-			return figOut{r.Table(), ""}, nil
-		}},
-		8: {"Figure 8", func() (figOut, error) {
-			r, err := experiments.Figure8(cfg)
-			if err != nil {
-				return figOut{}, err
-			}
-			return figOut{r.Table(), r.Chart()}, nil
-		}},
-		9: {"Figure 9", func() (figOut, error) {
-			r, err := experiments.Figure9(cfg)
-			if err != nil {
-				return figOut{}, err
-			}
-			return figOut{r.Table(), r.Chart()}, nil
-		}},
-	}
-
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "smrbench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "smrbench: %v\n", err)
+			return 1
 		}
 	}
 
-	emit := func(slug string, t *metrics.Table) {
-		fmt.Print(t.String())
-		if *csvDir == "" {
-			return
+	// runOne runs e, prints its table (and chart, with -charts), writes
+	// its CSV and reports whether it succeeded.
+	runOne := func(name string, e experiment) (time.Duration, bool) {
+		start := time.Now()
+		r, err := e.run(cfg)
+		if err != nil {
+			fmt.Fprintf(stderr, "smrbench: %s failed: %v\n", name, err)
+			return 0, false
 		}
-		path := filepath.Join(*csvDir, slug+".csv")
-		if err := os.WriteFile(path, []byte(t.CSV()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "smrbench: writing %s: %v\n", path, err)
-			os.Exit(1)
+		t := r.Table()
+		fmt.Fprint(stdout, t.String())
+		if *csvDir != "" {
+			path := filepath.Join(*csvDir, e.slug+".csv")
+			if err := os.WriteFile(path, []byte(t.CSV()), 0o644); err != nil {
+				fmt.Fprintf(stderr, "smrbench: writing %s: %v\n", path, err)
+				return 0, false
+			}
 		}
+		if c, ok := r.(charter); ok && *charts {
+			fmt.Fprint(stdout, c.Chart())
+		}
+		return time.Since(start).Round(time.Millisecond), true
 	}
 
-	fmt.Printf("smrbench: %d workers, scale %.2f, seed %d\n\n", cfg.Workers, cfg.Scale, cfg.Seed)
+	fmt.Fprintf(stdout, "smrbench: %d workers, scale %.2f, seed %d\n\n", cfg.Workers, cfg.Scale, cfg.Seed)
 	var failed []string
 	for _, n := range figs {
-		r, ok := runners[n]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "smrbench: no figure %d (figure 2 is the architecture diagram)\n", n)
-			continue
+		name := fmt.Sprintf("Figure %d", n)
+		if d, ok := runOne(name, figures[n]); ok {
+			fmt.Fprintf(stdout, "(%s regenerated in %v)\n\n", name, d)
+		} else {
+			failed = append(failed, name)
 		}
-		start := time.Now()
-		out, err := r.run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "smrbench: %s failed: %v\n", r.name, err)
-			failed = append(failed, r.name)
-			continue
-		}
-		emit(fmt.Sprintf("fig%d", n), out.table)
-		if *charts && out.chart != "" {
-			fmt.Print(out.chart)
-		}
-		fmt.Printf("(%s regenerated in %v)\n\n", r.name, time.Since(start).Round(time.Millisecond))
 	}
-
-	if *extras {
-		type extra struct {
-			slug string
-			run  func() (*metrics.Table, error)
-		}
-		extraRuns := []extra{
-			{"ablation-bounds", func() (*metrics.Table, error) {
-				r, err := experiments.AblationBounds(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return r.Table(), nil
-			}},
-			{"ablation-slowstart", func() (*metrics.Table, error) {
-				r, err := experiments.AblationSlowStart(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return r.Table(), nil
-			}},
-			{"ablation-confirmations", func() (*metrics.Table, error) {
-				r, err := experiments.AblationConfirmations(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return r.Table(), nil
-			}},
-			{"ablation-lazy-eager", func() (*metrics.Table, error) {
-				r, err := experiments.AblationLazyVsEager(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return r.Table(), nil
-			}},
-			{"ablation-tailboost", func() (*metrics.Table, error) {
-				r, err := experiments.AblationTailBoost(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return r.Table(), nil
-			}},
-			{"heterogeneous", func() (*metrics.Table, error) {
-				r, err := experiments.Heterogeneous(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return r.Table(), nil
-			}},
-			{"schedulers", func() (*metrics.Table, error) {
-				r, err := experiments.Schedulers(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return r.Table(), nil
-			}},
-			{"speculation", func() (*metrics.Table, error) {
-				r, err := experiments.Speculation(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return r.Table(), nil
-			}},
-			{"oversubscription", func() (*metrics.Table, error) {
-				r, err := experiments.Oversubscription(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return r.Table(), nil
-			}},
-			{"oracle-gap", func() (*metrics.Table, error) {
-				r, err := experiments.OracleGap(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return r.Table(), nil
-			}},
-			{"controllers", func() (*metrics.Table, error) {
-				r, err := experiments.ControllerComparison(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return r.Table(), nil
-			}},
-			{"skew", func() (*metrics.Table, error) {
-				r, err := experiments.SkewSensitivity(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return r.Table(), nil
-			}},
-			{"trace", func() (*metrics.Table, error) {
-				r, err := experiments.TraceWorkload(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return r.Table(), nil
-			}},
-			{"multitenant", func() (*metrics.Table, error) {
-				r, err := experiments.MultiTenantShootout(cfg)
-				if err != nil {
-					return nil, err
-				}
-				return r.Table(), nil
-			}},
-		}
-		for _, e := range extraRuns {
-			start := time.Now()
-			t, err := e.run()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "smrbench: %s failed: %v\n", e.slug, err)
+	if *withExtras {
+		for _, e := range extras {
+			if d, ok := runOne(e.slug, e); ok {
+				fmt.Fprintf(stdout, "(%s in %v)\n\n", e.slug, d)
+			} else {
 				failed = append(failed, e.slug)
-				continue
 			}
-			emit(e.slug, t)
-			fmt.Printf("(%s in %v)\n\n", e.slug, time.Since(start).Round(time.Millisecond))
 		}
 	}
 
 	if len(failed) > 0 {
-		fmt.Fprintf(os.Stderr, "smrbench: failed: %s\n", strings.Join(failed, ", "))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "smrbench: failed: %s\n", strings.Join(failed, ", "))
+		return 1
 	}
-}
-
-// captureTelemetry runs the seeded histogram-ratings workload on
-// SMapReduce with telemetry (and, when tracePath is set, span tracing)
-// attached — the Fig. 5/6 trajectory view — writes the requested
-// files and prints the regenerated timeline.
-func captureTelemetry(cfg experiments.Config, telemPath, tracePath string) error {
-	var tr *trace.Tracer
-	if tracePath != "" {
-		tr = trace.New(trace.Options{})
-	}
-	col, err := experiments.CaptureTimelineTraced(cfg, "histogram-ratings", 100, tr)
-	if err != nil {
-		return err
-	}
-	if telemPath != "" {
-		if err := telemetry.WriteFile(col, telemPath); err != nil {
-			return err
-		}
-		fmt.Printf("captured %d series over %d ticks -> %s\n", len(col.Names()), col.Ticks(), telemPath)
-	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		err = tr.WriteChromeJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("captured %d trace events -> %s (open in Perfetto)\n", tr.Len(), tracePath)
-	}
-	fmt.Println()
-	fmt.Print(experiments.TimelineChart(col))
-	return nil
-}
-
-// tenantRow is one (engine, load) cell of the shoot-out as written to
-// BENCH_tenant.json.
-type tenantRow struct {
-	Engine    string  `json:"engine"`
-	Load      float64 `json:"load"`
-	Jobs      int     `json:"jobs"`
-	Makespan  float64 `json:"makespan_s"`
-	P50       float64 `json:"p50_s"`
-	P99       float64 `json:"p99_s"`
-	SLOMisses int     `json:"slo_misses"`
-}
-
-type tenantReport struct {
-	Command string      `json:"command"`
-	Scale   float64     `json:"scale"`
-	Workers int         `json:"workers"`
-	Seed    uint64      `json:"seed"`
-	Rows    []tenantRow `json:"rows"`
-}
-
-// writeTenantJSON runs the multi-tenant capacity-policy shoot-out —
-// every engine replays the identical open arrival stream at each
-// offered-load multiplier — prints the table and writes the rows to
-// BENCH_tenant.json.
-func writeTenantJSON(cfg experiments.Config, path string) error {
-	r, err := experiments.MultiTenantShootout(cfg)
-	if err != nil {
-		return err
-	}
-	report := tenantReport{
-		Command: "smrbench -tenantjson",
-		Scale:   cfg.Scale,
-		Workers: cfg.Workers,
-		Seed:    cfg.Seed,
-		Rows:    make([]tenantRow, len(r.Rows)),
-	}
-	for i, row := range r.Rows {
-		report.Rows[i] = tenantRow{
-			Engine:    row.Engine.String(),
-			Load:      row.Load,
-			Jobs:      row.Jobs,
-			Makespan:  row.Makespan,
-			P50:       row.P50,
-			P99:       row.P99,
-			SLOMisses: row.SLOMisses,
-		}
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Print(r.Table().String())
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// Pre-optimisation ns/op for the macro benchmarks (`go test -bench` on
-// the eager resolver: full fabric Recompute plus settleAll/refreshAll
-// on every mutation scope), recorded on the reference machine before
-// the incremental dirty-set resolver landed. The churn micro-bench
-// needs no recorded constant — its baseline (from-scratch Recompute
-// per event) is still a live code path and is re-measured each run.
-const (
-	baselineFigure3NS = 1409544061.0
-	baselineFigure4NS = 177623788.0
-)
-
-type benchEntry struct {
-	Name     string  `json:"name"`
-	Unit     string  `json:"unit"`
-	Baseline float64 `json:"baseline"`
-	Current  float64 `json:"current"`
-	Speedup  float64 `json:"speedup"`
-	Note     string  `json:"note,omitempty"`
-}
-
-type benchReport struct {
-	Command string       `json:"command"`
-	Scale   float64      `json:"scale"`
-	Workers int          `json:"workers"`
-	Seed    uint64       `json:"seed"`
-	Results []benchEntry `json:"results"`
-}
-
-// writeBenchJSON times the fluid-rate resolver and records baseline
-// versus current ns/op: the two figure macro-runs the optimisation
-// targets, and the netsim churn micro-benchmark in both resolve modes.
-// The figure runs are pinned to the root benchmark suite's shape
-// (Scale 0.5, the shape the baseline constants were recorded at) so
-// baseline and current stay comparable regardless of -scale.
-func writeBenchJSON(cfg experiments.Config, path string) error {
-	cfg.Scale = 0.5
-	// One untimed warm-up run before each measurement so the numbers
-	// reflect steady state (allocator and GC heap sizing), matching
-	// what `go test -bench` reports over its iterations.
-	timeIt := func(fn func() error) (float64, error) {
-		if err := fn(); err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		if err := fn(); err != nil {
-			return 0, err
-		}
-		return float64(time.Since(start).Nanoseconds()), nil
-	}
-
-	fig3, err := timeIt(func() error { _, err := experiments.Figure3(cfg); return err })
-	if err != nil {
-		return fmt.Errorf("figure 3: %w", err)
-	}
-	fig4, err := timeIt(func() error { _, err := experiments.Figure4(cfg); return err })
-	if err != nil {
-		return fmt.Errorf("figure 4: %w", err)
-	}
-	churnFull := churnNSPerOp(false, 30_000)
-	churnInc := churnNSPerOp(true, 300_000)
-
-	report := benchReport{
-		Command: "smrbench -benchjson",
-		Scale:   cfg.Scale,
-		Workers: cfg.Workers,
-		Seed:    cfg.Seed,
-		Results: []benchEntry{
-			{
-				Name: "Figure3ExecTime", Unit: "ns/op",
-				Baseline: baselineFigure3NS, Current: fig3,
-				Speedup: baselineFigure3NS / fig3,
-				Note:    "baseline recorded pre-optimisation (eager full resolve); current measured this run",
-			},
-			{
-				Name: "Figure4Progress", Unit: "ns/op",
-				Baseline: baselineFigure4NS, Current: fig4,
-				Speedup: baselineFigure4NS / fig4,
-				Note:    "baseline recorded pre-optimisation (eager full resolve); current measured this run",
-			},
-			{
-				Name: "netsim churn (remove+add+resolve)", Unit: "ns/op",
-				Baseline: churnFull, Current: churnInc,
-				Speedup: churnFull / churnInc,
-				Note:    "both sides measured this run: baseline = from-scratch Recompute per event, current = ResolveDirty",
-			},
-		},
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	for _, r := range report.Results {
-		fmt.Printf("%-36s baseline %14.0f  current %14.0f  speedup %5.1fx\n",
-			r.Name, r.Baseline, r.Current, r.Speedup)
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// Pre-optimisation heap behaviour of the figure macro-runs, recorded
-// at the commit before the event-arena/pooling change with the exact
-// protocol writeMemJSON uses (Scale 0.5, one untimed warm-up run,
-// runtime.GC, then one measured run bracketed by ReadMemStats). The
-// churn loop needs no recorded constants — its unpooled baseline
-// (fresh Flow per cycle) is still a live code path and is re-measured
-// each run.
-const (
-	baselineFigure3Allocs = 2901962.0
-	baselineFigure3Bytes  = 150734728.0
-	baselineFigure3GCs    = 56.0
-	baselineFigure4Allocs = 373334.0
-	baselineFigure4Bytes  = 20115352.0
-	baselineFigure4GCs    = 6.0
-)
-
-// heapProbe is one measured run's allocator footprint.
-type heapProbe struct {
-	allocs float64 // heap objects allocated (Mallocs delta)
-	bytes  float64 // bytes allocated (TotalAlloc delta)
-	gcs    float64 // GC cycles completed (NumGC delta)
-}
-
-// measureHeap runs fn once untimed to reach steady state, forces a
-// collection so the measured run starts from a settled heap, then runs
-// fn again between two ReadMemStats snapshots.
-func measureHeap(fn func() error) (heapProbe, error) {
-	if err := fn(); err != nil {
-		return heapProbe{}, err
-	}
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	if err := fn(); err != nil {
-		return heapProbe{}, err
-	}
-	runtime.ReadMemStats(&m1)
-	return heapProbe{
-		allocs: float64(m1.Mallocs - m0.Mallocs),
-		bytes:  float64(m1.TotalAlloc - m0.TotalAlloc),
-		gcs:    float64(m1.NumGC - m0.NumGC),
-	}, nil
-}
-
-// reduction is baseline/current with the zero-current case pinned: a
-// fully pooled loop legitimately hits 0 allocs/op, and +Inf is not
-// representable in JSON, so the factor is reported against one whole
-// allocation instead.
-func reduction(baseline, current float64) float64 {
-	if current <= 0 {
-		return baseline
-	}
-	return baseline / current
-}
-
-// writeMemJSON measures the allocator footprint of the two figure
-// macro-runs (against the recorded pre-optimisation baselines) and of
-// the netsim churn loop in pooled versus unpooled mode, and writes
-// BENCH_alloc.json. The figure runs are pinned to Scale 0.5 — the
-// shape the baselines were recorded at — so the comparison holds
-// regardless of -scale.
-func writeMemJSON(cfg experiments.Config, path string) error {
-	cfg.Scale = 0.5
-	fig3, err := measureHeap(func() error { _, err := experiments.Figure3(cfg); return err })
-	if err != nil {
-		return fmt.Errorf("figure 3: %w", err)
-	}
-	fig4, err := measureHeap(func() error { _, err := experiments.Figure4(cfg); return err })
-	if err != nil {
-		return fmt.Errorf("figure 4: %w", err)
-	}
-	const churnIters = 200_000
-	churnUnpooled := churnAllocs(false, churnIters)
-	churnPooled := churnAllocs(true, churnIters)
-
-	figNote := "baseline recorded pre-optimisation (pointer-heap events, per-attempt flow/op allocation); current measured this run"
-	churnNote := "both sides measured this run: baseline = fresh Flow per churn cycle, current = AcquireFlow/ReleaseFlow pool"
-	report := benchReport{
-		Command: "smrbench -memjson",
-		Scale:   cfg.Scale,
-		Workers: cfg.Workers,
-		Seed:    cfg.Seed,
-		Results: []benchEntry{
-			{Name: "Figure3ExecTime", Unit: "allocs/op",
-				Baseline: baselineFigure3Allocs, Current: fig3.allocs,
-				Speedup: reduction(baselineFigure3Allocs, fig3.allocs), Note: figNote},
-			{Name: "Figure3ExecTime", Unit: "B/op",
-				Baseline: baselineFigure3Bytes, Current: fig3.bytes,
-				Speedup: reduction(baselineFigure3Bytes, fig3.bytes), Note: figNote},
-			{Name: "Figure3ExecTime", Unit: "GC cycles/op",
-				Baseline: baselineFigure3GCs, Current: fig3.gcs,
-				Speedup: reduction(baselineFigure3GCs, fig3.gcs), Note: figNote},
-			{Name: "Figure4Progress", Unit: "allocs/op",
-				Baseline: baselineFigure4Allocs, Current: fig4.allocs,
-				Speedup: reduction(baselineFigure4Allocs, fig4.allocs), Note: figNote},
-			{Name: "Figure4Progress", Unit: "B/op",
-				Baseline: baselineFigure4Bytes, Current: fig4.bytes,
-				Speedup: reduction(baselineFigure4Bytes, fig4.bytes), Note: figNote},
-			{Name: "Figure4Progress", Unit: "GC cycles/op",
-				Baseline: baselineFigure4GCs, Current: fig4.gcs,
-				Speedup: reduction(baselineFigure4GCs, fig4.gcs), Note: figNote},
-			{Name: "netsim churn (remove+add+resolve)", Unit: "allocs/op",
-				Baseline: churnUnpooled.allocs, Current: churnPooled.allocs,
-				Speedup: reduction(churnUnpooled.allocs, churnPooled.allocs), Note: churnNote},
-			{Name: "netsim churn (remove+add+resolve)", Unit: "B/op",
-				Baseline: churnUnpooled.bytes, Current: churnPooled.bytes,
-				Speedup: reduction(churnUnpooled.bytes, churnPooled.bytes), Note: churnNote},
-		},
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	for _, r := range report.Results {
-		fmt.Printf("%-36s %-12s baseline %14.2f  current %14.2f  reduction %7.1fx\n",
-			r.Name, r.Unit, r.Baseline, r.Current, r.Speedup)
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// churnAllocs reuses the churnNSPerOp topology but reports per-cycle
-// allocator cost: each cycle retires one flow and starts a replacement,
-// either through the fabric's free-list pool or with a fresh object.
-func churnAllocs(pooled bool, iters int) heapProbe {
-	fb := netsim.NewFabric(netsim.DefaultConfig(128))
-	fb.SetAutoRecompute(false)
-	var live []*netsim.Flow
-	for g := 0; g < 32; g++ {
-		dst := 4 * g
-		for k := 0; k < 5; k++ {
-			f := fb.AcquireFlow()
-			f.Src, f.Dst, f.RemainingMB, f.CapMBps = dst+1+k%3, dst, 100, 3.5
-			fb.Add(f)
-			live = append(live, f)
-		}
-	}
-	fb.Recompute()
-	cycle := func() {
-		for i := 0; i < iters; i++ {
-			j := i % len(live)
-			old := live[j]
-			src, dst := old.Src, old.Dst
-			fb.Remove(old)
-			var nf *netsim.Flow
-			if pooled {
-				fb.ReleaseFlow(old)
-				nf = fb.AcquireFlow()
-			} else {
-				nf = &netsim.Flow{}
-			}
-			nf.Src, nf.Dst, nf.RemainingMB, nf.CapMBps = src, dst, 100, 3.5
-			fb.Add(nf)
-			live[j] = nf
-			fb.ResolveDirty()
-		}
-	}
-	probe, _ := measureHeap(func() error { cycle(); return nil })
-	probe.allocs /= float64(iters)
-	probe.bytes /= float64(iters)
-	return probe
-}
-
-// churnNSPerOp reproduces the netsim BenchmarkChurn topology — 32
-// link-disjoint reducer fan-ins on a 128-node fabric — and times one
-// steady-state remove+add+resolve cycle.
-func churnNSPerOp(incremental bool, iters int) float64 {
-	fb := netsim.NewFabric(netsim.DefaultConfig(128))
-	fb.SetAutoRecompute(false)
-	var live []*netsim.Flow
-	for g := 0; g < 32; g++ {
-		dst := 4 * g
-		for k := 0; k < 5; k++ {
-			f := &netsim.Flow{Src: dst + 1 + k%3, Dst: dst, RemainingMB: 100, CapMBps: 3.5}
-			fb.Add(f)
-			live = append(live, f)
-		}
-	}
-	fb.Recompute()
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		j := i % len(live)
-		old := live[j]
-		fb.Remove(old)
-		nf := &netsim.Flow{Src: old.Src, Dst: old.Dst, RemainingMB: 100, CapMBps: 3.5}
-		fb.Add(nf)
-		live[j] = nf
-		if incremental {
-			fb.ResolveDirty()
-		} else {
-			fb.Recompute()
-		}
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(iters)
+	return 0
 }

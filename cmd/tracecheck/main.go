@@ -1,5 +1,5 @@
 // Command tracecheck validates a Chrome trace-event JSON file as
-// produced by smrsim/smrbench -trace: it must parse, contain at least
+// produced by smrsim -trace: it must parse, contain at least
 // one event, and every event must carry a phase. Used by the CI smoke
 // job; prints a per-phase count summary on success.
 //

@@ -8,7 +8,6 @@ import (
 	"smapreduce/internal/core"
 	"smapreduce/internal/metrics"
 	"smapreduce/internal/telemetry"
-	"smapreduce/internal/trace"
 )
 
 // Quick-look ASCII charts for the figure results, printed by
@@ -96,17 +95,10 @@ func (r *Fig6Result) Chart() string {
 // collector attached and returns the captured series: the trajectory
 // view behind the paper's Figs. 5–7 time-series plots.
 func CaptureTimeline(cfg Config, bench string, gb float64) (*telemetry.Collector, error) {
-	return CaptureTimelineTraced(cfg, bench, gb, nil)
-}
-
-// CaptureTimelineTraced is CaptureTimeline with a span tracer attached,
-// so the same seeded run also yields a Chrome trace of its tasks and
-// slot decisions. A nil tracer records nothing.
-func CaptureTimelineTraced(cfg Config, bench string, gb float64, tr *trace.Tracer) (*telemetry.Collector, error) {
 	cfg = cfg.normalize()
 	col := telemetry.NewCollector(0)
 	_, err := core.Run(core.EngineSMapReduce,
-		core.Options{Cluster: cfg.cluster(), Telemetry: col, Tracer: tr},
+		core.Options{Cluster: cfg.cluster(), Telemetry: col},
 		cfg.spec(bench, gb))
 	if err != nil {
 		return nil, err
