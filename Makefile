@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test check vet race invariants cover bench-smoke perf-smoke trace-smoke serve-smoke grid-smoke clean
+.PHONY: all build test check vet race invariants reference cover bench-smoke perf-smoke trace-smoke serve-smoke grid-smoke clean
 
 all: check
 
@@ -30,6 +30,13 @@ race:
 # covers code paths that shell out or rebuild clusters outside tests.
 invariants:
 	SMR_INVARIANTS=1 $(GO) test ./...
+
+# reference runs the tier-1 suite with every cluster in reference mode
+# (mr.Config.Reference): heap-only clock, full-resolve verifier, no
+# pooling, fresh substrate. Every test must still pass; the ones that
+# pin pooling or reuse skip themselves.
+reference:
+	SMR_REFERENCE=1 $(GO) test ./...
 
 # cover measures per-package statement coverage (-short: the chaos
 # soak runs its reduced seed set) and gates it against the checked-in

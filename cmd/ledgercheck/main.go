@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -25,29 +27,46 @@ import (
 )
 
 func main() {
-	chainOnly := flag.Bool("chain-only", false, "verify only the hash chain, not artifact contents")
-	artifacts := flag.String("artifacts", "", "artifact store root (default: the ledger file's directory)")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: ledgercheck [-chain-only] [-artifacts DIR] LEDGER.jsonl")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with injectable arguments and streams. It returns the
+// exit status: 0 verified, 1 verification failed, 2 usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ledgercheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	chainOnly := fs.Bool("chain-only", false, "verify only the hash chain, not artifact contents")
+	artifacts := fs.String("artifacts", "", "artifact store root (default: the ledger file's directory)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	path := flag.Arg(0)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: ledgercheck [-chain-only] [-artifacts DIR] LEDGER.jsonl")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "ledgercheck:", err)
+		return 1
+	}
+	path := fs.Arg(0)
 
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	entries, err := ledger.ParseJSONL(data)
 	if err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
+		return fail(fmt.Errorf("%s: %w", path, err))
 	}
 	if err := ledger.VerifyChain(entries); err != nil {
-		fatal(fmt.Errorf("%s: chain verification failed: %w", path, err))
+		return fail(fmt.Errorf("%s: chain verification failed: %w", path, err))
 	}
-	fmt.Printf("ledgercheck: chain OK (%d entries)\n", len(entries))
+	fmt.Fprintf(stdout, "ledgercheck: chain OK (%d entries)\n", len(entries))
 	if *chainOnly || len(entries) == 0 {
-		return
+		return 0
 	}
 
 	root := *artifacts
@@ -60,14 +79,10 @@ func main() {
 			return os.ReadFile(filepath.Join(root, e.RunID, name))
 		})
 		if err != nil {
-			fatal(fmt.Errorf("artifact verification failed: %w", err))
+			return fail(fmt.Errorf("artifact verification failed: %w", err))
 		}
 		files += len(e.Artifacts)
 	}
-	fmt.Printf("ledgercheck: artifacts OK (%d files across %d runs)\n", files, len(entries))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ledgercheck:", err)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "ledgercheck: artifacts OK (%d files across %d runs)\n", files, len(entries))
+	return 0
 }

@@ -11,6 +11,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 )
@@ -31,32 +32,42 @@ type traceEvent struct {
 }
 
 func main() {
-	if len(os.Args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: tracecheck <trace.json>")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with injectable arguments and streams. It returns the
+// exit status: 0 valid, 1 invalid trace, 2 usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) != 1 {
+		fmt.Fprintln(stderr, "usage: tracecheck <trace.json>")
+		return 2
 	}
-	path := os.Args[1]
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "tracecheck:", err)
+		return 1
+	}
+	path := args[0]
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	var doc traceDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
-		fatal(fmt.Errorf("%s: not valid trace JSON: %w", path, err))
+		return fail(fmt.Errorf("%s: not valid trace JSON: %w", path, err))
 	}
 	if len(doc.TraceEvents) == 0 {
-		fatal(fmt.Errorf("%s: trace holds no events", path))
+		return fail(fmt.Errorf("%s: trace holds no events", path))
 	}
 	phases := map[string]int{}
 	for i, ev := range doc.TraceEvents {
 		if ev.Ph == "" {
-			fatal(fmt.Errorf("%s: event %d has no phase", path, i))
+			return fail(fmt.Errorf("%s: event %d has no phase", path, i))
 		}
 		if ev.Ph != "M" && ev.Ts == nil {
-			fatal(fmt.Errorf("%s: event %d (%q) has no timestamp", path, i, ev.Name))
+			return fail(fmt.Errorf("%s: event %d (%q) has no timestamp", path, i, ev.Name))
 		}
 		if ev.Ph == "X" && ev.Dur == nil {
-			fatal(fmt.Errorf("%s: complete event %d (%q) has no duration", path, i, ev.Name))
+			return fail(fmt.Errorf("%s: complete event %d (%q) has no duration", path, i, ev.Name))
 		}
 		phases[ev.Ph]++
 	}
@@ -65,14 +76,10 @@ func main() {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	fmt.Printf("%s: %d events ok", path, len(doc.TraceEvents))
+	fmt.Fprintf(stdout, "%s: %d events ok", path, len(doc.TraceEvents))
 	for _, k := range keys {
-		fmt.Printf("  %s=%d", k, phases[k])
+		fmt.Fprintf(stdout, "  %s=%d", k, phases[k])
 	}
-	fmt.Println()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tracecheck:", err)
-	os.Exit(1)
+	fmt.Fprintln(stdout)
+	return 0
 }

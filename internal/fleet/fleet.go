@@ -97,12 +97,6 @@ type Config struct {
 	// worker's next run: do not retain o.Result past the call.
 	PerCluster func(o ClusterOut)
 
-	// NoReuse builds fresh substrate for every cluster instead of
-	// recycling the worker's SimState — the reuse-vs-fresh differential
-	// verifier's knob, and a measuring stick for what the reuse path
-	// saves.
-	NoReuse bool
-
 	// HistMax/HistBuckets override the merged histograms' geometry
 	// ([0, HistMax) split into HistBuckets cells); non-positive values
 	// take the defaults.
@@ -279,17 +273,13 @@ func (sh *shard) runOne(cfg *Config, base mr.Config, specs func(int, *sim.Rand) 
 	seed := ClusterSeed(cfg.Seed, i)
 	ccfg := base
 	ccfg.Seed = seed
-	st := sh.sim
-	if cfg.NoReuse {
-		st = nil
-	}
 	// The spec stream forks tag 2: the cluster itself consumes forks 0
 	// (runtime noise) and 1 (DFS layout) of the same seed, and open
 	// arrival streams fork 3 (arrival.RNG).
 	opts := core.Options{
 		Cluster:     ccfg,
 		SlotManager: cfg.SlotManager,
-		Sim:         st,
+		Sim:         sh.sim,
 		Events:      cfg.CollectEvents,
 		Capacity:    cfg.Capacity,
 	}

@@ -50,8 +50,8 @@ func shuffleHeavyRun(t *testing.T, st *SimState) (allocs uint64, flows int) {
 // shuffle flow for this job. One label, closure or list per fetch
 // would put the figure at 1 or more.
 func TestShuffleFetchAllocFree(t *testing.T) {
-	if os.Getenv("SMR_NO_POOL") == "1" {
-		t.Skip("pooling disabled via SMR_NO_POOL: every op and flow is a fresh allocation")
+	if os.Getenv("SMR_REFERENCE") == "1" {
+		t.Skip("pooling and reuse disabled via SMR_REFERENCE: every op and flow is a fresh allocation")
 	}
 	st := NewSimState()
 	shuffleHeavyRun(t, st) // warm the substrate: clock arena, flow and op pools

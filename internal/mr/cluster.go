@@ -85,9 +85,8 @@ type Cluster struct {
 	fetchDoneFn    func(*fluidOp)
 
 	// Object pooling. sim.ops recycles retired fluidOps; flow
-	// recycling lives on the fabric. noPool (Config.NoPooling or
-	// SMR_NO_POOL=1) disables both for the pooled-vs-unpooled
-	// differential verifier.
+	// recycling lives on the fabric. noPool (Config.Reference)
+	// disables both.
 	sim    *SimState
 	noPool bool
 
@@ -262,7 +261,9 @@ func newCluster(cfg Config, st *SimState) (*Cluster, error) {
 	if cfg.ProbationPeriod == 0 {
 		cfg.ProbationPeriod = 5 * cfg.HeartbeatPeriod
 	}
-	if st == nil {
+	// Reference mode refuses recycled substrate (see Config.Reference).
+	cfg.Reference = cfg.Reference || os.Getenv("SMR_REFERENCE") == "1"
+	if st == nil || cfg.Reference {
 		st = NewSimState()
 	}
 	if st.clock == nil {
@@ -295,13 +296,9 @@ func newCluster(cfg Config, st *SimState) (*Cluster, error) {
 			c.markOpDirty(op)
 		}
 	})
-	if cfg.FullResolve || os.Getenv("SMR_FULL_RESOLVE") == "1" {
-		c.fabric.SetFullResolve(true)
-	}
-	if cfg.NoPooling || os.Getenv("SMR_NO_POOL") == "1" {
-		c.noPool = true
-	}
-	c.clock.SetHeapOnly(cfg.HeapSched || os.Getenv("SMR_HEAP_SCHED") == "1")
+	c.fabric.SetFullResolve(cfg.Reference)
+	c.clock.SetHeapOnly(cfg.Reference)
+	c.noPool = cfg.Reference
 	for i := 0; i < cfg.Workers; i++ {
 		spec := cfg.NodeSpec
 		if cfg.NodeSpecs != nil {

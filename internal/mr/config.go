@@ -160,29 +160,12 @@ type Config struct {
 	MapContainerMB    float64
 	ReduceContainerMB float64
 
-	// FullResolve arms the incremental-resolution verification mode:
-	// every rate refresh additionally runs a from-scratch water-filling
-	// pass and panics if any flow rate diverges from the incremental
-	// result. Debug/CI knob (also enabled by SMR_FULL_RESOLVE=1);
-	// roughly doubles network-resolution cost.
-	FullResolve bool
-
-	// NoPooling disables the Flow/fluidOp free-list recycling, so every
-	// task attempt allocates fresh objects as it did before pooling.
-	// Debug/CI knob (also enabled by SMR_NO_POOL=1): the differential
-	// verifier runs the same seeded workload pooled and unpooled and
-	// asserts identical stats and audit output.
-	NoPooling bool
-
-	// HeapSched runs the event scheduler in heap-only mode, bypassing
-	// the timing wheel that normally stages near-future events in O(1)
-	// buckets. The wheel never decides firing order (the heap always
-	// arbitrates the (at, seq) total order), so event logs, stats,
-	// traces and audits must be byte-identical either way. Debug/CI
-	// knob (also enabled by SMR_HEAP_SCHED=1): the differential
-	// verifier runs the same seeded workload in both modes and asserts
-	// exactly that.
-	HeapSched bool
+	// Reference turns on every reference path at once: a heap-only
+	// clock (no timing wheel), the fabric's full-resolve verifier, no
+	// op or flow pooling, and fresh substrate even when a SimState is
+	// passed in. Outputs must be byte-identical to the default mode, as
+	// the per-layer differential tests assert. SMR_REFERENCE=1 forces it.
+	Reference bool
 }
 
 // DefaultConfig mirrors the paper's workbench: 16 workers, 3 map +

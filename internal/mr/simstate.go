@@ -34,11 +34,11 @@ func NewSimState() *SimState { return &SimState{} }
 
 // NewClusterReusing is NewCluster on recycled substrate: the state's
 // clock, fabric and op pool are reset and adopted instead of freshly
-// allocated (a nil st is exactly NewCluster). Reset substrate is observationally
-// identical to fresh substrate — the reset paths restart every counter
-// and generation — so a run on a reused SimState produces bit-identical
-// results to a run on a fresh one; the fleet determinism suite pins
-// this.
+// allocated (a nil st, or any st under Config.Reference, is exactly
+// NewCluster). Reset substrate is observationally identical to fresh
+// substrate — the reset paths restart every counter and generation —
+// so a run on a reused SimState produces bit-identical results to a
+// run on a fresh one; the fleet determinism suite pins this.
 func NewClusterReusing(cfg Config, st *SimState) (*Cluster, error) {
 	return newCluster(cfg, st)
 }

@@ -332,17 +332,20 @@ func (tt *TaskTracker) hbTick() {
 	c := tt.c
 	now := c.clock.Now()
 
-	// Sample window rates since the previous heartbeat. Op
-	// fractions settle lazily on read, so they are current here.
+	// Sample window rates since the previous heartbeat; each total is
+	// also the next anchor. Op fractions settle lazily on read.
+	mapInMB := tt.mapInputDoneMB + tt.inFlightMapInputMB()
+	mapOutMB := tt.mapOutputDoneMB + tt.inFlightMapOutputMB()
+	shuffleMB := tt.shuffleDoneMB + tt.inFlightShuffleMB()
 	if dt := now - tt.lastHB; dt > 0 {
-		tt.mapInputRate.Observe((tt.mapInputDoneMB + tt.inFlightMapInputMB() - tt.lastMapInputMB) / dt)
-		tt.mapOutputRate.Observe((tt.mapOutputDoneMB + tt.inFlightMapOutputMB() - tt.lastMapOutputMB) / dt)
-		tt.shuffleRate.Observe((tt.shuffleDoneMB + tt.inFlightShuffleMB() - tt.lastShuffleMB) / dt)
+		tt.mapInputRate.Observe((mapInMB - tt.lastMapInputMB) / dt)
+		tt.mapOutputRate.Observe((mapOutMB - tt.lastMapOutputMB) / dt)
+		tt.shuffleRate.Observe((shuffleMB - tt.lastShuffleMB) / dt)
 	}
 	tt.lastHB = now
-	tt.lastMapInputMB = tt.mapInputDoneMB + tt.inFlightMapInputMB()
-	tt.lastMapOutputMB = tt.mapOutputDoneMB + tt.inFlightMapOutputMB()
-	tt.lastShuffleMB = tt.shuffleDoneMB + tt.inFlightShuffleMB()
+	tt.lastMapInputMB = mapInMB
+	tt.lastMapOutputMB = mapOutMB
+	tt.lastShuffleMB = shuffleMB
 
 	// Heartbeat response: slot commands decided by the slot manager.
 	if c.cfg.Policy == Dynamic {

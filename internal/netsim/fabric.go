@@ -362,6 +362,9 @@ const fullResolveTol = 1e-9
 // any flow's rate diverges by more than fullResolveTol.
 func (fb *Fabric) SetFullResolve(on bool) { fb.fullResolve = on }
 
+// FullResolve reports whether the verification mode is armed.
+func (fb *Fabric) FullResolve() bool { return fb.fullResolve }
+
 // Config returns the fabric configuration.
 func (fb *Fabric) Config() Config { return fb.cfg }
 

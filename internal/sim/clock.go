@@ -85,7 +85,7 @@ type Clock struct {
 	// Timing wheel (wheel.go): two levels of bucket list heads with
 	// occupancy bitmaps, the dispatch frontier in wheel ticks, and the
 	// wheel-resident event count. heapOnly bypasses the wheel entirely
-	// (the SMR_HEAP_SCHED differential scheduler).
+	// (the heap-only reference scheduler).
 	heapOnly   bool
 	disp       int64
 	wheelCount int
@@ -106,9 +106,9 @@ func NewClock() *Clock {
 // event queues straight into the 4-ary heap and the timing wheel is
 // bypassed. The firing order is identical by construction — the wheel
 // only stages events into the heap, which always arbitrates the final
-// (at, seq) order — so this mode exists to prove exactly that (it is
-// what Config.HeapSched / SMR_HEAP_SCHED=1 select). The mode must be
-// chosen while no events are pending and survives Reset.
+// (at, seq) order — so this mode exists to prove exactly that (mr's
+// Config.Reference selects it). The mode must be chosen while no
+// events are pending and survives Reset.
 func (c *Clock) SetHeapOnly(on bool) {
 	if c.Pending() != 0 {
 		panic("sim: SetHeapOnly with events pending")

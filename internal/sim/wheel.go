@@ -9,7 +9,7 @@
 // advances, each bucket is dumped wholesale into the heap, and the heap
 // arbitrates the exact (at, seq) total order — so the firing sequence
 // is identical to a heap-only scheduler by construction, which is what
-// the SMR_HEAP_SCHED differential mode (SetHeapOnly) pins.
+// the heap-only reference mode (SetHeapOnly) pins.
 //
 // Geometry: two levels of 256 buckets over aligned tick blocks.
 // Level 0 covers the frontier's current 256-tick block (4 s of virtual
