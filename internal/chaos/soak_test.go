@@ -48,6 +48,15 @@ type soakRun struct {
 
 func runSoak(t *testing.T, seed uint64, sched *Schedule) soakRun {
 	t.Helper()
+	return runSoakWith(t, seed, sched, func(c *mr.Cluster) ([]*mr.Job, error) {
+		return c.Run(soakSpecs()...)
+	})
+}
+
+// runSoakWith is runSoak with the jobs submitted by drive, which runs
+// the cluster to completion.
+func runSoakWith(t *testing.T, seed uint64, sched *Schedule, drive func(*mr.Cluster) ([]*mr.Job, error)) soakRun {
+	t.Helper()
 	cfg := mr.DefaultConfig()
 	cfg.Workers = soakWorkers
 	cfg.Net.Nodes = soakWorkers
@@ -70,7 +79,7 @@ func runSoak(t *testing.T, seed uint64, sched *Schedule) soakRun {
 			t.Fatalf("seed %d: Apply: %v", seed, err)
 		}
 	}
-	jobs, err := c.Run(soakSpecs()...)
+	jobs, err := drive(c)
 	if err != nil {
 		t.Fatalf("seed %d: Run: %v", seed, err)
 	}

@@ -94,7 +94,8 @@ type FS struct {
 	nodes  int
 	rng    *sim.Rand
 	files  map[string]*File
-	writer int // round-robin "writing client" cursor
+	writer int   // round-robin "writing client" cursor
+	cand   []int // pickNode's candidate scratch, reused pick to pick
 }
 
 // New builds a file system over nodes data nodes. Invalid configs and
@@ -321,12 +322,13 @@ func (fs *FS) place() []int {
 
 // pickNode returns a uniformly random node satisfying ok, or -1.
 func (fs *FS) pickNode(ok func(int) bool) int {
-	candidates := make([]int, 0, fs.nodes)
+	candidates := fs.cand[:0]
 	for n := 0; n < fs.nodes; n++ {
 		if ok(n) {
 			candidates = append(candidates, n)
 		}
 	}
+	fs.cand = candidates
 	if len(candidates) == 0 {
 		return -1
 	}

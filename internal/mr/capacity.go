@@ -2,7 +2,8 @@ package mr
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"smapreduce/internal/trace"
 )
@@ -121,16 +122,18 @@ func (c *Cluster) registerTenant(j *Job) {
 		c.tenantRunning = make(map[string]int)
 		c.tenantRunningMaps = make(map[string]int)
 		c.tenantCaps = make(map[string]int)
+		c.tenantIndex = make(map[string]int)
 	}
 	if _, ok := c.tenantRunning[name]; ok {
 		return
 	}
 	c.tenantRunning[name] = 0
 	c.tenantRunningMaps[name] = 0
-	i := sort.SearchStrings(c.tenantNames, name)
-	c.tenantNames = append(c.tenantNames, "")
-	copy(c.tenantNames[i+1:], c.tenantNames[i:])
-	c.tenantNames[i] = name
+	i, _ := slices.BinarySearch(c.tenantNames, name)
+	c.tenantNames = slices.Insert(c.tenantNames, i, name)
+	for k, n := range c.tenantNames[i:] {
+		c.tenantIndex[n] = i + k
+	}
 	if c.telem != nil {
 		// Register-after-Tick backfills earlier samples with NaN, so
 		// tenants appearing mid-run slot into the existing table.
@@ -257,7 +260,6 @@ func (c *Cluster) tenantSnapshots() []TenantSnapshot {
 	if len(c.tenantNames) == 0 {
 		return nil
 	}
-	byTenant := make(map[string]*TenantSnapshot, len(c.tenantNames))
 	snaps := make([]TenantSnapshot, len(c.tenantNames))
 	for i, name := range c.tenantNames {
 		cap, ok := c.tenantCaps[name]
@@ -265,10 +267,9 @@ func (c *Cluster) tenantSnapshots() []TenantSnapshot {
 			cap = -1
 		}
 		snaps[i] = TenantSnapshot{Tenant: name, RunningTasks: c.tenantRunning[name], Cap: cap}
-		byTenant[name] = &snaps[i]
 	}
 	for _, j := range c.jt.queue {
-		s := byTenant[j.Tenant()]
+		s := &snaps[c.tenantIndex[j.Tenant()]]
 		s.ActiveJobs++
 		s.PendingTasks += len(c.jt.pendingMaps[j])
 		for _, r := range j.reduces {
@@ -312,8 +313,9 @@ func (c *Cluster) applyCapacity() {
 	total := c.totalTaskCapacity()
 	allocs := c.capacity.Allocate(now, total, tenants)
 	// Defensive total order: a policy returning tenants in a different
-	// order must not perturb the event log.
-	sort.Slice(allocs, func(i, k int) bool { return allocs[i].Tenant < allocs[k].Tenant })
+	// order must not perturb the event log. Names are unique per
+	// decision, so any correct sort yields this one order.
+	slices.SortFunc(allocs, func(a, b TenantAllocation) int { return strings.Compare(a.Tenant, b.Tenant) })
 	changed := false
 	for _, a := range allocs {
 		old, had := c.tenantCaps[a.Tenant]

@@ -61,7 +61,8 @@ type Cluster struct {
 
 	// Multi-tenant capacity management (capacity.go): the attached
 	// policy, its periodic tick, the applied per-tenant task caps and
-	// running counters, the sorted tenant name list and the decision log.
+	// running counters, the sorted tenant name list with each name's
+	// position in it, and the decision log.
 	capacity          CapacityPolicy
 	capEvent          sim.EventRef
 	capFn             func()
@@ -69,6 +70,7 @@ type Cluster struct {
 	tenantRunning     map[string]int
 	tenantRunningMaps map[string]int
 	tenantNames       []string
+	tenantIndex       map[string]int
 	capLog            []CapacityDecision
 
 	// sampleFn/ctrlFn are the periodic tick callbacks, bound once so
@@ -374,6 +376,13 @@ func (c *Cluster) NodeSpecOf(i int) resource.Spec { return c.nodes[i].Spec() }
 
 // Jobs returns every job admitted so far, in submission order.
 func (c *Cluster) Jobs() []*Job { return c.jt.jobs }
+
+// ParkedBeats reports how many heartbeats so far ran parked: beats of
+// a quiet tracker that the clock dispatched from its lane (see
+// TaskTracker.heartbeat). Always 0 in reference mode. It is a
+// diagnostic for differential tests, not part of Stats, and reads 0
+// again once the cluster's SimState is reused.
+func (c *Cluster) ParkedBeats() uint64 { return c.clock.ParkedFired() }
 
 // SetController attaches a slot controller. Only meaningful with the
 // Dynamic policy; attaching one under another policy is rejected so a

@@ -162,8 +162,9 @@ type Config struct {
 
 	// Reference turns on every reference path at once: a heap-only
 	// clock (no timing wheel), the fabric's full-resolve verifier, no
-	// op or flow pooling, and fresh substrate even when a SimState is
-	// passed in. Outputs must be byte-identical to the default mode, as
+	// op or flow pooling, fresh substrate even when a SimState is
+	// passed in, and heartbeats that always run in full (a quiet
+	// tracker never parks its chain). Outputs must be byte-identical to the default mode, as
 	// the per-layer differential tests assert. SMR_REFERENCE=1 forces it.
 	Reference bool
 }

@@ -229,8 +229,10 @@ func (c *Cluster) releaseOp(op *fluidOp) {
 }
 
 // addOp registers loose fluid work whose rate has no tracked source;
-// it is re-read on every Mutate. Tests use it with closure rates.
+// it is re-read on every Mutate, heartbeats included, so it wakes any
+// parked ones. Tests use it with closure rates.
 func (c *Cluster) addOp(work float64, rateFn func() float64, onDone func(*fluidOp)) *fluidOp {
+	c.wakeTrackers()
 	op := c.newOp(opID{kind: opLoose}, work, onDone)
 	op.rateFn = rateFn
 	op.loose = true

@@ -40,8 +40,10 @@ func newJobTracker(c *Cluster) *JobTracker {
 	return jt
 }
 
-// admit registers a job at its submission time.
+// admit registers a job at its submission time. A non-empty queue ends
+// every tracker's quiet, so all parked heartbeats wake.
 func (jt *JobTracker) admit(j *Job) {
+	jt.c.wakeTrackers()
 	j.Submitted = jt.c.clock.Now()
 	jt.jobs = append(jt.jobs, j)
 	jt.queue = append(jt.queue, j)
@@ -78,7 +80,8 @@ func (jt *JobTracker) SetDesiredSlotsProbe(tracker int) (maps, reduces int) {
 
 // SetDesiredSlots records slot targets for one tracker; they take
 // effect at that tracker's next heartbeat, mirroring the command-in-
-// heartbeat-response protocol of §III-C.
+// heartbeat-response protocol of §III-C. Targets that differ from the
+// tracker's current ones wake its parked heartbeat.
 func (jt *JobTracker) SetDesiredSlots(tracker, maps, reduces int) {
 	if tracker < 0 || tracker >= len(jt.desiredMaps) {
 		panic(fmt.Sprintf("mr: SetDesiredSlots for unknown tracker %d", tracker))
@@ -94,6 +97,9 @@ func (jt *JobTracker) SetDesiredSlots(tracker, maps, reduces int) {
 	}
 	jt.desiredMaps[tracker] = maps
 	jt.desiredReduces[tracker] = reduces
+	if tt := jt.c.trackers[tracker]; maps != tt.mapTarget || reduces != tt.reduceTarget {
+		jt.c.clock.Unpark(tt.hbEvent)
+	}
 }
 
 // assign hands tasks to every free slot on tt. Maps are assigned before

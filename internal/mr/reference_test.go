@@ -48,6 +48,50 @@ func referenceWorkload(t *testing.T, reference, noPool bool) diffRun {
 	return diffRun{jobs, c.Snapshot(), log.Events()}
 }
 
+// Idle gaps of idleGapWorkload: its jobs arrive at 0, 150 and 300,
+// and every fault lands inside the first gap.
+const idleGapStart, idleGapEnd = 90.0, 150.0
+
+// idleGapWorkload is a seeded open-arrival workload with idle gaps
+// between jobs, in which every tracker parks its heartbeat chain. Each
+// job has more reduces than the trackers running its maps can hold, so
+// trackers parked at its admission pick reduces up on their beats. A
+// heartbeat loss (long enough to blacklist), a crash and its recovery,
+// and a decommission all land in the first gap, on parked trackers.
+// Under the Dynamic policy a controller moves every tracker's slot
+// targets each tick, so SetDesiredSlots wakes parked trackers. It
+// returns the run and its parked-beat count.
+func idleGapWorkload(t *testing.T, policy Policy, reference bool) (diffRun, uint64) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Workers = 8
+	cfg.Net.Nodes = 8
+	cfg.Seed = 11
+	cfg.Policy = policy
+	cfg.Reference = reference
+	c := MustNewCluster(cfg)
+	if policy == Dynamic {
+		if err := c.SetController(&jitterController{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log := c.EnableEventLog(0)
+	c.ScheduleHeartbeatLoss(2, 100.5, 20)
+	c.ScheduleFailure(3, 105.25)
+	c.ScheduleRecovery(3, 125)
+	c.ScheduleDecommission(5, 130.75)
+	mk := func(name, bench string, at float64) JobSpec {
+		return JobSpec{Name: name, Profile: puma.MustGet(bench), InputMB: 768, Reduces: 6, SubmitAt: at}
+	}
+	jobs, err := c.RunArrivals(&specList{specs: []JobSpec{
+		mk("a", "terasort", 0), mk("b", "grep", idleGapEnd), mk("c", "wordcount", 300),
+	}})
+	if err != nil {
+		t.Fatalf("RunArrivals (reference=%v): %v", reference, err)
+	}
+	return diffRun{jobs, c.Snapshot(), log.Events()}, c.ParkedBeats()
+}
+
 // requireSameRun fails unless runs a and b (named an and bn in the
 // messages) agree bit for bit.
 func requireSameRun(t *testing.T, an, bn string, a, b diffRun) {
@@ -92,6 +136,51 @@ func TestReferenceDifferential(t *testing.T) {
 		referenceWorkload(t, false, false), referenceWorkload(t, true, false))
 }
 
+// TestIdleGapReferenceDifferential pins parked heartbeats: across the
+// idle gaps of an open-arrival workload the default run parks its
+// trackers' heartbeat chains, wakes them on submission and (Dynamic)
+// on slot target changes, and cancels and re-arms them through faults,
+// and it must still agree bit for bit with the reference run, whose
+// heartbeats always run in full.
+func TestIdleGapReferenceDifferential(t *testing.T) {
+	for _, policy := range []Policy{HadoopV1, Dynamic} {
+		t.Run(policy.String(), func(t *testing.T) { idleGapDifferential(t, policy) })
+	}
+}
+
+func idleGapDifferential(t *testing.T, policy Policy) {
+	def, parked := idleGapWorkload(t, policy, false)
+	ref, refParked := idleGapWorkload(t, policy, true)
+	// SMR_REFERENCE=1 forces the default run to reference mode too.
+	if parked == 0 && os.Getenv("SMR_REFERENCE") != "1" {
+		t.Fatal("the default run parked no heartbeat; the differential is vacuous")
+	}
+	if refParked != 0 {
+		t.Fatalf("the reference run parked %d heartbeats", refParked)
+	}
+	// The workload must keep its shape: the first job is done before
+	// the gap's faults, and slot commands and faults both land in it.
+	if a := def.jobs[0]; a.FinishedAt >= idleGapStart {
+		t.Fatalf("job a finishes at %v, inside the fault window", a.FinishedAt)
+	}
+	kinds := map[EventKind]int{}
+	for _, e := range def.events {
+		if e.At > idleGapStart && e.At < idleGapEnd {
+			kinds[e.Kind]++
+		}
+	}
+	want := []EventKind{EvTrackerHBLost, EvTrackerBlacklisted, EvTrackerDown, EvTrackerRejoin, EvTrackerDrain}
+	if policy == Dynamic {
+		want = append(want, EvSlotChange)
+	}
+	for _, k := range want {
+		if kinds[k] == 0 {
+			t.Fatalf("no %v event in the idle gap (%v)", k, kinds)
+		}
+	}
+	requireSameRun(t, "default", "reference", def, ref)
+}
+
 // TestPooledVsUnpooledDifferential isolates pooling: the same workload
 // with op and flow recycling on and off, everything else in the
 // default mode, must agree bit for bit. Any pooled object leaking state
@@ -104,9 +193,10 @@ func TestPooledVsUnpooledDifferential(t *testing.T) {
 
 // TestReferenceMode pins what the mode switches on, whether selected
 // by Config.Reference or forced by SMR_REFERENCE=1: a heap-only clock,
-// an armed full resolver, no pooling, and fresh substrate — the
-// SimState handed to NewClusterReusing is ignored, so none of the ops
-// a prior pooled run left in its pool are reused.
+// an armed full resolver, no pooling, fresh substrate — the SimState
+// handed to NewClusterReusing is ignored, so none of the ops a prior
+// pooled run left in its pool are reused — and always-beat heartbeats,
+// so an idle-gap run parks none.
 func TestReferenceMode(t *testing.T) {
 	for _, byEnv := range []bool{false, true} {
 		name := "config"
@@ -165,6 +255,9 @@ func TestReferenceMode(t *testing.T) {
 			if len(st.ops) != len(pooled) || len(c.sim.ops) != 0 {
 				t.Fatalf("reference run touched a pool: passed %d -> %d ops, own %d",
 					len(pooled), len(st.ops), len(c.sim.ops))
+			}
+			if _, parked := idleGapWorkload(t, HadoopV1, !byEnv); parked != 0 {
+				t.Fatalf("reference run parked %d heartbeats", parked)
 			}
 		})
 	}

@@ -64,12 +64,14 @@ type TaskTracker struct {
 	disturbance       *resource.Activity
 	disturbanceExpiry sim.EventRef
 
-	// Heartbeat machinery, bound once at construction so the periodic
-	// re-arm allocates nothing: the event label, the clock callback,
-	// and the Mutate body it wraps.
+	// Heartbeat machinery, bound once so the periodic re-arm allocates
+	// nothing: the event label, the clock callback, the Mutate body it
+	// wraps, and (bound at the first park) the rate sampler a parked
+	// chain's beats run in its place.
 	hbLabel  string
 	hbFn     func()
 	hbTickFn func()
+	sampleFn func()
 
 	// Fault-event labels, formatted lazily on the first incident and
 	// cached, so mid-run fault scheduling never pays fmt.Sprintf.
@@ -321,31 +323,63 @@ func (tt *TaskTracker) applyDisturbance() {
 // sample statistics, pick up slot commands, and receive new tasks.
 // The clock's periodic fast path re-arms the chain in place after this
 // returns (same hbEvent ref for the chain's whole life), and the
-// Mutate body is a cached closure, so a heartbeat on an idle tracker
-// allocates nothing.
+// Mutate body is a cached closure, so a heartbeat allocates nothing.
+//
+// A quiet beat (see quiet) can change nothing but the rate windows: it
+// samples them and parks the chain in the clock's lane, whose beats
+// run sampleRates alone — three zero observations and the anchor
+// update — at the places the full beats would take. Every source that
+// could end the quiet unparks the chain (wakeTrackers); reference mode
+// never parks.
 func (tt *TaskTracker) heartbeat() {
-	tt.c.Mutate(tt.hbTickFn)
+	c := tt.c
+	if !c.cfg.Reference && tt.quiet() {
+		tt.sampleRates()
+		if tt.sampleFn == nil {
+			tt.sampleFn = tt.sampleRates
+		}
+		c.clock.Park(tt.hbEvent, tt.sampleFn)
+		return
+	}
+	c.Mutate(tt.hbTickFn)
+}
+
+// quiet reports whether a full heartbeat would only sample rates, and
+// would keep doing so until a wake source fires:
+//   - no task runs here, so the in-flight sums are 0, the done
+//     counters cannot move, and each later sample observes exactly 0;
+//   - the job queue is empty, so assignment finds nothing;
+//   - under Dynamic the desired slots equal the targets, so setTargets
+//     does nothing;
+//   - no op is dirty or loose, so the Mutate scope's refresh does
+//     nothing.
+//
+// Admission and a slot-target change unpark (JobTracker.admit and
+// SetDesiredSlots); faults and recovery cancel or re-arm the chain.
+func (tt *TaskTracker) quiet() bool {
+	c := tt.c
+	if len(tt.runningMaps) > 0 || len(tt.runningReduces) > 0 || len(c.jt.queue) > 0 ||
+		len(c.dirtyOps) > 0 || len(c.looseOps) > 0 {
+		return false
+	}
+	if c.cfg.Policy == Dynamic {
+		maps, reduces := c.jt.desiredSlots(tt.id)
+		return maps == tt.mapTarget && reduces == tt.reduceTarget
+	}
+	return true
+}
+
+// wakeTrackers unparks every tracker's heartbeat chain.
+func (c *Cluster) wakeTrackers() {
+	for _, tt := range c.trackers {
+		c.clock.Unpark(tt.hbEvent)
+	}
 }
 
 // hbTick is the heartbeat's mutation body.
 func (tt *TaskTracker) hbTick() {
 	c := tt.c
-	now := c.clock.Now()
-
-	// Sample window rates since the previous heartbeat; each total is
-	// also the next anchor. Op fractions settle lazily on read.
-	mapInMB := tt.mapInputDoneMB + tt.inFlightMapInputMB()
-	mapOutMB := tt.mapOutputDoneMB + tt.inFlightMapOutputMB()
-	shuffleMB := tt.shuffleDoneMB + tt.inFlightShuffleMB()
-	if dt := now - tt.lastHB; dt > 0 {
-		tt.mapInputRate.Observe((mapInMB - tt.lastMapInputMB) / dt)
-		tt.mapOutputRate.Observe((mapOutMB - tt.lastMapOutputMB) / dt)
-		tt.shuffleRate.Observe((shuffleMB - tt.lastShuffleMB) / dt)
-	}
-	tt.lastHB = now
-	tt.lastMapInputMB = mapInMB
-	tt.lastMapOutputMB = mapOutMB
-	tt.lastShuffleMB = shuffleMB
+	tt.sampleRates()
 
 	// Heartbeat response: slot commands decided by the slot manager.
 	if c.cfg.Policy == Dynamic {
@@ -355,6 +389,32 @@ func (tt *TaskTracker) hbTick() {
 
 	// Task assignment for free slots.
 	c.jt.assign(tt)
+}
+
+// sampleRates observes the window rates since the previous heartbeat;
+// each total is also the next anchor. Op fractions settle lazily on
+// read.
+func (tt *TaskTracker) sampleRates() {
+	now := tt.c.clock.Now()
+	// With nothing in flight a sum is exactly 0, and adding it leaves
+	// the counter's bits unchanged (counters are never -0): skip it.
+	mapInMB, mapOutMB, shuffleMB := tt.mapInputDoneMB, tt.mapOutputDoneMB, tt.shuffleDoneMB
+	if len(tt.runningMaps) > 0 {
+		mapInMB += tt.inFlightMapInputMB()
+		mapOutMB += tt.inFlightMapOutputMB()
+	}
+	if len(tt.runningReduces) > 0 {
+		shuffleMB += tt.inFlightShuffleMB()
+	}
+	if dt := now - tt.lastHB; dt > 0 {
+		tt.mapInputRate.Observe((mapInMB - tt.lastMapInputMB) / dt)
+		tt.mapOutputRate.Observe((mapOutMB - tt.lastMapOutputMB) / dt)
+		tt.shuffleRate.Observe((shuffleMB - tt.lastShuffleMB) / dt)
+	}
+	tt.lastHB = now
+	tt.lastMapInputMB = mapInMB
+	tt.lastMapOutputMB = mapOutMB
+	tt.lastShuffleMB = shuffleMB
 }
 
 // inFlightMapInputMB estimates input MB consumed by still-running map
@@ -410,7 +470,9 @@ func (tt *TaskTracker) inFlightShuffleMB() float64 {
 // audit records and trace export, which must be bit-reproducible
 // run-to-run.
 func sumAscending(vals []float64) float64 {
-	slices.Sort(vals)
+	if len(vals) > 1 {
+		slices.Sort(vals)
+	}
 	total := 0.0
 	for _, v := range vals {
 		total += v

@@ -20,7 +20,9 @@
 // byte-identical to a heap-only scheduler (selectable via SetHeapOnly
 // for differential verification). Strictly periodic work should use
 // SchedulePeriodic, which re-arms in place with no release/acquire
-// cycle per beat.
+// cycle per beat; a chain whose beats are inert for a while can Park
+// (lane.go), which runs them off the wheel and heap at their reserved
+// (at, seq) places.
 package sim
 
 import (
@@ -59,12 +61,13 @@ type eventSlot struct {
 	fn      func()
 	label   string
 	period  Time  // re-arm interval; 0 for one-shot events
-	heapIdx int32 // position in Clock.heap; -1 when not queued there
+	heapIdx int32 // position in Clock.heap, or in Clock.lane when parked; -1 when in neither
 	link    int32 // free-list link, or next entry in a wheel bucket
 	prev    int32 // previous entry in a wheel bucket
 	bucket  int32 // wheel bucket index; -1 when not in the wheel
 	gen     int32 // bumped on every allocation; high half of the ref
 	state   uint8
+	parked  bool // periodic chain whose beats run in the parked lane
 }
 
 // Clock owns virtual time and the pending event set.
@@ -91,6 +94,15 @@ type Clock struct {
 	wheelCount int
 	buckets    [2 * wheelSlots]int32
 	occ        [2 * occWords]uint64
+
+	// Parked lane (lane.go): the slots of parked periodic chains in
+	// lane[laneHead:], sorted by (at, seq); a parked slot's heapIdx is
+	// its index in lane. idles holds each parked slot's idle callback,
+	// indexed by slot. parkedFired counts the beats the lane dispatched.
+	lane        []int32
+	laneHead    int
+	idles       []func()
+	parkedFired uint64
 }
 
 // NewClock returns a clock positioned at time zero with no pending events.
@@ -129,10 +141,13 @@ func (c *Clock) HeapOnly() bool { return c.heapOnly }
 // reset must be dropped by the caller: their slots are recycled, so
 // state queries and Cancel on them are unreliable.
 func (c *Clock) Reset() {
-	c.now, c.seq, c.fired = 0, 0, 0
+	c.now, c.seq, c.fired, c.parkedFired = 0, 0, 0, 0
 	clear(c.slots)
 	c.slots = c.slots[:0]
 	c.heap = c.heap[:0]
+	c.lane = c.lane[:0]
+	c.laneHead = 0
+	clear(c.idles)
 	c.freeHead = -1
 	c.disp = 0
 	c.wheelCount = 0
@@ -145,14 +160,20 @@ func (c *Clock) Reset() {
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.now }
 
-// Fired reports how many events have executed so far.
+// Fired reports how many events have executed so far, parked beats
+// included.
 func (c *Clock) Fired() uint64 { return c.fired }
 
+// ParkedFired reports how many of the Fired events were parked beats
+// that ran their idle callback (see Park).
+func (c *Clock) ParkedFired() uint64 { return c.parkedFired }
+
 // Pending reports how many events are scheduled and not yet cancelled.
-// O(1): cancelled events leave the heap and wheel eagerly, so the sum
-// of the two populations is the pending count. A periodic event counts
-// while queued for its next beat, but not during its own callback.
-func (c *Clock) Pending() int { return len(c.heap) + c.wheelCount }
+// O(1): cancelled events leave the heap, wheel and lane eagerly, so the
+// sum of the three populations is the pending count. A periodic event
+// counts while queued (or parked) for its next beat, but not during its
+// own callback.
+func (c *Clock) Pending() int { return len(c.heap) + c.wheelCount + len(c.lane) - c.laneHead }
 
 // makeRef packs a slot index and its generation into a handle. The +1
 // keeps the zero EventRef invalid.
@@ -241,6 +262,7 @@ func (c *Clock) Schedule(at Time, label string, fn func()) EventRef {
 	s.label = label
 	s.period = 0
 	s.state = evPending
+	s.parked = false
 	c.enqueue(idx)
 	return makeRef(s.gen, idx)
 }
@@ -294,12 +316,15 @@ func (c *Clock) Cancel(ref EventRef) {
 	switch {
 	case s.bucket >= 0:
 		c.wheelUnlink(idx)
+	case s.parked && s.heapIdx >= 0:
+		c.laneRemove(int(s.heapIdx))
 	case s.heapIdx >= 0:
 		c.heapRemove(int(s.heapIdx))
 	}
-	// Queued in neither place: a periodic event cancelled from inside
-	// its own callback — the terminal state alone stops the chain.
+	// Queued nowhere: a periodic event cancelled from inside its own
+	// callback — the terminal state alone stops the chain.
 	s.state = evCancelled
+	s.parked = false
 	s.heapIdx = -1
 	c.release(idx)
 }
@@ -313,7 +338,8 @@ func (c *Clock) Cancel(ref EventRef) {
 // scheduled as a fresh one-shot event and the new ref is returned.
 // Rescheduling a zero ref or one whose slot was recycled panics: the
 // callback is gone, so the caller's bookkeeping is broken. A pending
-// periodic event keeps its period — only the next beat moves.
+// periodic event keeps its period — only the next beat moves — and a
+// parked one stays parked.
 func (c *Clock) Reschedule(ref EventRef, at Time) EventRef {
 	s := c.slot(ref)
 	if s == nil {
@@ -337,6 +363,9 @@ func (c *Clock) Reschedule(ref EventRef, at Time) EventRef {
 	case s.bucket >= 0:
 		c.wheelUnlink(idx)
 		c.enqueue(idx)
+	case s.parked && s.heapIdx >= 0:
+		c.laneRemove(int(s.heapIdx))
+		c.lanePush(idx)
 	case s.heapIdx >= 0:
 		if c.placement(at) < 0 {
 			c.heapFix(int(s.heapIdx)) // stays in the heap: sift in place
@@ -348,26 +377,35 @@ func (c *Clock) Reschedule(ref EventRef, at Time) EventRef {
 	default:
 		// An in-flight periodic event rescheduling its own next beat:
 		// queue it here; Step sees it queued and skips the auto re-arm.
-		c.enqueue(idx)
+		c.rearm(idx)
 	}
 	return ref
 }
 
-// Step fires the single earliest pending event. It returns false when
-// the queue is empty.
+// Step fires the single earliest pending event, taking it from the
+// heap or, for a parked beat, from the lane. It returns false when the
+// queue is empty.
 func (c *Clock) Step() bool {
 	c.syncHeap()
-	if len(c.heap) == 0 {
+	var idx int32
+	var fn func() // copied out before release: fn may recycle the slot
+	switch {
+	case c.laneFirst():
+		idx = c.lanePop()
+		fn = c.idles[idx]
+		c.parkedFired++
+	case len(c.heap) > 0:
+		idx = c.heap[0]
+		fn = c.slots[idx].fn
+		c.heapPop()
+	default:
 		return false
 	}
-	idx := c.heap[0]
 	s := &c.slots[idx]
 	if s.at < c.now {
 		panic("sim: event queue time went backwards")
 	}
 	c.now = s.at
-	fn := s.fn // copy out before release: fn may recycle the slot
-	c.heapPop()
 	s.heapIdx = -1
 	if s.period > 0 {
 		// Periodic fast path: the slot stays pending ("in flight")
@@ -375,9 +413,10 @@ func (c *Clock) Step() bool {
 		// cycle, and the ref stays valid across beats. The re-arm
 		// sequence number is taken after fn returns, exactly where a
 		// self-rescheduling callback would have taken it, so the
-		// firing order matches the one-shot chain bit for bit. The
-		// guard skips the re-arm when fn cancelled the chain (possibly
-		// recycling the slot) or queued the next beat via Reschedule.
+		// firing order matches the one-shot chain bit for bit — in
+		// the lane or out of it. The guard skips the re-arm when fn
+		// cancelled the chain (possibly recycling the slot) or queued
+		// the next beat via Reschedule.
 		gen := s.gen
 		c.fired++
 		fn()
@@ -386,7 +425,7 @@ func (c *Clock) Step() bool {
 			c.seq++
 			s.at = c.now + s.period
 			s.seq = c.seq
-			c.enqueue(idx)
+			c.rearm(idx)
 		}
 		return true
 	}
@@ -403,8 +442,7 @@ func (c *Clock) Step() bool {
 func (c *Clock) Run(limit Time) uint64 {
 	start := c.fired
 	for {
-		c.syncHeap() // the heap root is the global minimum afterwards
-		if len(c.heap) == 0 || c.slots[c.heap[0]].at > limit {
+		if s := c.peek(); s == nil || s.at > limit {
 			break
 		}
 		c.Step()
@@ -430,13 +468,23 @@ func (c *Clock) RunUntilIdle(maxEvents uint64) uint64 {
 // pending before now+d, because skipping them would corrupt causality.
 func (c *Clock) Advance(d Time) {
 	target := c.now + d
-	c.syncHeap() // the heap root is the global minimum afterwards
-	if len(c.heap) > 0 {
-		if s := &c.slots[c.heap[0]]; s.at <= target {
-			panic(fmt.Sprintf("sim: Advance(%v) would skip event %q at %v", d, s.label, s.at))
-		}
+	if s := c.peek(); s != nil && s.at <= target {
+		panic(fmt.Sprintf("sim: Advance(%v) would skip event %q at %v", d, s.label, s.at))
 	}
 	c.now = target
+}
+
+// peek stages the wheel and returns the slot of the earliest pending
+// event — the heap root or the lane head — or nil when none is pending.
+func (c *Clock) peek() *eventSlot {
+	c.syncHeap() // the heap root is the global minimum of heap and wheel afterwards
+	switch {
+	case c.laneFirst():
+		return &c.slots[c.lane[c.laneHead]]
+	case len(c.heap) > 0:
+		return &c.slots[c.heap[0]]
+	}
+	return nil
 }
 
 // less orders heap entries by (time, seq). The sequence number is

@@ -111,3 +111,25 @@ func BenchmarkRandUint64(b *testing.B) {
 		_ = r.Uint64()
 	}
 }
+
+// BenchmarkParkedBeat is BenchmarkPeriodicBeat with every chain
+// parked: the beats fire from the lane, off the wheel and the heap,
+// beside one ordinary periodic event (the sampler-tick shape).
+func BenchmarkParkedBeat(b *testing.B) {
+	benchModes(b, func(b *testing.B, c *Clock) {
+		const chains = 64
+		idle := func() {}
+		for i := 0; i < chains; i++ {
+			c.Park(c.SchedulePeriodic(float64(i)/chains, 1.0, "beat", func() {}), idle)
+		}
+		c.SchedulePeriodic(0.5, 10.0, "tick", func() {})
+		for i := 0; i < 4*chains; i++ {
+			c.Step()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Step()
+		}
+	})
+}
