@@ -16,7 +16,7 @@ const tinySpec = `{
   "seeds": [1],
   "engines": ["hadoop", "smr"],
   "scales": [{"name": "w4", "workers": 4, "input_scale": 0.25}],
-  "workloads": [{"name": "one-grep", "jobs": [{"benchmark": "grep", "input_gb": 1, "reduces": 2}]}]
+  "workloads": [{"name": "one-grep", "scenario": {"jobs": [{"bench": "grep", "input_gb": 1, "reduces": 2}]}}]
 }`
 
 // writeSpec drops tinySpec into a temp file and returns its path.

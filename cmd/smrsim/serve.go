@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -15,7 +16,7 @@ import (
 // bound address. The "listening on" line goes to stdout in a fixed
 // format so scripts (make serve-smoke) can parse the ephemeral port
 // from ":0".
-func startServer(addr string, opts serve.Options) (*serve.Server, error) {
+func startServer(stdout, stderr io.Writer, addr string, opts serve.Options) (*serve.Server, error) {
 	srv, err := serve.New(opts)
 	if err != nil {
 		return nil, err
@@ -23,8 +24,8 @@ func startServer(addr string, opts serve.Options) (*serve.Server, error) {
 	if err := srv.Start(addr); err != nil {
 		return nil, err
 	}
-	fmt.Printf("smrsim: listening on %s\n", srv.Addr())
-	fmt.Fprintf(os.Stderr,
+	fmt.Fprintf(stdout, "smrsim: listening on %s\n", srv.Addr())
+	fmt.Fprintf(stderr,
 		"smrsim: serving /runs /ledger /version /metrics /trace /healthz /debug/pprof on %s\n",
 		srv.Addr())
 	return srv, nil
@@ -35,18 +36,18 @@ func startServer(addr string, opts serve.Options) (*serve.Server, error) {
 // (bounded by the -drain deadline), the ledger flushes, and the
 // listener closes. This replaces the old serve loop that blocked
 // forever and died mid-write on Ctrl-C.
-func awaitShutdown(srv *serve.Server, drain time.Duration) {
+func awaitShutdown(stderr io.Writer, srv *serve.Server, drain time.Duration) {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigc)
 	sig := <-sigc
-	fmt.Fprintf(os.Stderr, "smrsim: %v: draining runs (deadline %s)\n", sig, drain)
+	fmt.Fprintf(stderr, "smrsim: %v: draining runs (deadline %s)\n", sig, drain)
 	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "smrsim:", err)
+		fmt.Fprintln(stderr, "smrsim:", err)
 	}
 	if err := srv.Wait(); err != nil {
-		fmt.Fprintln(os.Stderr, "smrsim:", err)
+		fmt.Fprintln(stderr, "smrsim:", err)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"smapreduce/internal/mr"
 	"smapreduce/internal/policy"
@@ -58,6 +59,44 @@ func Engines() []Engine {
 // order.
 func CapacityEngines() []Engine {
 	return []Engine{EngineFairShare, EngineCapacityQueue, EngineGameTheoretic}
+}
+
+// ParseEngine maps a user-facing engine name (case-insensitive, with
+// the usual aliases) to its Engine.
+func ParseEngine(name string) (Engine, error) {
+	switch strings.ToLower(name) {
+	case "hadoopv1", "v1", "hadoop":
+		return EngineHadoopV1, nil
+	case "yarn":
+		return EngineYARN, nil
+	case "smapreduce", "smr":
+		return EngineSMapReduce, nil
+	case "fairshare", "fair-share":
+		return EngineFairShare, nil
+	case "capacityqueue", "capacity-queue", "capqueue":
+		return EngineCapacityQueue, nil
+	case "gametheoretic", "game-theoretic", "game":
+		return EngineGameTheoretic, nil
+	default:
+		return 0, fmt.Errorf("unknown engine %q (hadoopv1 | yarn | smapreduce | fairshare | capacityqueue | gametheoretic)", name)
+	}
+}
+
+// NewCapacityPolicy returns the allocator a capacity engine runs,
+// configured for the given tenants, or nil for the paper's slot
+// engines (which run without per-tenant caps).
+func NewCapacityPolicy(engine Engine, tenants []policy.Tenant) (mr.CapacityPolicy, error) {
+	opts := policy.Options{Tenants: tenants}
+	switch engine {
+	case EngineFairShare:
+		return policy.NewFairShare(opts)
+	case EngineCapacityQueue:
+		return policy.NewCapacityQueue(opts)
+	case EngineGameTheoretic:
+		return policy.NewGameTheoretic(opts)
+	default:
+		return nil, nil
+	}
 }
 
 // Options configures a Run.
@@ -148,16 +187,7 @@ func Run(engine Engine, opts Options, specs ...mr.JobSpec) (*Result, error) {
 		cfg.Policy = mr.HadoopV1
 		if capacity == nil {
 			var err error
-			popts := policy.Options{Tenants: opts.Tenants}
-			switch engine {
-			case EngineFairShare:
-				capacity, err = policy.NewFairShare(popts)
-			case EngineCapacityQueue:
-				capacity, err = policy.NewCapacityQueue(popts)
-			default:
-				capacity, err = policy.NewGameTheoretic(popts)
-			}
-			if err != nil {
+			if capacity, err = NewCapacityPolicy(engine, opts.Tenants); err != nil {
 				return nil, err
 			}
 		}

@@ -6,10 +6,6 @@ import (
 
 	"smapreduce/internal/core"
 	"smapreduce/internal/sim"
-
-	// cli is the one ParseEngine authority; expand only converts names
-	// the spec already canonicalised.
-	"smapreduce/internal/cli"
 )
 
 // Cell is one point of the expanded grid.
@@ -42,7 +38,7 @@ type Cell struct {
 func Expand(s *Spec) []Cell {
 	cells := make([]Cell, 0, len(s.Engines)*len(s.Workloads)*len(s.Scales)*len(s.Seeds))
 	for _, name := range s.Engines {
-		engine, err := cli.ParseEngine(name)
+		engine, err := core.ParseEngine(name)
 		if err != nil {
 			// The spec was validated; a bad engine here is programmer error.
 			panic(fmt.Sprintf("grid: expanding unvalidated spec: %v", err))

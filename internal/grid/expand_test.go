@@ -29,8 +29,8 @@ func TestExpandOrder(t *testing.T) {
 	  "engines": ["hadoop", "smr"],
 	  "scales": [{"name": "a", "workers": 2, "input_scale": 1}, {"name": "b", "workers": 4, "input_scale": 1}],
 	  "workloads": [
-	    {"name": "w1", "jobs": [{"benchmark": "grep", "input_gb": 1, "reduces": 1}]},
-	    {"name": "w2", "jobs": [{"benchmark": "terasort", "input_gb": 1, "reduces": 1}]}
+	    {"name": "w1", "scenario": {"jobs": [{"bench": "grep", "input_gb": 1, "reduces": 1}]}},
+	    {"name": "w2", "scenario": {"jobs": [{"bench": "terasort", "input_gb": 1, "reduces": 1}]}}
 	  ]
 	}`)
 	want := []string{

@@ -16,7 +16,7 @@ func FuzzParseGridSpec(f *testing.F) {
 	f.Add(minimalSpec)
 	f.Add(tinySpec)
 	f.Add(`{}`)
-	f.Add(`{"name": "x", "repeats": 1, "seeds": [0], "engines": ["yarn"], "scales": [{"name": "s", "workers": 1, "input_scale": 1e-3}], "workloads": [{"name": "w", "jobs": [{"benchmark": "grep", "input_gb": 0.5, "reduces": 1}]}]}`)
+	f.Add(`{"name": "x", "repeats": 1, "seeds": [0], "engines": ["yarn"], "scales": [{"name": "s", "workers": 1, "input_scale": 1e-3}], "workloads": [{"name": "w", "scenario": {"jobs": [{"bench": "grep", "input_gb": 0.5, "reduces": 1}]}}]}`)
 	f.Fuzz(func(t *testing.T, text string) {
 		s, err := ParseSpec([]byte(text))
 		if err != nil {

@@ -8,17 +8,15 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"smapreduce/internal/arrival"
-	"smapreduce/internal/chaos"
 	"smapreduce/internal/core"
-	"smapreduce/internal/experiments"
 	"smapreduce/internal/mr"
 	"smapreduce/internal/par"
-	"smapreduce/internal/policy"
+	"smapreduce/internal/scenario"
 )
 
 // Artifact names inside a run directory.
@@ -291,42 +289,16 @@ func runCell(cell Cell, spec *Spec, st *mr.SimState) (CellRecord, error) {
 	return rec, nil
 }
 
-// runRepeat executes one repeat: a fresh cluster at the cell's scale,
-// seeded purely from (cell key, repeat), running the cell's workload
-// under the cell's engine (and chaos schedule, if any).
+// runRepeat executes one repeat: the cell's scenario (see
+// Cell.Scenario) on the worker's recycled substrate.
 func runRepeat(cell Cell, rep int, st *mr.SimState) (Metrics, error) {
-	seed := RepeatSeed(cell.Key, rep)
-	ecfg := experiments.Config{
-		Scale:   cell.Scale.InputScale,
-		Workers: cell.Scale.Workers,
-		Seed:    seed,
+	sc := cell.Scenario(rep)
+	plan, err := sc.Plan()
+	if err != nil {
+		return Metrics{}, err // unreachable for validated specs
 	}
-	opts := core.Options{
-		Cluster: ecfg.ClusterConfig(),
-		Sim:     st,
-		Tenants: policyTenants(cell.Workload.Tenants),
-	}
-	if cell.Workload.Chaos != "" {
-		sched, err := chaos.ParseSchedule(cell.Workload.Chaos)
-		if err != nil {
-			return Metrics{}, err // unreachable for validated specs
-		}
-		opts.Prepare = func(c *mr.Cluster) error { return sched.Apply(c) }
-	}
-	var specs []mr.JobSpec
-	if cell.Workload.Arrivals != nil {
-		src, err := arrival.New(scaleArrivals(*cell.Workload.Arrivals, cell.Scale.InputScale), arrival.RNG(seed))
-		if err != nil {
-			return Metrics{}, err
-		}
-		opts.Arrivals = src
-	} else {
-		var err error
-		if specs, err = buildJobs(ecfg, cell.Workload.Jobs); err != nil {
-			return Metrics{}, err
-		}
-	}
-	res, err := core.Run(cell.Engine, opts, specs...)
+	plan.Options.Sim = st
+	res, err := core.Run(plan.Engine, plan.Options, plan.Specs...)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -347,48 +319,34 @@ func runRepeat(cell Cell, rep int, st *mr.SimState) (Metrics, error) {
 	return m, nil
 }
 
-// buildJobs materialises a closed workload's specs through the
-// experiments cell adapter (shared input-size arithmetic with the
-// figure harnesses). Job names get an index suffix so multi-job
-// workloads stay distinguishable in event logs.
-func buildJobs(ecfg experiments.Config, jobs []Job) ([]mr.JobSpec, error) {
-	specs := make([]mr.JobSpec, len(jobs))
-	for i, j := range jobs {
-		s, err := ecfg.CellSpec(j.Benchmark, j.InputGB, j.Reduces)
-		if err != nil {
-			return nil, err
+// Scenario returns the scenario one repeat of the cell runs: the
+// workload's scenario at the cell's scale, under the cell's engine,
+// seeded purely from (cell key, repeat).
+func (c *Cell) Scenario(rep int) scenario.Scenario {
+	sc := atScale(c.Workload.Scenario, c.Scale)
+	sc.Engine = c.Engine.String()
+	sc.Seed = RepeatSeed(c.Key, rep)
+	return sc
+}
+
+// atScale applies the scale axis to a workload scenario: the scale's
+// worker count, and input sizes (jobs' input_gb, arrival tenants'
+// input bounds) stretched by InputScale. Rates and horizons stay put.
+// The jobs and arrival tenants are copied, never shared with the spec.
+func atScale(sc scenario.Scenario, scale *Scale) scenario.Scenario {
+	sc.Workers = scale.Workers
+	sc.Jobs = slices.Clone(sc.Jobs)
+	for i := range sc.Jobs {
+		sc.Jobs[i].InputGB *= scale.InputScale
+	}
+	if sc.Arrivals != nil {
+		a := *sc.Arrivals
+		a.Tenants = slices.Clone(a.Tenants)
+		for i := range a.Tenants {
+			a.Tenants[i].InputMBMin *= scale.InputScale
+			a.Tenants[i].InputMBMax *= scale.InputScale
 		}
-		s.Name = fmt.Sprintf("%s-%d", j.Benchmark, i+1)
-		s.SubmitAt = j.SubmitAt
-		s.Tenant = j.Tenant
-		s.SLOSeconds = j.SLOSeconds
-		specs[i] = s
+		sc.Arrivals = &a
 	}
-	return specs, nil
-}
-
-// scaleArrivals applies the scale axis to an open workload: input
-// sizes stretch with InputScale, rates and horizons stay put — the
-// same semantics as the closed workloads' input_gb scaling.
-func scaleArrivals(cfg arrival.Config, inputScale float64) arrival.Config {
-	tenants := make([]arrival.Tenant, len(cfg.Tenants))
-	copy(tenants, cfg.Tenants)
-	for i := range tenants {
-		tenants[i].InputMBMin *= inputScale
-		tenants[i].InputMBMax *= inputScale
-	}
-	cfg.Tenants = tenants
-	return cfg
-}
-
-// policyTenants converts spec tenants to the capacity-policy form.
-func policyTenants(ts []Tenant) []policy.Tenant {
-	if len(ts) == 0 {
-		return nil
-	}
-	out := make([]policy.Tenant, len(ts))
-	for i, t := range ts {
-		out[i] = policy.Tenant{Name: t.Name, Weight: t.Weight, Guarantee: t.Guarantee}
-	}
-	return out
+	return sc
 }

@@ -29,10 +29,8 @@ import (
 	"math"
 	"regexp"
 
-	"smapreduce/internal/arrival"
-	"smapreduce/internal/chaos"
-	"smapreduce/internal/cli"
-	"smapreduce/internal/puma"
+	"smapreduce/internal/core"
+	"smapreduce/internal/scenario"
 )
 
 // Spec declares an experiment grid. Cells are the cross product
@@ -48,8 +46,8 @@ type Spec struct {
 	// Seeds are the base seeds of the seed axis. Must be non-empty and
 	// duplicate-free.
 	Seeds []uint64 `json:"seeds"`
-	// Engines names the compared systems (any name internal/cli's
-	// ParseEngine accepts); canonicalised to core.Engine.String() form.
+	// Engines names the compared systems (any name core.ParseEngine
+	// accepts); canonicalised to core.Engine.String() form.
 	Engines []string `json:"engines"`
 	// Scales is the cluster-geometry axis.
 	Scales []Scale `json:"scales"`
@@ -64,58 +62,22 @@ type Scale struct {
 	// Workers is the task-tracker count. Must be positive.
 	Workers int `json:"workers"`
 	// InputScale multiplies every workload's input sizes (jobs'
-	// input_gb and arrival tenants' input bounds). Must be positive.
+	// input_gb and arrival tenants' input bounds). Must be positive and
+	// finite.
 	InputScale float64 `json:"input_scale"`
 }
 
-// Workload is one point on the workload axis: either a fixed job list
-// (the figure-harness shape: single jobs, staggered multi-job mixes)
-// or an open arrival process, optionally under a chaos schedule.
+// Workload is one point on the workload axis: a named scenario (a
+// fixed job list or an open arrival process, optionally with tenants
+// and a chaos schedule). The grid's axes own the scenario's engine,
+// seed and workers, so a workload scenario must leave them unset, and
+// trace_verbosity with them (cells record no trace).
 type Workload struct {
 	// Name identifies the workload in cell keys and output rows.
 	Name string `json:"name"`
-	// Jobs is the closed-workload job list. Exactly one of Jobs and
-	// Arrivals must be set.
-	Jobs []Job `json:"jobs,omitempty"`
-	// Arrivals is the open-workload arrival process (tenant mixes,
-	// Poisson/diurnal rates, horizons — arrival.Config's schema).
-	Arrivals *arrival.Config `json:"arrivals,omitempty"`
-	// Chaos is a fault schedule in internal/chaos's text format,
-	// applied to every cell of this workload; canonicalised to
-	// chaos.Schedule.String() form. Fault targets must be valid for
-	// every scale's worker count.
-	Chaos string `json:"chaos,omitempty"`
-	// Tenants configures capacity-policy weights and guarantees for
-	// the capacity engines (ignored by the paper's three engines).
-	Tenants []Tenant `json:"tenants,omitempty"`
-}
-
-// Job is one fixed job in a closed workload.
-type Job struct {
-	// Benchmark is a PUMA profile name.
-	Benchmark string `json:"benchmark"`
-	// InputGB is the input size in GB before the scale axis's
-	// InputScale multiplier. Must be positive and finite.
-	InputGB float64 `json:"input_gb"`
-	// Reduces is the reduce task count. Must be positive.
-	Reduces int `json:"reduces"`
-	// SubmitAt is the virtual submission time in seconds.
-	SubmitAt float64 `json:"submit_at,omitempty"`
-	// Tenant names the queue the job bills to (capacity policies).
-	Tenant string `json:"tenant,omitempty"`
-	// SLOSeconds is the job's latency objective (0 = none).
-	SLOSeconds float64 `json:"slo_seconds,omitempty"`
-}
-
-// Tenant configures one tenant for the capacity engines.
-type Tenant struct {
-	Name string `json:"name"`
-	// Weight scales the tenant's share (FairShare, GameTheoretic);
-	// 0 means 1.
-	Weight float64 `json:"weight,omitempty"`
-	// Guarantee is the capacity fraction reserved under CapacityQueue,
-	// in [0,1]; guarantees must sum to at most 1.
-	Guarantee float64 `json:"guarantee,omitempty"`
+	// Scenario is the workload before the scale axis applies. Its chaos
+	// schedule is canonicalised to chaos.Schedule.String() form.
+	Scenario scenario.Scenario `json:"scenario"`
 }
 
 // safeName restricts axis names to characters that survive cell keys,
@@ -165,7 +127,7 @@ func (s *Spec) validate() error {
 	}
 	engines := make(map[string]bool, len(s.Engines))
 	for i, name := range s.Engines {
-		e, err := cli.ParseEngine(name)
+		e, err := core.ParseEngine(name)
 		if err != nil {
 			return fmt.Errorf("grid: engines[%d]: %w", i, err)
 		}
@@ -213,78 +175,30 @@ func (s *Spec) validate() error {
 	return nil
 }
 
-// validate checks one workload against every scale and canonicalises
-// its chaos schedule in place.
+// validate checks one workload's scenario at every scale and
+// canonicalises its chaos schedule in place.
 func (w *Workload) validate(scales []Scale) error {
+	sc := &w.Scenario
 	switch {
-	case len(w.Jobs) == 0 && w.Arrivals == nil:
-		return fmt.Errorf("neither jobs nor arrivals set")
-	case len(w.Jobs) > 0 && w.Arrivals != nil:
-		return fmt.Errorf("both jobs and arrivals set; want exactly one")
+	case sc.Engine != "":
+		return fmt.Errorf("scenario sets engine; the engines axis owns it")
+	case sc.Seed != 0:
+		return fmt.Errorf("scenario sets seed; cells derive it per repeat")
+	case sc.Workers != 0:
+		return fmt.Errorf("scenario sets workers; the scales axis owns it")
+	case sc.TraceVerbosity != 0:
+		return fmt.Errorf("scenario sets trace_verbosity; grid cells record no trace")
 	}
-	for i, j := range w.Jobs {
-		if err := j.validate(); err != nil {
-			return fmt.Errorf("jobs[%d]: %w", i, err)
+	var plan scenario.Plan
+	for i := range scales {
+		at := atScale(*sc, &scales[i])
+		var err error
+		if plan, err = at.Plan(); err != nil {
+			return fmt.Errorf("at scale %s: %w", scales[i].Name, err)
 		}
 	}
-	if w.Arrivals != nil {
-		if err := w.Arrivals.Validate(); err != nil {
-			return err
-		}
-	}
-	if w.Chaos != "" {
-		sched, err := chaos.ParseSchedule(w.Chaos)
-		if err != nil {
-			return err
-		}
-		if len(sched.Faults) == 0 {
-			return fmt.Errorf("chaos schedule is empty; omit the field instead")
-		}
-		// Fault targets must exist at every scale, so validate against
-		// the smallest cluster the schedule will ever be applied to.
-		for _, sc := range scales {
-			if err := sched.Validate(sc.Workers); err != nil {
-				return fmt.Errorf("at scale %s: %w", sc.Name, err)
-			}
-		}
-		w.Chaos = sched.String()
-	}
-	names := make(map[string]bool, len(w.Tenants))
-	sumGuarantee := 0.0
-	for i, t := range w.Tenants {
-		switch {
-		case t.Name == "":
-			return fmt.Errorf("tenants[%d]: empty name", i)
-		case names[t.Name]:
-			return fmt.Errorf("duplicate tenant %q", t.Name)
-		case t.Weight < 0 || math.IsNaN(t.Weight) || math.IsInf(t.Weight, 0):
-			return fmt.Errorf("tenant %s: weight = %v, must be >= 0 and finite", t.Name, t.Weight)
-		case t.Guarantee < 0 || t.Guarantee > 1 || math.IsNaN(t.Guarantee):
-			return fmt.Errorf("tenant %s: guarantee = %v, must be in [0,1]", t.Name, t.Guarantee)
-		}
-		names[t.Name] = true
-		sumGuarantee += t.Guarantee
-	}
-	if sumGuarantee > 1+1e-9 {
-		return fmt.Errorf("tenant guarantees sum to %v, must be <= 1", sumGuarantee)
-	}
-	return nil
-}
-
-// validate checks one job entry.
-func (j Job) validate() error {
-	if _, err := puma.Get(j.Benchmark); err != nil {
-		return err
-	}
-	switch {
-	case j.InputGB <= 0 || math.IsInf(j.InputGB, 0):
-		return fmt.Errorf("input_gb = %v, must be positive and finite", j.InputGB)
-	case j.Reduces <= 0:
-		return fmt.Errorf("reduces = %d, must be positive", j.Reduces)
-	case j.SubmitAt < 0 || math.IsNaN(j.SubmitAt) || math.IsInf(j.SubmitAt, 0):
-		return fmt.Errorf("submit_at = %v, must be >= 0 and finite", j.SubmitAt)
-	case j.SLOSeconds < 0 || math.IsNaN(j.SLOSeconds) || math.IsInf(j.SLOSeconds, 0):
-		return fmt.Errorf("slo_seconds = %v, must be >= 0 and finite", j.SLOSeconds)
+	if sc.Chaos != "" {
+		sc.Chaos = plan.Chaos.String()
 	}
 	return nil
 }

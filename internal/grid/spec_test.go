@@ -15,7 +15,7 @@ const minimalSpec = `{
   "seeds": [7],
   "engines": ["smr"],
   "scales": [{"name": "tiny", "workers": 4, "input_scale": 0.25}],
-  "workloads": [{"name": "one-grep", "jobs": [{"benchmark": "grep", "input_gb": 1, "reduces": 2}]}]
+  "workloads": [{"name": "one-grep", "scenario": {"jobs": [{"bench": "grep", "input_gb": 1, "reduces": 2}]}}]
 }`
 
 func mustSpec(t *testing.T, text string) *Spec {
@@ -34,7 +34,7 @@ func TestParseSpecCanonicalises(t *testing.T) {
 	}
 	chaosy := strings.Replace(minimalSpec, `"jobs":`, `"chaos": "crash tt1 @2e1; rejoin tt1 @40", "jobs":`, 1)
 	s = mustSpec(t, chaosy)
-	if got, want := s.Workloads[0].Chaos, "crash tt1 @20\nrejoin tt1 @40\n"; got != want {
+	if got, want := s.Workloads[0].Scenario.Chaos, "crash tt1 @20\nrejoin tt1 @40\n"; got != want {
 		t.Errorf("chaos not canonicalised: %q, want %q", got, want)
 	}
 }
@@ -88,23 +88,50 @@ func TestParseSpecRejects(t *testing.T) {
 		"negative input_scale":    mutate(`"input_scale": 0.25`, `"input_scale": -1`),
 		"duplicate scales": mutate(`"scales": [{"name": "tiny", "workers": 4, "input_scale": 0.25}]`,
 			`"scales": [{"name": "tiny", "workers": 4, "input_scale": 0.25}, {"name": "tiny", "workers": 8, "input_scale": 1}]`),
-		"empty workloads":                     mutate(`"workloads": [{"name": "one-grep", "jobs": [{"benchmark": "grep", "input_gb": 1, "reduces": 2}]}]`, `"workloads": []`),
+		"empty workloads":                     mutate(`"workloads": [{"name": "one-grep", "scenario": {"jobs": [{"bench": "grep", "input_gb": 1, "reduces": 2}]}}]`, `"workloads": []`),
 		"workload both kinds":                 mutate(`"jobs":`, `"arrivals": {"horizon": 10, "tenants": [{"name": "t", "benchmarks": ["grep"], "mean_interarrival": 5, "input_mb_min": 1, "input_mb_max": 2, "reduces": 1}]}, "jobs":`),
-		"workload no kind":                    mutate(`"jobs": [{"benchmark": "grep", "input_gb": 1, "reduces": 2}]`, `"jobs": []`),
-		"unknown benchmark":                   mutate(`"benchmark": "grep"`, `"benchmark": "sort-of-grep"`),
+		"workload no kind":                    mutate(`"jobs": [{"bench": "grep", "input_gb": 1, "reduces": 2}]`, `"jobs": []`),
+		"unknown benchmark":                   mutate(`"bench": "grep"`, `"bench": "sort-of-grep"`),
 		"zero input_gb":                       mutate(`"input_gb": 1`, `"input_gb": 0`),
-		"zero reduces":                        mutate(`"reduces": 2`, `"reduces": 0`),
+		"negative reduces":                    mutate(`"reduces": 2`, `"reduces": -1`),
 		"negative submit":                     mutate(`"reduces": 2`, `"reduces": 2, "submit_at": -1`),
 		"bad chaos":                           mutate(`"jobs":`, `"chaos": "explode tt0 @1", "jobs":`),
 		"empty chaos":                         mutate(`"jobs":`, `"chaos": "# nothing", "jobs":`),
 		"chaos target outside smallest scale": mutate(`"jobs":`, `"chaos": "crash tt4 @1", "jobs":`),
 		"tenant dup":                          mutate(`"jobs":`, `"tenants": [{"name": "a"}, {"name": "a"}], "jobs":`),
 		"tenant guarantees":                   mutate(`"jobs":`, `"tenants": [{"name": "a", "guarantee": 0.7}, {"name": "b", "guarantee": 0.6}], "jobs":`),
+		"input over the cap at a scale":       mutate(`"input_gb": 1`, `"input_gb": 40961`),
+		"scenario sets engine":                mutate(`"jobs":`, `"engine": "yarn", "jobs":`),
+		"scenario sets seed":                  mutate(`"jobs":`, `"seed": 3, "jobs":`),
+		"scenario sets workers":               mutate(`"jobs":`, `"workers": 4, "jobs":`),
+		"scenario sets trace_verbosity":       mutate(`"jobs":`, `"trace_verbosity": 1, "jobs":`),
+		"old workload format":                 mutate(`"scenario": {"jobs": [{"bench": "grep", "input_gb": 1, "reduces": 2}]}`, `"jobs": [{"benchmark": "grep", "input_gb": 1, "reduces": 2}]`),
 		"not json":                            `engines: [smr]`,
 	}
 	for name, text := range cases {
 		if _, err := ParseSpec([]byte(text)); err == nil {
 			t.Errorf("%s: accepted:\n%s", name, text)
+		}
+	}
+}
+
+// TestCellSpecErrors: grid specs are user input, so a workload job
+// that cannot be built fails spec parsing with an error naming the
+// workload, the scale and the problem, never a panic at sweep time.
+func TestCellSpecErrors(t *testing.T) {
+	for bad, want := range map[string]string{
+		`"bench": "sort-of-grep", "input_gb": 1, "reduces": 2`: "sort-of-grep",
+		`"bench": "grep", "input_gb": 1, "reduces": -2`:        "reduces",
+	} {
+		text := strings.Replace(minimalSpec, `"bench": "grep", "input_gb": 1, "reduces": 2`, bad, 1)
+		_, err := ParseSpec([]byte(text))
+		if err == nil {
+			t.Fatalf("%s accepted", bad)
+		}
+		for _, part := range []string{"one-grep", "tiny", want} {
+			if !strings.Contains(err.Error(), part) {
+				t.Errorf("%s: error %q does not mention %q", bad, err, part)
+			}
 		}
 	}
 }

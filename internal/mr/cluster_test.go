@@ -76,6 +76,15 @@ func TestJobSpecValidate(t *testing.T) {
 		{Name: "x", Profile: puma.MustGet("grep"), InputMB: 1, Reduces: 0},
 		{Name: "x", Profile: puma.MustGet("grep"), InputMB: 1, Reduces: 1, SubmitAt: -1},
 		{Name: "x", Profile: puma.Profile{}, InputMB: 1, Reduces: 1},
+		// Non-finite sizes and times: +Inf input used to pass and then
+		// loop forever in DFS staging.
+		{Name: "x", Profile: puma.MustGet("grep"), InputMB: math.Inf(1), Reduces: 1},
+		{Name: "x", Profile: puma.MustGet("grep"), InputMB: math.NaN(), Reduces: 1},
+		{Name: "x", Profile: puma.MustGet("grep"), InputMB: 1, Reduces: 1, SubmitAt: math.Inf(1)},
+		{Name: "x", Profile: puma.MustGet("grep"), InputMB: 1, Reduces: 1, SubmitAt: math.NaN()},
+		{Name: "x", Profile: puma.MustGet("grep"), InputMB: 1, Reduces: 1, SLOSeconds: math.Inf(1)},
+		{Name: "x", Profile: puma.MustGet("grep"), InputMB: 1, Reduces: 1, SLOSeconds: math.NaN()},
+		{Name: "x", Profile: puma.MustGet("grep"), InputMB: 1, Reduces: 1, PartitionSkew: math.NaN()},
 	}
 	for i, s := range bad {
 		if s.Validate() == nil {

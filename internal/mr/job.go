@@ -46,16 +46,16 @@ func (s JobSpec) Validate() error {
 	switch {
 	case s.Name == "":
 		return fmt.Errorf("mr: job has empty name")
-	case s.InputMB <= 0:
-		return fmt.Errorf("mr: job %s: InputMB = %v, must be positive", s.Name, s.InputMB)
+	case !(s.InputMB > 0) || math.IsInf(s.InputMB, 0):
+		return fmt.Errorf("mr: job %s: InputMB = %v, must be positive and finite", s.Name, s.InputMB)
 	case s.Reduces <= 0:
 		return fmt.Errorf("mr: job %s: Reduces = %d, must be positive", s.Name, s.Reduces)
-	case s.SubmitAt < 0:
-		return fmt.Errorf("mr: job %s: SubmitAt = %v, must be >= 0", s.Name, s.SubmitAt)
-	case s.PartitionSkew < 0 || s.PartitionSkew > 4:
+	case !(s.SubmitAt >= 0) || math.IsInf(s.SubmitAt, 0):
+		return fmt.Errorf("mr: job %s: SubmitAt = %v, must be >= 0 and finite", s.Name, s.SubmitAt)
+	case !(s.PartitionSkew >= 0 && s.PartitionSkew <= 4):
 		return fmt.Errorf("mr: job %s: PartitionSkew = %v, must be in [0,4]", s.Name, s.PartitionSkew)
-	case s.SLOSeconds < 0:
-		return fmt.Errorf("mr: job %s: SLOSeconds = %v, must be >= 0", s.Name, s.SLOSeconds)
+	case !(s.SLOSeconds >= 0) || math.IsInf(s.SLOSeconds, 0):
+		return fmt.Errorf("mr: job %s: SLOSeconds = %v, must be >= 0 and finite", s.Name, s.SLOSeconds)
 	}
 	return s.Profile.Validate()
 }

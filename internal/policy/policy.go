@@ -26,14 +26,14 @@ const DefaultInterval = 5.0
 // Tenant configures one known tenant. Tenants not listed here receive
 // Weight 1 and no guarantee when they appear at runtime.
 type Tenant struct {
-	Name string
+	Name string `json:"name"`
 	// Weight scales the tenant's share under FairShare and
 	// GameTheoretic. Zero means 1.
-	Weight float64
+	Weight float64 `json:"weight,omitempty"`
 	// Guarantee is the fraction of total capacity reserved for the
 	// tenant under CapacityQueue (Hadoop's yarn.scheduler.capacity.*
 	// queue capacity). Ignored by the other policies.
-	Guarantee float64
+	Guarantee float64 `json:"guarantee,omitempty"`
 }
 
 // Options configures a policy.
@@ -43,6 +43,13 @@ type Options struct {
 	Interval float64
 	// Tenants lists known tenants with weights/guarantees.
 	Tenants []Tenant
+}
+
+// Validate reports the first problem with the options, or nil: the
+// checks every policy constructor applies.
+func (o Options) Validate() error {
+	_, err := newConfig(o)
+	return err
 }
 
 type config struct {
@@ -75,10 +82,10 @@ func newConfig(o Options) (config, error) {
 		if w == 0 {
 			w = 1
 		}
-		if w < 0 {
-			return config{}, fmt.Errorf("policy: tenant %q weight %v must be positive", t.Name, t.Weight)
+		if !(w > 0) || math.IsInf(w, 0) {
+			return config{}, fmt.Errorf("policy: tenant %q weight %v must be positive and finite", t.Name, t.Weight)
 		}
-		if t.Guarantee < 0 || t.Guarantee > 1 {
+		if !(t.Guarantee >= 0 && t.Guarantee <= 1) {
 			return config{}, fmt.Errorf("policy: tenant %q guarantee %v must be in [0,1]", t.Name, t.Guarantee)
 		}
 		c.weights[t.Name] = w

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -275,4 +276,24 @@ func mustGameTheoretic(t *testing.T, o Options) *GameTheoretic {
 		t.Fatal(err)
 	}
 	return p
+}
+
+func TestOptionsValidate(t *testing.T) {
+	if err := (Options{Tenants: []Tenant{{Name: "a", Weight: 2, Guarantee: 0.5}, {Name: "b"}}}).Validate(); err != nil {
+		t.Fatalf("valid options rejected: %v", err)
+	}
+	for name, ts := range map[string][]Tenant{
+		"empty name":       {{Weight: 1}},
+		"duplicate":        {{Name: "a"}, {Name: "a"}},
+		"negative weight":  {{Name: "a", Weight: -1}},
+		"NaN weight":       {{Name: "a", Weight: math.NaN()}},
+		"infinite weight":  {{Name: "a", Weight: math.Inf(1)}},
+		"NaN guarantee":    {{Name: "a", Guarantee: math.NaN()}},
+		"guarantee over 1": {{Name: "a", Guarantee: 1.5}},
+		"guarantee sum":    {{Name: "a", Guarantee: 0.7}, {Name: "b", Guarantee: 0.6}},
+	} {
+		if err := (Options{Tenants: ts}).Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }

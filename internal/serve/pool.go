@@ -148,16 +148,7 @@ func (p *pool) execute(w *worker, r *Run) {
 
 // runScenario executes the simulation and assembles the artifact set.
 func (p *pool) runScenario(w *worker, r *Run) (map[string][]byte, error) {
-	plan := r.Scenario.build()
-	cfg, err := plan.clusterConfig()
-	if err != nil {
-		return nil, err
-	}
-	specs, err := plan.jobSpecs()
-	if err != nil {
-		return nil, err
-	}
-	arrivals, err := plan.arrivalSource(cfg.Seed)
+	plan, err := r.Scenario.Plan()
 	if err != nil {
 		return nil, err
 	}
@@ -173,10 +164,10 @@ func (p *pool) runScenario(w *worker, r *Run) (map[string][]byte, error) {
 	w.col.Reset()
 
 	r.hub.publish("started", startedEvent{
-		Engine:  r.Scenario.engineName(),
-		Seed:    cfg.Seed,
-		Workers: cfg.Workers,
-		Jobs:    len(specs),
+		Engine:  r.Scenario.EngineName(),
+		Seed:    plan.Options.Cluster.Seed,
+		Workers: plan.Options.Cluster.Workers,
+		Jobs:    len(plan.Specs),
 	})
 
 	// Stream telemetry ticks into the hub while the run executes. The
@@ -197,36 +188,32 @@ func (p *pool) runScenario(w *worker, r *Run) (map[string][]byte, error) {
 		}
 	}()
 
-	opts := core.Options{
-		Cluster:   cfg,
-		Telemetry: w.col,
-		Tracer:    w.tracer,
-		Sim:       w.sim,
-		Events:    true,
-		Tenants:   plan.tenants(),
-		Arrivals:  arrivals,
-		Prepare: func(c *mr.Cluster) error {
-			if sched, ok := plan.chaosSchedule(); ok {
-				if err := sched.Apply(c); err != nil {
-					return err
-				}
+	plan.Options.Telemetry = w.col
+	plan.Options.Tracer = w.tracer
+	plan.Options.Sim = w.sim
+	plan.Options.Events = true
+	armChaos := plan.Options.Prepare
+	plan.Options.Prepare = func(c *mr.Cluster) error {
+		if armChaos != nil {
+			if err := armChaos(c); err != nil {
+				return err
 			}
-			c.SetOnProgress(func(pr mr.Progress) {
-				r.hub.publish("progress", progressEvent{
-					T:             pr.At,
-					Milestone:     pr.Milestone,
-					Job:           pr.Job,
-					JobsSubmitted: pr.JobsSubmitted,
-					JobsFinished:  pr.JobsFinished,
-					JobsActive:    pr.JobsActive,
-					MapPct:        jsonFloat(pr.MapPct),
-					ReducePct:     jsonFloat(pr.ReducePct),
-				})
+		}
+		c.SetOnProgress(func(pr mr.Progress) {
+			r.hub.publish("progress", progressEvent{
+				T:             pr.At,
+				Milestone:     pr.Milestone,
+				Job:           pr.Job,
+				JobsSubmitted: pr.JobsSubmitted,
+				JobsFinished:  pr.JobsFinished,
+				JobsActive:    pr.JobsActive,
+				MapPct:        jsonFloat(pr.MapPct),
+				ReducePct:     jsonFloat(pr.ReducePct),
 			})
-			return nil
-		},
+		})
+		return nil
 	}
-	res, runErr := core.Run(plan.engine(), opts, specs...)
+	res, runErr := core.Run(plan.Engine, plan.Options, plan.Specs...)
 	sub.Cancel()
 	fwd.Wait()
 	if runErr != nil {

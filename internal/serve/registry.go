@@ -121,7 +121,7 @@ func (r *Run) Info() RunInfo {
 	info := RunInfo{
 		ID:          r.ID,
 		State:       r.state,
-		Engine:      r.Scenario.engineName(),
+		Engine:      r.Scenario.EngineName(),
 		Error:       r.err,
 		LedgerIndex: -1,
 	}

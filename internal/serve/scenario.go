@@ -1,225 +1,12 @@
 package serve
 
-import (
-	"bytes"
-	"encoding/json"
-	"fmt"
+import "smapreduce/internal/scenario"
 
-	"smapreduce/internal/arrival"
-	"smapreduce/internal/chaos"
-	"smapreduce/internal/cli"
-	"smapreduce/internal/core"
-	"smapreduce/internal/mr"
-	"smapreduce/internal/policy"
-)
+// Scenario is the POST /runs request body (see internal/scenario).
+type Scenario = scenario.Scenario
 
-// JobSet describes a batch of identical jobs in a scenario, mirroring
-// smrsim's -bench/-input-gb/-reduces/-jobs/-stagger flags.
-type JobSet struct {
-	// Bench names the PUMA profile.
-	Bench string `json:"bench"`
-	// InputGB is the per-job input size in GB.
-	InputGB float64 `json:"input_gb"`
-	// Reduces is the reduce task count per job (default 4).
-	Reduces int `json:"reduces,omitempty"`
-	// Count is how many identical jobs to submit (default 1).
-	Count int `json:"count,omitempty"`
-	// Stagger is the gap between submissions in virtual seconds.
-	Stagger float64 `json:"stagger,omitempty"`
-	// SubmitAt offsets the set's first submission.
-	SubmitAt float64 `json:"submit_at,omitempty"`
-}
-
-// Scenario is the POST /runs request body: one complete simulation
-// description — engine, cluster shape, workload (a fixed job list or
-// an open arrival stream) and an optional chaos schedule. Unknown
-// fields are rejected so typos fail loudly, like every other config
-// parser in this repo.
-type Scenario struct {
-	// Engine names the evaluated system (cli.ParseEngine vocabulary);
-	// empty means "smapreduce".
-	Engine string `json:"engine,omitempty"`
-	// Seed is the cluster seed; 0 keeps the default (1).
-	Seed uint64 `json:"seed,omitempty"`
-
-	// Cluster shape; zero values keep mr.DefaultConfig.
-	Workers     int    `json:"workers,omitempty"`
-	MapSlots    int    `json:"map_slots,omitempty"`
-	ReduceSlots int    `json:"reduce_slots,omitempty"`
-	Scheduler   string `json:"scheduler,omitempty"`
-	Speculate   bool   `json:"speculate,omitempty"`
-	SlowNodes   int    `json:"slow_nodes,omitempty"`
-
-	// Jobs is the fixed workload; exactly one of Jobs and Arrivals must
-	// be set.
-	Jobs []JobSet `json:"jobs,omitempty"`
-	// Arrivals is an open multi-tenant arrival config
-	// (arrival.ParseConfig schema).
-	Arrivals *arrival.Config `json:"arrivals,omitempty"`
-
-	// Chaos is a fault schedule in the chaos text format, applied
-	// before the run starts.
-	Chaos string `json:"chaos,omitempty"`
-
-	// TraceVerbosity selects the span sources recorded into the trace
-	// artifact (trace.Verbosity* levels).
-	TraceVerbosity int `json:"trace_verbosity,omitempty"`
-}
+// JobSet is one batch of identical jobs in a Scenario.
+type JobSet = scenario.JobSet
 
 // ParseScenario decodes and validates a scenario document.
-func ParseScenario(data []byte) (Scenario, error) {
-	var s Scenario
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return Scenario{}, fmt.Errorf("scenario: %w", err)
-	}
-	if dec.More() {
-		return Scenario{}, fmt.Errorf("scenario: trailing data after document")
-	}
-	if err := s.Validate(); err != nil {
-		return Scenario{}, err
-	}
-	return s, nil
-}
-
-// Validate reports the first problem with the scenario, or nil.
-func (s *Scenario) Validate() error {
-	if _, err := cli.ParseEngine(s.engineName()); err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
-	if (len(s.Jobs) == 0) == (s.Arrivals == nil) {
-		return fmt.Errorf("scenario: exactly one of jobs and arrivals must be set")
-	}
-	if s.Arrivals != nil {
-		if err := s.Arrivals.Validate(); err != nil {
-			return fmt.Errorf("scenario: %w", err)
-		}
-	}
-	b := s.build()
-	if _, err := b.clusterConfig(); err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
-	if _, err := b.jobSpecs(); err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
-	if s.Chaos != "" {
-		sched, err := chaos.ParseSchedule(s.Chaos)
-		if err != nil {
-			return fmt.Errorf("scenario chaos: %w", err)
-		}
-		if len(sched.Faults) == 0 {
-			return fmt.Errorf("scenario chaos: schedule contains no faults")
-		}
-		workers := s.Workers
-		if workers <= 0 {
-			workers = mr.DefaultConfig().Workers
-		}
-		if err := sched.Validate(workers); err != nil {
-			return fmt.Errorf("scenario chaos: %w", err)
-		}
-	}
-	return nil
-}
-
-// Canonical renders the validated scenario in canonical bytes — the
-// scenario.json artifact and the document the ledger's input hash
-// covers. Two submissions differing only in whitespace or key order
-// hash identically.
-func (s *Scenario) Canonical() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(s); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func (s *Scenario) engineName() string {
-	if s.Engine == "" {
-		return "smapreduce"
-	}
-	return s.Engine
-}
-
-// build returns the scenario's runnable projection.
-func (s *Scenario) build() *buildPlan { return &buildPlan{s: s} }
-
-// buildPlan turns a validated scenario into core.Run inputs. Split
-// from Scenario so validation and execution share one translation.
-type buildPlan struct{ s *Scenario }
-
-func (b *buildPlan) engine() core.Engine {
-	e, _ := cli.ParseEngine(b.s.engineName())
-	return e
-}
-
-func (b *buildPlan) clusterConfig() (mr.Config, error) {
-	return cli.BuildCluster(cli.ClusterOptions{
-		Workers:     b.s.Workers,
-		MapSlots:    b.s.MapSlots,
-		ReduceSlots: b.s.ReduceSlots,
-		Seed:        b.s.Seed,
-		Scheduler:   b.s.Scheduler,
-		Speculate:   b.s.Speculate,
-		SlowNodes:   b.s.SlowNodes,
-	})
-}
-
-func (b *buildPlan) jobSpecs() ([]mr.JobSpec, error) {
-	var specs []mr.JobSpec
-	for i, set := range b.s.Jobs {
-		count := set.Count
-		if count <= 0 {
-			count = 1
-		}
-		reduces := set.Reduces
-		if reduces <= 0 {
-			reduces = 4
-		}
-		batch, err := cli.BuildJobs(set.Bench, set.InputGB, reduces, count, set.Stagger)
-		if err != nil {
-			return nil, fmt.Errorf("jobs[%d]: %w", i, err)
-		}
-		for j := range batch {
-			batch[j].SubmitAt += set.SubmitAt
-			if count > 1 || len(b.s.Jobs) > 1 {
-				batch[j].Name = fmt.Sprintf("s%d-%s", i, batch[j].Name)
-			}
-		}
-		specs = append(specs, batch...)
-	}
-	return specs, nil
-}
-
-// tenants derives capacity-policy tenants for the capacity engines
-// from the arrival config, mirroring smrsim's wiring.
-func (b *buildPlan) tenants() []policy.Tenant {
-	if b.s.Arrivals == nil {
-		return nil
-	}
-	return cli.PolicyTenants(*b.s.Arrivals)
-}
-
-// chaosSchedule parses the scenario's fault schedule (validated
-// earlier; empty when none).
-func (b *buildPlan) chaosSchedule() (chaos.Schedule, bool) {
-	if b.s.Chaos == "" {
-		return chaos.Schedule{}, false
-	}
-	sched, err := chaos.ParseSchedule(b.s.Chaos)
-	if err != nil {
-		return chaos.Schedule{}, false
-	}
-	return sched, true
-}
-
-// arrivalSource builds the scenario's arrival stream for the given
-// cluster seed, pure in the seed like the fleet runner's streams.
-func (b *buildPlan) arrivalSource(seed uint64) (mr.ArrivalSource, error) {
-	if b.s.Arrivals == nil {
-		return nil, nil
-	}
-	return arrival.New(*b.s.Arrivals, arrival.RNG(seed))
-}
+func ParseScenario(data []byte) (Scenario, error) { return scenario.Parse(data) }

@@ -70,10 +70,11 @@ func TestJobSpecNaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, err := single.build().jobSpecs()
+	plan, err := single.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
+	specs := plan.Specs
 	if len(specs) != 1 || specs[0].Name != "grep-1" {
 		t.Errorf("single-set specs: %+v", specs)
 	}
@@ -84,10 +85,10 @@ func TestJobSpecNaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, err = multi.build().jobSpecs()
-	if err != nil {
+	if plan, err = multi.Plan(); err != nil {
 		t.Fatal(err)
 	}
+	specs = plan.Specs
 	if len(specs) != 3 {
 		t.Fatalf("multi-set spec count = %d", len(specs))
 	}
