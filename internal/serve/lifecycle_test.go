@@ -96,7 +96,12 @@ func TestPanicBecomesFailure(t *testing.T) {
 	if st, msg := a.State(); st != StateFailed || !strings.Contains(msg, "ledger exploded") {
 		t.Fatalf("after panic: state %s, err %q", st, msg)
 	}
-	replay, _, cancel := a.hub.subscribe()
+	// The state turns failed just before the terminal event is
+	// published, so collect the live tail until the stream closes.
+	replay, live, cancel := a.hub.subscribe()
+	for ev := range live {
+		replay = append(replay, ev)
+	}
 	cancel()
 	if last := replay[len(replay)-1]; last.Name != "failed" {
 		t.Errorf("terminal event %q", last.Name)
