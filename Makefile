@@ -57,7 +57,7 @@ fuzz-smoke:
 # bench-smoke proves the benchmark harness still runs end to end
 # (single iteration of a mid-weight figure), not a measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench Figure4 -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Experiments/fig4$$' -benchtime 1x .
 
 # perf-smoke gates on the steady benchmark's output check: smrperf's
 # own tests, then a short fig3-matrix run whose every iteration must

@@ -1,12 +1,12 @@
-// Benchmarks regenerating every figure of the paper's evaluation plus
-// the headline single-run comparisons. One benchmark per figure:
+// Benchmarks regenerating every figure of the paper's evaluation and
+// every extra, plus the headline single-run comparison:
 //
 //	go test -bench=. -benchmem
 //
-// Each iteration performs the figure's full workload matrix on the
-// simulated 16-worker cluster, so ns/op is the wall cost of
-// regenerating that figure (the virtual cluster time is orders of
-// magnitude larger).
+// Each BenchmarkExperiments/<slug> iteration performs that experiment's
+// full workload matrix on the simulated 16-worker cluster, so ns/op is
+// the wall cost of regenerating it (the virtual cluster time is orders
+// of magnitude larger).
 package smapreduce_test
 
 import (
@@ -16,90 +16,31 @@ import (
 	"smapreduce/internal/experiments"
 )
 
-// benchCfg runs the figures at half the paper's input scale: identical
-// shapes, roughly half the wall time per iteration.
-func benchCfg() experiments.Config {
+// heavy lists the experiments whose single iteration exceeds ~100 ms of
+// wall time; they skip under -short, so `go test -short -bench .` stays
+// a quick smoke pass.
+var heavy = map[string]bool{
+	"fig1": true, "fig3": true, "fig5": true, "fig6": true, "fig7": true,
+	"oversubscription": true, "oracle-gap": true, "trace": true, "multitenant": true,
+}
+
+// BenchmarkExperiments runs every registered experiment at half the
+// paper's input scale: identical shapes, roughly half the wall time per
+// iteration.
+func BenchmarkExperiments(b *testing.B) {
 	cfg := experiments.Default()
 	cfg.Scale = 0.5
-	return cfg
-}
-
-// skipIfShort guards the benchmarks whose single iteration exceeds
-// ~100 ms of wall time, so `go test -short -bench .` stays a quick
-// smoke pass (the lighter figures and SingleJob still run).
-func skipIfShort(b *testing.B) {
-	b.Helper()
-	if testing.Short() {
-		b.Skip("heavy figure benchmark; skipped with -short")
-	}
-}
-
-func BenchmarkFigure1Thrashing(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure1(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure3ExecTime(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure3(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure4Progress(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure4(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure5SlotSweep(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure5(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure6InputScaling(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure6(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure7Ablation(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure7(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure8MultiGrep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure8(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure9MultiInvIdx(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure9(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
+	for _, e := range experiments.Registry {
+		b.Run(e.Slug, func(b *testing.B) {
+			if heavy[e.Slug] && testing.Short() {
+				b.Skip("heavy experiment benchmark; skipped with -short")
+			}
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -116,114 +57,5 @@ func BenchmarkSingleJob(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// Ablation and extension benches (DESIGN.md §7).
-
-func BenchmarkAblationBounds(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationBounds(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationSlowStart(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationSlowStart(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationConfirmations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationConfirmations(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationLazyVsEager(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationLazyVsEager(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationTailBoost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationTailBoost(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHeterogeneousCluster(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Heterogeneous(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSchedulers(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Schedulers(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSpeculation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Speculation(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkOversubscription(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Oversubscription(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkOracleGap(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.OracleGap(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkControllerComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ControllerComparison(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSkewSensitivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SkewSensitivity(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTraceWorkload(b *testing.B) {
-	skipIfShort(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.TraceWorkload(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

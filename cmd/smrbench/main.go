@@ -21,82 +21,22 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"smapreduce/internal/experiments"
-	"smapreduce/internal/metrics"
 )
 
-// allFigures is the default -fig set: every key of figures, in order.
-var allFigures = []int{1, 3, 4, 5, 6, 7, 8, 9}
-
-// figList collects repeated -fig flags.
-type figList []int
-
-func (f *figList) String() string { return fmt.Sprint([]int(*f)) }
-
-func (f *figList) Set(s string) error {
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return err
-	}
-	if _, ok := figures[n]; !ok {
-		return fmt.Errorf("no figure %d (figures are 1 and 3–9; figure 2 is the architecture diagram)", n)
-	}
-	*f = append(*f, n)
-	return nil
-}
-
-// result is what every experiment returns; figures with a chart also
-// implement charter.
-type result interface{ Table() *metrics.Table }
-
-type charter interface{ Chart() string }
-
-type experiment struct {
-	slug string // CSV file name; also the progress label of an extra
-	run  func(experiments.Config) (result, error)
-}
-
-// exp adapts a typed experiments entry point to the common shape.
-func exp[R result](slug string, fn func(experiments.Config) (R, error)) experiment {
-	return experiment{slug, func(cfg experiments.Config) (result, error) { return fn(cfg) }}
-}
-
-var figures = map[int]experiment{
-	1: exp("fig1", experiments.Figure1),
-	3: exp("fig3", experiments.Figure3),
-	4: exp("fig4", experiments.Figure4),
-	5: exp("fig5", experiments.Figure5),
-	6: exp("fig6", experiments.Figure6),
-	7: exp("fig7", experiments.Figure7),
-	8: exp("fig8", experiments.Figure8),
-	9: exp("fig9", experiments.Figure9),
-}
-
-var extras = []experiment{
-	exp("ablation-bounds", experiments.AblationBounds),
-	exp("ablation-slowstart", experiments.AblationSlowStart),
-	exp("ablation-confirmations", experiments.AblationConfirmations),
-	exp("ablation-lazy-eager", experiments.AblationLazyVsEager),
-	exp("ablation-tailboost", experiments.AblationTailBoost),
-	exp("heterogeneous", experiments.Heterogeneous),
-	exp("schedulers", experiments.Schedulers),
-	exp("speculation", experiments.Speculation),
-	exp("oversubscription", experiments.Oversubscription),
-	exp("oracle-gap", experiments.OracleGap),
-	exp("controllers", experiments.ControllerComparison),
-	exp("skew", experiments.SkewSensitivity),
-	exp("trace", experiments.TraceWorkload),
-	exp("multitenant", experiments.MultiTenantShootout),
-}
+// registry is the experiment list the command runs, in order: every
+// figure selected by -fig, then the extras with -extras.
+var registry = experiments.Registry
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -108,7 +48,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("smrbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var figs figList
+	var figs []int
 	scale := fs.Float64("scale", 1.0, "input size multiplier (1.0 = paper scale)")
 	workers := fs.Int("workers", 16, "task trackers")
 	seed := fs.Uint64("seed", 1, "simulation seed")
@@ -118,7 +58,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	withExtras := fs.Bool("extras", false, "also run the beyond-the-paper experiments (ablations, heterogeneous cluster, schedulers, speculation)")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile at the end of the run to this file")
-	fs.Var(&figs, "fig", "figure number to run (repeatable; default: all)")
+	fs.Func("fig", "figure number to run (repeatable; default: all)", func(s string) error {
+		n, err := strconv.Atoi(s)
+		if err != nil {
+			return err
+		}
+		if n == 0 || !slices.ContainsFunc(registry, func(e *experiments.Experiment) bool { return e.Figure == n }) {
+			return fmt.Errorf("no figure %d (figures are 1 and 3–9; figure 2 is the architecture diagram)", n)
+		}
+		figs = append(figs, n)
+		return nil
+	})
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -126,10 +76,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if len(figs) == 0 {
-		figs = allFigures
+	var bad string
+	switch {
+	case !(*scale > 0) || math.IsInf(*scale, 1):
+		bad = "-scale must be positive and finite"
+	case *workers <= 0:
+		bad = "-workers must be positive"
+	case *trials < 1:
+		bad = "-trials must be at least 1"
 	}
-	sort.Ints(figs)
+	if bad != "" {
+		fmt.Fprintf(stderr, "smrbench: %s\n", bad)
+		fs.Usage()
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -159,11 +119,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	cfg := experiments.Default()
-	cfg.Scale = *scale
-	cfg.Workers = *workers
-	cfg.Seed = *seed
-	cfg.Trials = *trials
+	cfg := experiments.Config{Scale: *scale, Workers: *workers, Seed: *seed, Trials: *trials}.Normalize()
 
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -174,9 +130,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// runOne runs e, prints its table (and chart, with -charts), writes
 	// its CSV and reports whether it succeeded.
-	runOne := func(name string, e experiment) (time.Duration, bool) {
+	runOne := func(name string, e *experiments.Experiment) (time.Duration, bool) {
 		start := time.Now()
-		r, err := e.run(cfg)
+		r, err := e.Run(cfg)
 		if err != nil {
 			fmt.Fprintf(stderr, "smrbench: %s failed: %v\n", name, err)
 			return 0, false
@@ -184,35 +140,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 		t := r.Table()
 		fmt.Fprint(stdout, t.String())
 		if *csvDir != "" {
-			path := filepath.Join(*csvDir, e.slug+".csv")
+			path := filepath.Join(*csvDir, e.Slug+".csv")
 			if err := os.WriteFile(path, []byte(t.CSV()), 0o644); err != nil {
 				fmt.Fprintf(stderr, "smrbench: writing %s: %v\n", path, err)
 				return 0, false
 			}
 		}
-		if c, ok := r.(charter); ok && *charts {
-			fmt.Fprint(stdout, c.Chart())
+		if *charts {
+			fmt.Fprint(stdout, r.Chart())
 		}
 		return time.Since(start).Round(time.Millisecond), true
 	}
 
 	fmt.Fprintf(stdout, "smrbench: %d workers, scale %.2f, seed %d\n\n", cfg.Workers, cfg.Scale, cfg.Seed)
 	var failed []string
-	for _, n := range figs {
-		name := fmt.Sprintf("Figure %d", n)
-		if d, ok := runOne(name, figures[n]); ok {
-			fmt.Fprintf(stdout, "(%s regenerated in %v)\n\n", name, d)
+	for _, e := range registry {
+		name, progress := e.Slug, "(%s in %v)\n\n"
+		if e.Figure != 0 {
+			if len(figs) > 0 && !slices.Contains(figs, e.Figure) {
+				continue
+			}
+			name, progress = fmt.Sprintf("Figure %d", e.Figure), "(%s regenerated in %v)\n\n"
+		} else if !*withExtras {
+			continue
+		}
+		if d, ok := runOne(name, e); ok {
+			fmt.Fprintf(stdout, progress, name, d)
 		} else {
 			failed = append(failed, name)
-		}
-	}
-	if *withExtras {
-		for _, e := range extras {
-			if d, ok := runOne(e.slug, e); ok {
-				fmt.Fprintf(stdout, "(%s in %v)\n\n", e.slug, d)
-			} else {
-				failed = append(failed, e.slug)
-			}
 		}
 	}
 

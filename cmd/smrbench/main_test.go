@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
+	"smapreduce/internal/core"
 	"smapreduce/internal/experiments"
+	"smapreduce/internal/mr"
 )
 
 // exec drives the command in-process and returns (exit code, stdout,
@@ -19,19 +22,34 @@ func exec(t *testing.T, args ...string) (int, string, string) {
 	return code, stdout.String(), stderr.String()
 }
 
+// timing matches the wall-time progress lines, the only output that
+// differs between identical runs.
+var timing = regexp.MustCompile(`(?m)^\(.* in [0-9.]+[µm]?s\)\n`)
+
+// find returns the registered experiment with this slug.
+func find(t *testing.T, slug string) *experiments.Experiment {
+	t.Helper()
+	for _, e := range registry {
+		if e.Slug == slug {
+			return e
+		}
+	}
+	t.Fatalf("no experiment %s", slug)
+	return nil
+}
+
 func TestFigureTableAndCSV(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "csv")
 	code, stdout, stderr := exec(t, "-fig", "4", "-scale", "0.05", "-csv", dir)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
-	cfg := experiments.Default()
-	cfg.Scale = 0.05
-	want, err := experiments.Figure4(cfg)
+	r, err := find(t, "fig4").Run(experiments.Config{Scale: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(stdout, want.Table().String()) {
+	want := r.Table()
+	if !strings.Contains(stdout, want.String()) {
 		t.Errorf("stdout does not carry the Figure 4 table:\n%s", stdout)
 	}
 	if !strings.Contains(stdout, "(Figure 4 regenerated in ") {
@@ -41,8 +59,67 @@ func TestFigureTableAndCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != want.Table().CSV() {
+	if string(got) != want.CSV() {
 		t.Errorf("fig4.csv differs from the Figure 4 table's CSV:\n%s", got)
+	}
+}
+
+// TestGoldens pins the command's whole output, stdout without the
+// timing lines and every CSV, against runs recorded before the figures
+// and extras shared one experiment runner.
+func TestGoldens(t *testing.T) {
+	for _, g := range []struct {
+		name  string
+		args  []string
+		heavy bool
+	}{
+		{"default", []string{"-extras", "-charts"}, true},
+		{"small", []string{"-scale", "0.1", "-workers", "8", "-extras", "-charts"}, false},
+		{"trials", []string{"-scale", "0.25", "-trials", "2", "-fig", "3", "-fig", "5", "-fig", "6", "-fig", "8", "-fig", "9", "-charts"}, true},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			if g.heavy && testing.Short() {
+				t.Skip("paper-scale golden skipped in -short mode")
+			}
+			golden := filepath.Join("testdata", g.name)
+			dir := t.TempDir()
+			code, stdout, stderr := exec(t, append(g.args, "-csv", dir)...)
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr)
+			}
+			want, err := os.ReadFile(filepath.Join(golden, "stdout.txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := timing.ReplaceAllString(stdout, ""); got != string(want) {
+				t.Errorf("stdout differs from %s/stdout.txt:\n%s", golden, got)
+			}
+			wantCSV, err := os.ReadDir(filepath.Join(golden, "csv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotCSV, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(gotCSV) != len(wantCSV) {
+				t.Errorf("wrote %d CSV files, want %d", len(gotCSV), len(wantCSV))
+			}
+			for _, f := range wantCSV {
+				want, err := os.ReadFile(filepath.Join(golden, "csv", f.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := os.ReadFile(filepath.Join(dir, f.Name()))
+				if err != nil {
+					t.Error(err)
+					continue
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s differs from the golden:\n%s", f.Name(), got)
+				}
+			}
+		})
 	}
 }
 
@@ -51,8 +128,17 @@ func TestBadFlagsExit2(t *testing.T) {
 		{"-fig", "2"},
 		{"-fig", "42"},
 		{"-fig", "x"},
+		{"-fig", "0"},
 		{"-benchjson"},
 		{"-telemetry", "t.csv"},
+		{"-scale", "0"},
+		{"-scale", "-1"},
+		{"-scale", "NaN"},
+		{"-scale", "+Inf"},
+		{"-workers", "0"},
+		{"-workers", "-3"},
+		{"-trials", "0"},
+		{"-trials", "-2"},
 	} {
 		code, stdout, stderr := exec(t, args...)
 		if code != 2 {
@@ -67,6 +153,25 @@ func TestBadFlagsExit2(t *testing.T) {
 	}
 	if code, _, stderr := exec(t, "-fig", "2"); code != 2 || !strings.Contains(stderr, "no figure 2") {
 		t.Errorf("-fig 2: exit %d, stderr %q; want 2 and a no-figure message", code, stderr)
+	}
+	if code, _, stderr := exec(t, "-scale", "-1"); code != 2 || !strings.Contains(stderr, "-scale must be positive") {
+		t.Errorf("-scale -1: exit %d, stderr %q; want 2 and a -scale message", code, stderr)
+	}
+}
+
+// The header prints the configuration that runs: seed 0 means the
+// default seed 1, so both print and compute the same.
+func TestHeaderShowsNormalizedConfig(t *testing.T) {
+	_, zero, _ := exec(t, "-seed", "0", "-fig", "8", "-scale", "0.05")
+	code, one, stderr := exec(t, "-seed", "1", "-fig", "8", "-scale", "0.05")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if !strings.HasPrefix(zero, "smrbench: 16 workers, scale 0.05, seed 1\n") {
+		t.Errorf("-seed 0 header: %q", strings.SplitN(zero, "\n", 2)[0])
+	}
+	if timing.ReplaceAllString(zero, "") != timing.ReplaceAllString(one, "") {
+		t.Errorf("-seed 0 and -seed 1 differ:\n%s\n%s", zero, one)
 	}
 }
 
@@ -111,10 +216,22 @@ func TestProfilesWritten(t *testing.T) {
 }
 
 // A failing figure still exits 1 through the deferred profile writers.
+// The registry's Figure 4 is swapped for one whose only arm cannot
+// build its cluster.
 func TestProfilesWrittenOnFailure(t *testing.T) {
+	saved := registry
+	t.Cleanup(func() { registry = saved })
+	registry = []*experiments.Experiment{{
+		Slug:   "fig4",
+		Figure: 4,
+		Arms: func(experiments.Config) []experiments.Arm {
+			return []experiments.Arm{{Labels: []string{"broken"}, Engine: core.EngineHadoopV1,
+				Opts: core.Options{Cluster: mr.Config{Workers: -1}}}}
+		},
+	}}
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
-	code, _, stderr := exec(t, "-fig", "4", "-workers", "-1", "-cpuprofile", cpu, "-memprofile", mem)
+	code, _, stderr := exec(t, "-fig", "4", "-cpuprofile", cpu, "-memprofile", mem)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1: %s", code, stderr)
 	}
@@ -131,10 +248,13 @@ func TestExtrasWriteCSV(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
-	for _, e := range extras {
-		if !strings.Contains(stdout, "("+e.slug+" in ") {
-			t.Errorf("stdout has no progress line for %s", e.slug)
+	for _, e := range registry {
+		if e.Figure != 0 {
+			continue
 		}
-		nonEmpty(t, filepath.Join(dir, e.slug+".csv"))
+		if !strings.Contains(stdout, "("+e.Slug+" in ") {
+			t.Errorf("stdout has no progress line for %s", e.Slug)
+		}
+		nonEmpty(t, filepath.Join(dir, e.Slug+".csv"))
 	}
 }

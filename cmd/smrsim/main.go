@@ -31,7 +31,6 @@ import (
 
 	"smapreduce/internal/arrival"
 	"smapreduce/internal/core"
-	"smapreduce/internal/experiments"
 	"smapreduce/internal/mr"
 	"smapreduce/internal/puma"
 	"smapreduce/internal/scenario"
@@ -286,7 +285,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *telemPath != "" {
 		fmt.Fprintln(stdout, "\nslot/rate timeline:")
-		fmt.Fprint(stdout, experiments.TimelineChart(telem))
+		fmt.Fprint(stdout, telem.TimelineChart())
 	}
 	if *history {
 		fmt.Fprintln(stdout)

@@ -1,359 +1,189 @@
 // Ablations beyond the paper's Fig. 7, covering the design choices
 // DESIGN.md §7 calls out: the balance-factor bounds, the slow-start
 // threshold, the suspected-thrashing confirmation count, lazy versus
-// eager slot changing, and the tail-stretch reduce boost. Each returns
-// typed rows plus a rendered table and has a matching testing.B
-// benchmark at the repository root.
+// eager slot changing, and the tail-stretch reduce boost. Then the
+// runtime extensions the paper leaves as future work: heterogeneous
+// nodes, speculation and the fair scheduler.
 package experiments
 
 import (
 	"fmt"
 
 	"smapreduce/internal/core"
-	"smapreduce/internal/metrics"
 	"smapreduce/internal/mr"
 	"smapreduce/internal/resource"
 )
 
-// AblationRow is one (setting, outcome) sample.
-type AblationRow struct {
-	Setting  string
-	ExecTime float64
-	MapTime  float64
+// variant is one labelled slot-manager setting of an ablation.
+type variant struct {
+	label string
+	sm    core.SlotManagerConfig
 }
 
-// AblationResult is a one-dimensional sweep.
-type AblationResult struct {
-	Name string
-	Rows []AblationRow
+// ablation declares a one-dimensional sweep over the arms its builder
+// returns, tabulating each arm's map and exec time.
+func ablation(slug, name string, arms func(cfg Config) []Arm) *Experiment {
+	return &Experiment{
+		Slug:    slug,
+		Title:   "Ablation — " + name,
+		Labels:  []string{"setting"},
+		Metrics: []Metric{mapTime, execTime},
+		Arms:    arms,
+	}
 }
 
-// Table renders the sweep.
-func (r *AblationResult) Table() *metrics.Table {
-	t := metrics.NewTable("Ablation — "+r.Name, "setting", "map s", "exec s")
-	for _, row := range r.Rows {
-		t.AddRowf(row.Setting, row.MapTime, row.ExecTime)
+// smArms returns one SMapReduce arm per slot-manager variant.
+func smArms(cfg Config, bench string, gb float64, variants []variant) []Arm {
+	arms := make([]Arm, len(variants))
+	for i, v := range variants {
+		arms[i] = arm([]string{v.label}, core.EngineSMapReduce, cfg.cluster(), cfg.spec(bench, gb))
+		arms[i].Opts.SlotManager = v.sm
 	}
-	return t
+	return arms
 }
 
-// Get returns the exec time for a setting, or -1.
-func (r *AblationResult) Get(setting string) float64 {
-	for _, row := range r.Rows {
-		if row.Setting == setting {
-			return row.ExecTime
-		}
+// withNodes gives the cluster per-node specs: the default node spec,
+// adjusted per node by edit.
+func withNodes(c *mr.Config, edit func(n int, s *resource.Spec)) {
+	c.NodeSpecs = make([]resource.Spec, c.Workers)
+	for n := range c.NodeSpecs {
+		c.NodeSpecs[n] = c.NodeSpec
+		edit(n, &c.NodeSpecs[n])
 	}
-	return -1
 }
 
-// runAblation executes one SMapReduce job per slot-manager variant.
-func runAblation(cfg Config, name, bench string, gb float64,
-	variants []struct {
-		label string
-		sm    core.SlotManagerConfig
-	}) (*AblationResult, error) {
-	cfg = cfg.normalize()
-	res := &AblationResult{Name: name}
-	for _, v := range variants {
-		r, err := core.Run(core.EngineSMapReduce,
-			core.Options{Cluster: cfg.cluster(), SlotManager: v.sm}, cfg.spec(bench, gb))
-		if err != nil {
-			return nil, fmt.Errorf("ablation %s/%s: %w", name, v.label, err)
-		}
-		res.Rows = append(res.Rows, AblationRow{
-			Setting:  v.label,
-			ExecTime: r.Jobs[0].ExecutionTime(),
-			MapTime:  r.Jobs[0].MapTime(),
-		})
+// ablationBounds sweeps the balance-factor band. Terasort's balance
+// factor hovers near 1.0 at the default slots, so the band genuinely
+// decides between holding and hunting.
+var ablationBounds = ablation("ablation-bounds", "balance-factor bounds (terasort)", func(cfg Config) []Arm {
+	var vs []variant
+	for _, p := range [][2]float64{{0.95, 1.05}, {0.8, 1.3}, {0.6, 1.8}} {
+		vs = append(vs, variant{fmt.Sprintf("bounds [%.2f, %.2f]", p[0], p[1]),
+			core.SlotManagerConfig{LowerBound: p[0], UpperBound: p[1]}})
 	}
-	return res, nil
-}
+	return smArms(cfg, "terasort", 60, vs)
+})
 
-// AblationBounds sweeps the balance-factor band on a medium workload.
-func AblationBounds(cfg Config) (*AblationResult, error) {
-	type pair struct{ lo, hi float64 }
-	var variants []struct {
-		label string
-		sm    core.SlotManagerConfig
-	}
-	for _, p := range []pair{{0.95, 1.05}, {0.8, 1.3}, {0.6, 1.8}} {
-		variants = append(variants, struct {
-			label string
-			sm    core.SlotManagerConfig
-		}{
-			label: fmt.Sprintf("bounds [%.2f, %.2f]", p.lo, p.hi),
-			sm:    core.SlotManagerConfig{LowerBound: p.lo, UpperBound: p.hi},
-		})
-	}
-	// Terasort's balance factor hovers near 1.0 at the default slots,
-	// so the band genuinely decides between holding and hunting.
-	return runAblation(cfg, "balance-factor bounds (terasort)", "terasort", 60, variants)
-}
-
-// AblationSlowStart sweeps the slow-start threshold.
-func AblationSlowStart(cfg Config) (*AblationResult, error) {
-	var variants []struct {
-		label string
-		sm    core.SlotManagerConfig
-	}
+// ablationSlowStart sweeps the slow-start threshold.
+var ablationSlowStart = ablation("ablation-slowstart", "slow-start threshold (histogram-movies)", func(cfg Config) []Arm {
+	var vs []variant
 	for _, f := range []float64{0.02, 0.10, 0.30} {
-		variants = append(variants, struct {
-			label string
-			sm    core.SlotManagerConfig
-		}{
-			label: fmt.Sprintf("slow start %.0f%%", 100*f),
-			sm:    core.SlotManagerConfig{SlowStartFraction: f},
-		})
+		vs = append(vs, variant{fmt.Sprintf("slow start %.0f%%", 100*f), core.SlotManagerConfig{SlowStartFraction: f}})
 	}
-	return runAblation(cfg, "slow-start threshold (histogram-movies)", "histogram-movies", 60, variants)
-}
+	return smArms(cfg, "histogram-movies", 60, vs)
+})
 
-// AblationConfirmations sweeps the suspected-thrashing confirmation
+// ablationConfirmations sweeps the suspected-thrashing confirmation
 // count.
-func AblationConfirmations(cfg Config) (*AblationResult, error) {
-	var variants []struct {
-		label string
-		sm    core.SlotManagerConfig
-	}
+var ablationConfirmations = ablation("ablation-confirmations", "thrashing confirmations (inverted-index)", func(cfg Config) []Arm {
+	var vs []variant
 	for _, n := range []int{1, 2, 4} {
-		variants = append(variants, struct {
-			label string
-			sm    core.SlotManagerConfig
-		}{
-			label: fmt.Sprintf("%d confirmation(s)", n),
-			sm:    core.SlotManagerConfig{SuspectConfirmations: n},
-		})
+		vs = append(vs, variant{fmt.Sprintf("%d confirmation(s)", n), core.SlotManagerConfig{SuspectConfirmations: n}})
 	}
-	return runAblation(cfg, "thrashing confirmations (inverted-index)", "inverted-index", 60, variants)
-}
+	return smArms(cfg, "inverted-index", 60, vs)
+})
 
-// AblationLazyVsEager compares the paper's lazy slot changing against
-// the eager kill-and-reschedule alternative it argues against (§III-D).
-func AblationLazyVsEager(cfg Config) (*AblationResult, error) {
-	cfg = cfg.normalize()
-	res := &AblationResult{Name: "lazy vs eager slot changing (ranked-inverted-index)"}
-	for _, eager := range []bool{false, true} {
-		cluster := cfg.cluster()
-		cluster.EagerSlotChange = eager
-		label := "lazy (paper)"
-		if eager {
-			label = "eager (kill and reschedule)"
-		}
-		// ranked-inverted-index is calibrated so the shuffle lags at the
-		// initial slots: the manager decrements, and the two shrink
-		// policies genuinely diverge.
-		r, err := core.Run(core.EngineSMapReduce, core.Options{Cluster: cluster}, cfg.spec("ranked-inverted-index", 60))
-		if err != nil {
-			return nil, fmt.Errorf("ablation lazy/eager: %w", err)
-		}
-		res.Rows = append(res.Rows, AblationRow{
-			Setting:  label,
-			ExecTime: r.Jobs[0].ExecutionTime(),
-			MapTime:  r.Jobs[0].MapTime(),
-		})
-	}
-	return res, nil
-}
+// ablationLazyEager compares the paper's lazy slot changing against the
+// eager kill-and-reschedule alternative it argues against (§III-D).
+// ranked-inverted-index is calibrated so the shuffle lags at the
+// initial slots: the manager decrements, and the two shrink policies
+// genuinely diverge.
+var ablationLazyEager = ablation("ablation-lazy-eager", "lazy vs eager slot changing (ranked-inverted-index)", func(cfg Config) []Arm {
+	arms := smArms(cfg, "ranked-inverted-index", 60, []variant{{label: "lazy (paper)"}, {label: "eager (kill and reschedule)"}})
+	arms[1].Opts.Cluster.EagerSlotChange = true
+	return arms
+})
 
-// AblationTailBoost measures the tail-stretch reduce boost on the job
+// ablationTailBoost measures the tail-stretch reduce boost on the job
 // class it targets: small shuffle per reducer, non-trivial reduce
 // compute, and more reduce tasks than slots so the boost removes a
 // whole reduce wave (kmeans with 64 reducers on 32 default slots).
-func AblationTailBoost(cfg Config) (*AblationResult, error) {
-	cfg = cfg.normalize()
+var ablationTailBoost = ablation("ablation-tailboost", "tail-stretch reduce boost (kmeans, 64 reducers)", func(cfg Config) []Arm {
 	cfg.Reduces = 64
-	return runAblation(cfg, "tail-stretch reduce boost (kmeans, 64 reducers)", "kmeans", 60,
-		[]struct {
-			label string
-			sm    core.SlotManagerConfig
-		}{
-			{"boost on (paper)", core.SlotManagerConfig{}},
-			{"boost off", core.SlotManagerConfig{DisableTailBoost: true}},
-		})
-}
+	return smArms(cfg, "kmeans", 60, []variant{
+		{"boost on (paper)", core.SlotManagerConfig{}},
+		{"boost off", core.SlotManagerConfig{DisableTailBoost: true}},
+	})
+})
 
-// HeteroRow is one engine/controller arm on the heterogeneous cluster.
-type HeteroRow struct {
-	Setting  string
-	ExecTime float64
-}
-
-// HeteroResult compares engines on a mixed-hardware cluster.
-type HeteroResult struct {
-	Rows []HeteroRow
-}
-
-// Table renders the comparison.
-func (r *HeteroResult) Table() *metrics.Table {
-	t := metrics.NewTable("Heterogeneous cluster (future work §VII)", "setting", "exec s")
-	for _, row := range r.Rows {
-		t.AddRowf(row.Setting, row.ExecTime)
-	}
-	return t
-}
-
-// Get returns the exec time for a setting, or -1.
-func (r *HeteroResult) Get(setting string) float64 {
-	for _, row := range r.Rows {
-		if row.Setting == setting {
-			return row.ExecTime
-		}
-	}
-	return -1
-}
-
-// Heterogeneous runs a map-heavy job on a cluster whose second half has
+// heterogeneous runs a map-heavy job on a cluster whose second half has
 // half the cores, comparing HadoopV1, uniform SMapReduce, and
 // SMapReduce with per-node target scaling — the extension the paper
 // leaves as future work.
-func Heterogeneous(cfg Config) (*HeteroResult, error) {
-	cfg = cfg.normalize()
-	cluster := cfg.cluster()
-	specs := make([]resource.Spec, cluster.Workers)
-	for i := range specs {
-		specs[i] = cluster.NodeSpec
-		if i >= cluster.Workers/2 {
-			specs[i].Cores /= 2
-			specs[i].RAMMB /= 2
-			specs[i].ContentionScale *= 2 // half the machine: same load feels twice as heavy
+var heterogeneous = &Experiment{
+	Slug:    "heterogeneous",
+	Title:   "Heterogeneous cluster (future work §VII)",
+	Labels:  []string{"setting"},
+	Metrics: []Metric{execTime},
+	Arms: func(cfg Config) []Arm {
+		arms := smArms(cfg, "histogram-ratings", 80, []variant{
+			{"HadoopV1 static", core.SlotManagerConfig{}},
+			{"SMapReduce uniform targets", core.SlotManagerConfig{}},
+			{"SMapReduce per-node scaling", core.SlotManagerConfig{PerNodeScaling: true}},
+		})
+		arms[0].Engine = core.EngineHadoopV1
+		for i := range arms {
+			withNodes(&arms[i].Opts.Cluster, func(n int, s *resource.Spec) {
+				if n >= cfg.Workers/2 {
+					s.Cores /= 2
+					s.RAMMB /= 2
+					s.ContentionScale *= 2 // half the machine: same load feels twice as heavy
+				}
+			})
 		}
-	}
-	cluster.NodeSpecs = specs
-
-	res := &HeteroResult{}
-	run := func(label string, engine core.Engine, sm core.SlotManagerConfig) error {
-		r, err := core.Run(engine, core.Options{Cluster: cluster, SlotManager: sm},
-			cfg.spec("histogram-ratings", 80))
-		if err != nil {
-			return fmt.Errorf("hetero %s: %w", label, err)
-		}
-		res.Rows = append(res.Rows, HeteroRow{Setting: label, ExecTime: r.Jobs[0].ExecutionTime()})
-		return nil
-	}
-	if err := run("HadoopV1 static", core.EngineHadoopV1, core.SlotManagerConfig{}); err != nil {
-		return nil, err
-	}
-	if err := run("SMapReduce uniform targets", core.EngineSMapReduce, core.SlotManagerConfig{}); err != nil {
-		return nil, err
-	}
-	if err := run("SMapReduce per-node scaling", core.EngineSMapReduce,
-		core.SlotManagerConfig{PerNodeScaling: true}); err != nil {
-		return nil, err
-	}
-	return res, nil
+		return arms
+	},
 }
 
-// SpeculationResult compares runs with and without speculative
-// execution on a straggler-ridden cluster.
-type SpeculationResult struct {
-	Rows []AblationRow
-	// Launched/Wins are from the speculative run.
-	Launched, Wins int
-}
-
-// Table renders the comparison.
-func (r *SpeculationResult) Table() *metrics.Table {
-	t := metrics.NewTable("Speculative execution on a straggler cluster", "setting", "map s", "exec s")
-	for _, row := range r.Rows {
-		t.AddRowf(row.Setting, row.MapTime, row.ExecTime)
-	}
-	return t
-}
-
-// Get returns the exec time for a setting, or -1.
-func (r *SpeculationResult) Get(setting string) float64 {
-	for _, row := range r.Rows {
-		if row.Setting == setting {
-			return row.ExecTime
+// speculation runs grep on a cluster with a quarter of its nodes at
+// 40% speed, with and without backup attempts (a runtime extension
+// beyond the paper; HadoopV1 policy so the measurement isolates
+// speculation itself). The speculative run's launch and win counts are
+// kept out of the table.
+var speculation = &Experiment{
+	Slug:   "speculation",
+	Title:  "Speculative execution on a straggler cluster",
+	Labels: []string{"setting"},
+	Metrics: []Metric{mapTime, execTime,
+		{Name: "launched", Hidden: true, Of: func(r *core.Result) float64 { return float64(r.Jobs[0].SpeculativeLaunched) }},
+		{Name: "wins", Hidden: true, Of: func(r *core.Result) float64 { return float64(r.Jobs[0].SpeculativeWins) }},
+	},
+	Arms: func(cfg Config) []Arm {
+		arms := smArms(cfg, "grep", 60, []variant{{label: "no speculation"}, {label: "speculation on"}})
+		for i := range arms {
+			arms[i].Engine = core.EngineHadoopV1
+			c := &arms[i].Opts.Cluster
+			withNodes(c, func(n int, s *resource.Spec) {
+				if n >= cfg.Workers-cfg.Workers/4 {
+					s.CoreSpeed *= 0.4
+				}
+			})
+			c.Speculation = i == 1
+			c.SpeculationMinRuntime = 3
 		}
-	}
-	return -1
+		return arms
+	},
 }
 
-// Speculation runs grep on a cluster with two half-speed nodes, with
-// and without backup attempts (a runtime extension beyond the paper;
-// HadoopV1 policy so the measurement isolates speculation itself).
-func Speculation(cfg Config) (*SpeculationResult, error) {
-	cfg = cfg.normalize()
-	res := &SpeculationResult{}
-	for _, speculate := range []bool{false, true} {
-		cluster := cfg.cluster()
-		specs := make([]resource.Spec, cluster.Workers)
-		for i := range specs {
-			specs[i] = cluster.NodeSpec
-			if i >= cluster.Workers-cluster.Workers/4 {
-				specs[i].CoreSpeed *= 0.4
-			}
-		}
-		cluster.NodeSpecs = specs
-		cluster.Speculation = speculate
-		cluster.SpeculationMinRuntime = 3
-		label := "no speculation"
-		if speculate {
-			label = "speculation on"
-		}
-		r, err := core.Run(core.EngineHadoopV1, core.Options{Cluster: cluster}, cfg.spec("grep", 60))
-		if err != nil {
-			return nil, fmt.Errorf("speculation %s: %w", label, err)
-		}
-		j := r.Jobs[0]
-		res.Rows = append(res.Rows, AblationRow{Setting: label, ExecTime: j.ExecutionTime(), MapTime: j.MapTime()})
-		if speculate {
-			res.Launched, res.Wins = j.SpeculativeLaunched, j.SpeculativeWins
-		}
-	}
-	return res, nil
-}
-
-// SchedulerRow is one (scheduler, engine) outcome on a multi-job mix.
-type SchedulerRow struct {
-	Scheduler string
-	MeanExec  float64
-	Last      float64
-}
-
-// SchedulerResult compares FIFO with the fair scheduler under
-// SMapReduce on a mixed multi-job workload.
-type SchedulerResult struct {
-	Rows []SchedulerRow
-}
-
-// Table renders the comparison.
-func (r *SchedulerResult) Table() *metrics.Table {
-	t := metrics.NewTable("FIFO vs Fair scheduling under SMapReduce", "scheduler", "mean exec s", "last finish s")
-	for _, row := range r.Rows {
-		t.AddRowf(row.Scheduler, row.MeanExec, row.Last)
-	}
-	return t
-}
-
-// Schedulers runs a short-jobs-behind-long-job workload under both
-// schedulers; Fair should cut the mean by letting the short jobs
-// through, at modest cost to the last finish.
-func Schedulers(cfg Config) (*SchedulerResult, error) {
-	cfg = cfg.normalize()
-	res := &SchedulerResult{}
-	for _, kind := range []mr.SchedulerKind{mr.FIFO, mr.Fair} {
-		cluster := cfg.cluster()
-		cluster.Scheduler = kind
-		specs := []mr.JobSpec{
-			cfg.spec("terasort", 60),
-			cfg.spec("grep", 10),
-			cfg.spec("grep", 10),
-		}
+// schedulers runs a short-jobs-behind-long-job workload under FIFO and
+// the fair scheduler on SMapReduce; Fair should cut the mean by letting
+// the short jobs through, at modest cost to the last finish.
+var schedulers = &Experiment{
+	Slug:    "schedulers",
+	Title:   "FIFO vs Fair scheduling under SMapReduce",
+	Labels:  []string{"scheduler"},
+	Metrics: []Metric{meanExec, lastFinish},
+	Arms: func(cfg Config) []Arm {
+		specs := []mr.JobSpec{cfg.spec("terasort", 60), cfg.spec("grep", 10), cfg.spec("grep", 10)}
 		specs[0].Name = "long-terasort"
 		specs[1].Name, specs[1].SubmitAt = "short-grep-1", 10
 		specs[2].Name, specs[2].SubmitAt = "short-grep-2", 20
-		r, err := core.Run(core.EngineSMapReduce, core.Options{Cluster: cluster}, specs...)
-		if err != nil {
-			return nil, fmt.Errorf("schedulers %v: %w", kind, err)
+		var arms []Arm
+		for _, kind := range []mr.SchedulerKind{mr.FIFO, mr.Fair} {
+			cluster := cfg.cluster()
+			cluster.Scheduler = kind
+			arms = append(arms, arm([]string{kind.String()}, core.EngineSMapReduce, cluster, specs...))
 		}
-		res.Rows = append(res.Rows, SchedulerRow{
-			Scheduler: kind.String(),
-			MeanExec:  r.MeanExecutionTime(),
-			Last:      r.LastFinish(),
-		})
-	}
-	return res, nil
+		return arms
+	},
 }

@@ -10,15 +10,12 @@ import (
 
 func TestAblationBounds(t *testing.T) {
 	shape(t)
-	r, err := AblationBounds(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, ablationBounds, testCfg())
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
 	for _, row := range r.Rows {
-		if row.ExecTime <= 0 || row.MapTime <= 0 {
+		if r.Value("exec s", row.Labels...) <= 0 || r.Value("map s", row.Labels...) <= 0 {
 			t.Fatalf("bad row %+v", row)
 		}
 	}
@@ -29,24 +26,18 @@ func TestAblationBounds(t *testing.T) {
 
 func TestAblationSlowStart(t *testing.T) {
 	shape(t)
-	r, err := AblationSlowStart(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, ablationSlowStart, testCfg())
+	late, paper := r.Value("exec s", "slow start 30%"), r.Value("exec s", "slow start 10%")
 	// A very late slow start wastes adaptation time: 30% must not beat
 	// the paper's 10% by any meaningful margin.
-	if r.Get("slow start 30%") < 0.98*r.Get("slow start 10%") {
-		t.Errorf("late slow start (%v) beat the paper default (%v)",
-			r.Get("slow start 30%"), r.Get("slow start 10%"))
+	if late < 0.98*paper {
+		t.Errorf("late slow start (%v) beat the paper default (%v)", late, paper)
 	}
 }
 
 func TestAblationConfirmations(t *testing.T) {
 	shape(t)
-	r, err := AblationConfirmations(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, ablationConfirmations, testCfg())
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -54,12 +45,9 @@ func TestAblationConfirmations(t *testing.T) {
 
 func TestAblationLazyVsEager(t *testing.T) {
 	shape(t)
-	r, err := AblationLazyVsEager(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazy := r.Get("lazy (paper)")
-	eager := r.Get("eager (kill and reschedule)")
+	r := run(t, ablationLazyEager, testCfg())
+	lazy := r.Value("exec s", "lazy (paper)")
+	eager := r.Value("exec s", "eager (kill and reschedule)")
 	if lazy <= 0 || eager <= 0 {
 		t.Fatal("missing arms")
 	}
@@ -76,12 +64,9 @@ func TestAblationLazyVsEager(t *testing.T) {
 
 func TestAblationTailBoost(t *testing.T) {
 	shape(t)
-	r, err := AblationTailBoost(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	on := r.Get("boost on (paper)")
-	off := r.Get("boost off")
+	r := run(t, ablationTailBoost, testCfg())
+	on := r.Value("exec s", "boost on (paper)")
+	off := r.Value("exec s", "boost off")
 	// With 64 reducers on 32 default slots the boost removes a whole
 	// reduce wave: it must deliver a real speedup.
 	if on >= 0.98*off {
@@ -91,13 +76,10 @@ func TestAblationTailBoost(t *testing.T) {
 
 func TestHeterogeneous(t *testing.T) {
 	shape(t)
-	r, err := Heterogeneous(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := r.Get("HadoopV1 static")
-	uniform := r.Get("SMapReduce uniform targets")
-	scaled := r.Get("SMapReduce per-node scaling")
+	r := run(t, heterogeneous, testCfg())
+	v1 := r.Value("exec s", "HadoopV1 static")
+	uniform := r.Value("exec s", "SMapReduce uniform targets")
+	scaled := r.Value("exec s", "SMapReduce per-node scaling")
 	if v1 <= 0 || uniform <= 0 || scaled <= 0 {
 		t.Fatal("missing arms")
 	}
@@ -117,25 +99,14 @@ func TestHeterogeneous(t *testing.T) {
 
 func TestSchedulers(t *testing.T) {
 	shape(t)
-	r, err := Schedulers(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fifo, fair SchedulerRow
-	for _, row := range r.Rows {
-		switch row.Scheduler {
-		case "fifo":
-			fifo = row
-		case "fair":
-			fair = row
-		}
-	}
-	if fifo.MeanExec == 0 || fair.MeanExec == 0 {
+	r := run(t, schedulers, testCfg())
+	fifo, fair := r.Value("mean exec s", "fifo"), r.Value("mean exec s", "fair")
+	if fifo == 0 || fair == 0 {
 		t.Fatal("missing schedulers")
 	}
 	// Fair lets the short jobs through the long one: mean drops.
-	if fair.MeanExec >= fifo.MeanExec {
-		t.Errorf("fair mean (%v) not below FIFO mean (%v)", fair.MeanExec, fifo.MeanExec)
+	if fair >= fifo {
+		t.Errorf("fair mean (%v) not below FIFO mean (%v)", fair, fifo)
 	}
 }
 
@@ -163,19 +134,19 @@ func TestHeteroConfigValidation(t *testing.T) {
 
 func TestSpeculationExperiment(t *testing.T) {
 	shape(t)
-	r, err := Speculation(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := r.Get("no speculation")
-	on := r.Get("speculation on")
+	r := run(t, speculation, testCfg())
+	off := r.Value("exec s", "no speculation")
+	on := r.Value("exec s", "speculation on")
 	if off <= 0 || on <= 0 {
 		t.Fatal("missing arms")
 	}
 	if on >= off {
 		t.Errorf("speculation (%v) did not beat the straggler cluster baseline (%v)", on, off)
 	}
-	if r.Launched == 0 || r.Wins == 0 {
-		t.Errorf("no speculative activity recorded: launched=%d wins=%d", r.Launched, r.Wins)
+	if launched, wins := r.Value("launched", "speculation on"), r.Value("wins", "speculation on"); launched == 0 || wins == 0 {
+		t.Errorf("no speculative activity recorded: launched=%v wins=%v", launched, wins)
+	}
+	if strings.Contains(r.Table().String(), "launched") {
+		t.Error("table shows the hidden speculation counts")
 	}
 }

@@ -12,11 +12,7 @@ func chartCfg() Config {
 }
 
 func TestFig1Chart(t *testing.T) {
-	r, err := Figure1(chartCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := r.Chart()
+	out := run(t, fig1, chartCfg()).Chart()
 	for _, bench := range []string{"terasort", "term-vector", "grep"} {
 		if !strings.Contains(out, bench) {
 			t.Fatalf("chart missing %s:\n%s", bench, out)
@@ -31,65 +27,14 @@ func TestFig1Chart(t *testing.T) {
 }
 
 func TestFig4Chart(t *testing.T) {
-	r, err := Figure4(chartCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := r.Chart()
+	out := run(t, fig4, chartCfg()).Chart()
 	if !strings.Contains(out, "SMapReduce") || !strings.Contains(out, "barrier at") {
 		t.Fatalf("chart incomplete:\n%s", out)
 	}
 }
 
-func TestTimelineCaptureAndChart(t *testing.T) {
-	col, err := CaptureTimeline(chartCfg(), "histogram-ratings", 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mt := col.Get("slotmgr/map-target")
-	if mt == nil || mt.Len() == 0 {
-		t.Fatal("slotmgr/map-target series missing or empty")
-	}
-	cfg := chartCfg().normalize().cluster()
-	for _, p := range mt.Points() {
-		// 0 before the manager's first tick, then within [1, max].
-		if p.V < 0 || p.V > float64(cfg.MaxMapSlots) {
-			t.Fatalf("map target %v outside [0,%d]", p.V, cfg.MaxMapSlots)
-		}
-	}
-	run := col.Get("cluster/running-maps")
-	if run == nil || run.Len() != mt.Len() {
-		t.Fatalf("cluster/running-maps misaligned: %v vs %v", run.Len(), mt.Len())
-	}
-	if run.Len() > 0 {
-		max := 0.0
-		for _, p := range run.Points() {
-			if p.V > max {
-				max = p.V
-			}
-		}
-		if max <= 0 {
-			t.Fatal("running maps never rose above zero")
-		}
-	}
-	out := TimelineChart(col)
-	for _, want := range []string{"slotmgr/map-target", "cluster/running-maps", "slotmgr/balance-f"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("timeline chart missing %s:\n%s", want, out)
-		}
-	}
-	tbl := TimelineTable(col)
-	if len(tbl.Rows) != mt.Len() {
-		t.Fatalf("timeline table rows = %d, want %d", len(tbl.Rows), mt.Len())
-	}
-}
-
 func TestMultiJobChart(t *testing.T) {
-	r, err := Figure8(chartCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := r.Chart()
+	out := run(t, fig8, chartCfg()).Chart()
 	if !strings.Contains(out, "mean exec") || !strings.Contains(out, "█") {
 		t.Fatalf("bars missing:\n%s", out)
 	}

@@ -5,13 +5,13 @@ import (
 )
 
 func TestClusterConfigAppliesConfig(t *testing.T) {
-	cfg := (Config{Workers: 7, Seed: 99}).normalize().cluster()
+	cfg := (Config{Workers: 7, Seed: 99}).Normalize().cluster()
 	if cfg.Workers != 7 || cfg.Net.Nodes != 7 || cfg.Seed != 99 {
 		t.Errorf("workers/nodes/seed = %d/%d/%d, want 7/7/99", cfg.Workers, cfg.Net.Nodes, cfg.Seed)
 	}
 	// Zero fields default like the figure harnesses'.
 	d := Default()
-	cfg = (Config{}).normalize().cluster()
+	cfg = (Config{}).Normalize().cluster()
 	if cfg.Workers != d.Workers || cfg.Seed != d.Seed {
 		t.Errorf("zero config: workers/seed = %d/%d, want defaults %d/%d", cfg.Workers, cfg.Seed, d.Workers, d.Seed)
 	}

@@ -1,8 +1,10 @@
 // Package experiments regenerates every figure in the paper's
-// evaluation (§V). Each FigureN function runs the corresponding
-// workload matrix on the simulated cluster and returns typed rows plus
-// a rendered table, so cmd/smrbench, bench_test.go and EXPERIMENTS.md
-// all draw from the same code.
+// evaluation (§V) and the beyond-the-paper extras. Each experiment is
+// a declaration, not a runner: a title, label and metric columns, and
+// an arm builder that lists the simulations one trial runs. One Run
+// executes any of them, averages every metric over trials and returns
+// one generic Result, so cmd/smrbench, bench_test.go and
+// EXPERIMENTS.md all draw from the same code.
 //
 // The paper has no numbered tables; Figures 1 and 3–9 are the entire
 // quantitative evaluation (Figure 2 is the architecture diagram).
@@ -10,6 +12,9 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 
 	"smapreduce/internal/core"
 	"smapreduce/internal/metrics"
@@ -30,9 +35,9 @@ type Config struct {
 	Reduces int
 	// Seed drives all stochastic components.
 	Seed uint64
-	// Trials averages each figure's metrics over this many runs with
-	// consecutive seeds — the paper reports "the average values of the
-	// data collected from two trials" (§V). 0 or 1 runs once.
+	// Trials averages each experiment's metrics over this many runs
+	// with consecutive seeds — the paper reports "the average values of
+	// the data collected from two trials" (§V). 0 or 1 runs once.
 	Trials int
 }
 
@@ -41,8 +46,9 @@ func Default() Config {
 	return Config{Scale: 1, Workers: 16, Reduces: 30, Seed: 1}
 }
 
-// normalize fills zero fields from Default.
-func (c Config) normalize() Config {
+// Normalize fills zero fields from Default and a non-positive trial
+// count with 1: the configuration Run actually executes.
+func (c Config) Normalize() Config {
 	d := Default()
 	if c.Scale == 0 {
 		c.Scale = d.Scale
@@ -62,28 +68,18 @@ func (c Config) normalize() Config {
 	return c
 }
 
-// averageTrials runs fn once per trial with consecutive seeds and
-// folds each run's keyed metrics together with mergeInto. The caller's
-// result from the first trial is the canvas; subsequent trials stream
-// their metric values into it through the accumulate callback.
-func averageTrials(cfg Config, fn func(trial Config) (map[string]float64, error)) (map[string]float64, error) {
-	sums := make(map[string]float64)
-	for trial := 0; trial < cfg.Trials; trial++ {
-		t := cfg
-		t.Seed = cfg.Seed + uint64(trial)
-		t.Trials = 1
-		vals, err := fn(t)
-		if err != nil {
-			return nil, err
-		}
-		for k, v := range vals {
-			sums[k] += v
-		}
+// validate rejects a normalised config no simulation could run, before
+// any arm is built.
+func (c Config) validate() error {
+	switch {
+	case !(c.Scale > 0) || math.IsInf(c.Scale, 1):
+		return fmt.Errorf("scale %v must be positive and finite", c.Scale)
+	case c.Workers <= 0:
+		return fmt.Errorf("workers %d must be positive", c.Workers)
+	case c.Reduces <= 0:
+		return fmt.Errorf("reduces %d must be positive", c.Reduces)
 	}
-	for k := range sums {
-		sums[k] /= float64(cfg.Trials)
-	}
-	return sums, nil
+	return nil
 }
 
 // cluster builds the base cluster config for an experiment.
@@ -105,642 +101,209 @@ func (c Config) spec(bench string, gb float64) mr.JobSpec {
 	}
 }
 
-// runOne executes a single job on one engine and returns it.
-func runOne(engine core.Engine, cluster mr.Config, spec mr.JobSpec) (*mr.Job, error) {
-	res, err := core.Run(engine, core.Options{Cluster: cluster}, spec)
+// Metric is one numeric column, read off each arm's run.
+type Metric struct {
+	Name string
+	Of   func(*core.Result) float64
+	// Hidden keeps the metric out of the rendered table; Value still
+	// reads it.
+	Hidden bool
+}
+
+// Arm is one simulation of an experiment: its row labels and the
+// arguments of core.Run.
+type Arm struct {
+	Labels []string
+	Engine core.Engine
+	Opts   core.Options
+	Jobs   []mr.JobSpec
+	// Controller, when set, replaces the engine's slot policy through
+	// core.RunWithController on Opts.Cluster.
+	Controller mr.Controller
+}
+
+func (a Arm) run() (*core.Result, error) {
+	if a.Controller == nil {
+		return core.Run(a.Engine, a.Opts, a.Jobs...)
+	}
+	jobs, err := core.RunWithController(a.Controller, a.Opts.Cluster, a.Jobs...)
 	if err != nil {
 		return nil, err
 	}
-	return res.Jobs[0], nil
+	return &core.Result{Engine: a.Engine, Jobs: jobs}, nil
 }
 
-// ---------------------------------------------------------------------------
-// Figure 1 — thrashing curves.
-
-// Fig1Point is one (benchmark, slots) sample of the thrashing curve.
-type Fig1Point struct {
-	Benchmark     string
-	MapSlots      int
-	ThroughputMBs float64 // cluster map throughput: input MB / map time
+// Experiment declares one figure or extra.
+type Experiment struct {
+	// Slug names the experiment's CSV file and benchmark.
+	Slug string
+	// Figure is the paper's figure number, 0 for an extra.
+	Figure  int
+	Title   string
+	Labels  []string
+	Metrics []Metric
+	// Arms lists the simulations of one trial; cfg carries the trial's
+	// seed.
+	Arms func(cfg Config) []Arm
+	// Curve, when set, keeps one series per arm from the first trial.
+	Curve func(*core.Result) *metrics.Series
+	// Table, when set, renders the result instead of one row per arm.
+	Table func(*Result) *metrics.Table
+	// Chart, when set, renders a quick-look ASCII chart of the result.
+	Chart func(*Result) string
 }
 
-// Fig1Result holds the Figure 1 sweep.
-type Fig1Result struct {
-	Points []Fig1Point
+// Result is an experiment's outcome: one row per arm, each metric
+// averaged over the trials.
+type Result struct {
+	Experiment *Experiment
+	Trials     int
+	Rows       []Row
 }
 
-// Figure1 reproduces Fig. 1: map throughput versus the per-node map
-// slot count for Terasort, TermVector and Grep on static HadoopV1
-// slots. The curves must rise, peak at the benchmark-specific
-// thrashing point, and fall beyond it.
-func Figure1(cfg Config) (*Fig1Result, error) {
-	cfg = cfg.normalize()
-	benches := []string{"terasort", "term-vector", "grep"}
-	const maxSlots = 10
-	points := make([]Fig1Point, len(benches)*maxSlots)
-	err := par.For(len(points), func(i int) error {
-		bench := benches[i/maxSlots]
-		slots := i%maxSlots + 1
-		cluster := cfg.cluster()
-		cluster.MapSlots = slots
-		cluster.MaxMapSlots = slots
-		spec := cfg.spec(bench, 48)
-		j, err := runOne(core.EngineHadoopV1, cluster, spec)
+// Row is one arm's labels and averaged metric values, index-aligned
+// with Experiment.Metrics.
+type Row struct {
+	Labels []string
+	Values []float64
+	// Curve is the arm's first-trial series when Experiment.Curve is
+	// set.
+	Curve *metrics.Series
+}
+
+// Run builds the arms once per trial, with seed cfg.Seed+trial, runs
+// every arm of every trial in parallel and averages each metric in
+// trial order.
+func (e *Experiment) Run(cfg Config) (*Result, error) {
+	cfg = cfg.Normalize()
+	if err := cfg.validate(); err != nil {
+		return nil, fmt.Errorf("%s: %w", e.Slug, err)
+	}
+	trials := make([][]Arm, cfg.Trials)
+	for t := range trials {
+		tc := cfg
+		tc.Seed = cfg.Seed + uint64(t)
+		tc.Trials = 1
+		trials[t] = e.Arms(tc)
+	}
+	arms := len(trials[0])
+	vals := make([][]float64, cfg.Trials*arms)
+	curves := make([]*metrics.Series, arms)
+	err := par.For(len(vals), func(i int) error {
+		t, a := i/arms, i%arms
+		arm := trials[t][a]
+		res, err := arm.run()
 		if err != nil {
-			return fmt.Errorf("figure1 %s/%d: %w", bench, slots, err)
+			return fmt.Errorf("%s %s: %w", e.Slug, strings.Join(arm.Labels, "/"), err)
 		}
-		points[i] = Fig1Point{Benchmark: bench, MapSlots: slots, ThroughputMBs: spec.InputMB / j.MapTime()}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Fig1Result{Points: points}, nil
-}
-
-// Peak returns the slot count with maximum throughput for a benchmark.
-func (r *Fig1Result) Peak(bench string) int {
-	best, bestv := 0, 0.0
-	for _, p := range r.Points {
-		if p.Benchmark == bench && p.ThroughputMBs > bestv {
-			best, bestv = p.MapSlots, p.ThroughputMBs
+		v := make([]float64, len(e.Metrics))
+		for m, metric := range e.Metrics {
+			v[m] = metric.Of(res)
 		}
-	}
-	return best
-}
-
-// Table renders the sweep.
-func (r *Fig1Result) Table() *metrics.Table {
-	t := metrics.NewTable("Figure 1 — map throughput vs map slots per node (HadoopV1)",
-		"benchmark", "map slots", "throughput MB/s")
-	for _, p := range r.Points {
-		t.AddRowf(p.Benchmark, p.MapSlots, p.ThroughputMBs)
-	}
-	return t
-}
-
-// ---------------------------------------------------------------------------
-// Figure 3 — execution time per benchmark on the three engines.
-
-// Fig3Benchmarks is the benchmark set plotted in Fig. 3.
-var Fig3Benchmarks = []string{
-	"histogram-movies", "histogram-ratings", "grep", "classification",
-	"wordcount", "term-vector", "inverted-index", "terasort",
-}
-
-// Fig3Row is one (benchmark, engine) cell.
-type Fig3Row struct {
-	Benchmark     string
-	Engine        core.Engine
-	MapTime       float64
-	ReduceTime    float64
-	ExecTime      float64
-	ThroughputMBs float64
-}
-
-// Fig3Result holds the benchmark × engine matrix.
-type Fig3Result struct {
-	Rows []Fig3Row
-}
-
-// Figure3 reproduces Fig. 3: per-benchmark map time and reduce time on
-// HadoopV1, YARN and SMapReduce with the paper's 3 map + 2 reduce
-// initial slots.
-func Figure3(cfg Config) (*Fig3Result, error) {
-	cfg = cfg.normalize()
-	if cfg.Trials > 1 {
-		return figure3Averaged(cfg)
-	}
-	engines := core.Engines()
-	rows := make([]Fig3Row, len(Fig3Benchmarks)*len(engines))
-	err := par.For(len(rows), func(i int) error {
-		bench := Fig3Benchmarks[i/len(engines)]
-		engine := engines[i%len(engines)]
-		j, err := runOne(engine, cfg.cluster(), cfg.spec(bench, 100))
-		if err != nil {
-			return fmt.Errorf("figure3 %s/%v: %w", bench, engine, err)
-		}
-		rows[i] = Fig3Row{
-			Benchmark:     bench,
-			Engine:        engine,
-			MapTime:       j.MapTime(),
-			ReduceTime:    j.ReduceTime(),
-			ExecTime:      j.ExecutionTime(),
-			ThroughputMBs: j.ThroughputMBps(),
+		vals[i] = v
+		if t == 0 && e.Curve != nil {
+			curves[a] = e.Curve(res)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Fig3Result{Rows: rows}, nil
-}
-
-// Get returns the row for (bench, engine); ok is false if absent.
-func (r *Fig3Result) Get(bench string, engine core.Engine) (Fig3Row, bool) {
-	for _, row := range r.Rows {
-		if row.Benchmark == bench && row.Engine == engine {
-			return row, true
-		}
-	}
-	return Fig3Row{}, false
-}
-
-// SpeedupOver returns SMapReduce's throughput gain over the baseline
-// engine for a benchmark (0.40 = +40%).
-func (r *Fig3Result) SpeedupOver(bench string, baseline core.Engine) float64 {
-	smr, ok1 := r.Get(bench, core.EngineSMapReduce)
-	base, ok2 := r.Get(bench, baseline)
-	if !ok1 || !ok2 {
-		return 0
-	}
-	return smr.ThroughputMBs/base.ThroughputMBs - 1
-}
-
-// Table renders the matrix.
-func (r *Fig3Result) Table() *metrics.Table {
-	t := metrics.NewTable("Figure 3 — execution time per benchmark",
-		"benchmark", "engine", "map s", "reduce s", "exec s", "MB/s")
-	for _, row := range r.Rows {
-		t.AddRowf(row.Benchmark, row.Engine.String(), row.MapTime, row.ReduceTime, row.ExecTime, row.ThroughputMBs)
-	}
-	return t
-}
-
-// ---------------------------------------------------------------------------
-// Figure 4 — progress over time.
-
-// Fig4Result holds one progress curve per engine for HistogramMovie.
-type Fig4Result struct {
-	Curves map[string][]metrics.Point // engine name → total-progress samples (0..200%)
-	End    float64                    // latest finish time, for resampling
-}
-
-// Figure4 reproduces Fig. 4: total progress percentage (map + reduce,
-// 0–200%) over time for the HistogramMovie benchmark on each engine.
-func Figure4(cfg Config) (*Fig4Result, error) {
-	cfg = cfg.normalize()
-	res := &Fig4Result{Curves: make(map[string][]metrics.Point)}
-	for _, engine := range core.Engines() {
-		j, err := runOne(engine, cfg.cluster(), cfg.spec("histogram-movies", 100))
-		if err != nil {
-			return nil, fmt.Errorf("figure4 %v: %w", engine, err)
-		}
-		res.Curves[engine.String()] = j.Progress.Total.Points()
-		if j.FinishedAt > res.End {
-			res.End = j.FinishedAt
-		}
-	}
-	return res, nil
-}
-
-// CrossingTime returns when an engine's curve first reaches pct.
-func (r *Fig4Result) CrossingTime(engine string, pct float64) float64 {
-	for _, p := range r.Curves[engine] {
-		if p.V >= pct {
-			return p.T
-		}
-	}
-	return -1
-}
-
-// Table renders the curves resampled on a common grid.
-func (r *Fig4Result) Table() *metrics.Table {
-	t := metrics.NewTable("Figure 4 — HistogramMovie progress over time (% of 200)",
-		"t s", "HadoopV1", "YARN", "SMapReduce")
-	step := r.End / 25
-	if step <= 0 {
-		step = 1
-	}
-	at := func(pts []metrics.Point, x float64) float64 {
-		v := 0.0
-		for _, p := range pts {
-			if p.T <= x {
-				v = p.V
+	r := &Result{Experiment: e, Trials: cfg.Trials, Rows: make([]Row, arms)}
+	for a := range r.Rows {
+		sums := make([]float64, len(e.Metrics))
+		for t := 0; t < cfg.Trials; t++ {
+			for m, v := range vals[t*arms+a] {
+				sums[m] += v
 			}
 		}
-		return v
-	}
-	for x := 0.0; x <= r.End+1e-9; x += step {
-		t.AddRowf(x,
-			at(r.Curves["HadoopV1"], x),
-			at(r.Curves["YARN"], x),
-			at(r.Curves["SMapReduce"], x))
-	}
-	return t
-}
-
-// ---------------------------------------------------------------------------
-// Figure 5 — map time under different initial map slot configurations.
-
-// Fig5Row is one (slots, engine) map time.
-type Fig5Row struct {
-	MapSlots int
-	Engine   core.Engine
-	MapTime  float64
-}
-
-// Fig5Result holds the sweep.
-type Fig5Result struct {
-	Rows []Fig5Row
-}
-
-// Figure5 reproduces Fig. 5: HistogramRating map time with initial map
-// slots 1..8 on the three engines. SMapReduce should win at bad
-// configurations and match the baselines at their optimum.
-func Figure5(cfg Config) (*Fig5Result, error) {
-	cfg = cfg.normalize()
-	if cfg.Trials > 1 {
-		return figure5Averaged(cfg)
-	}
-	engines := core.Engines()
-	rows := make([]Fig5Row, 8*len(engines))
-	err := par.For(len(rows), func(i int) error {
-		slots := i/len(engines) + 1
-		engine := engines[i%len(engines)]
-		cluster := cfg.cluster()
-		cluster.MapSlots = slots
-		if engine != core.EngineSMapReduce {
-			// Baselines are pinned to the configured slots; the
-			// managed engine may move off them.
-			cluster.MaxMapSlots = slots
+		for m := range sums {
+			sums[m] /= float64(cfg.Trials)
 		}
-		j, err := runOne(engine, cluster, cfg.spec("histogram-ratings", 60))
-		if err != nil {
-			return fmt.Errorf("figure5 %d/%v: %w", slots, engine, err)
-		}
-		rows[i] = Fig5Row{MapSlots: slots, Engine: engine, MapTime: j.MapTime()}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		r.Rows[a] = Row{Labels: trials[0][a].Labels, Values: sums, Curve: curves[a]}
 	}
-	return &Fig5Result{Rows: rows}, nil
+	return r, nil
 }
 
-// Get returns the map time for (slots, engine), or -1.
-func (r *Fig5Result) Get(slots int, engine core.Engine) float64 {
+// Value returns the named metric of the row with exactly these
+// labels. It panics on an unknown metric or row: every arm's labels are
+// fixed by its experiment, so a miss is a caller bug.
+func (r *Result) Value(metric string, labels ...string) float64 {
+	for m, mm := range r.Experiment.Metrics {
+		if mm.Name != metric {
+			continue
+		}
+		for _, row := range r.Rows {
+			if slices.Equal(row.Labels, labels) {
+				return row.Values[m]
+			}
+		}
+		panic(fmt.Sprintf("experiments: %s has no row %q", r.Experiment.Slug, labels))
+	}
+	panic(fmt.Sprintf("experiments: %s has no metric %q", r.Experiment.Slug, metric))
+}
+
+// Table renders the result: the experiment's own renderer when it has
+// one, otherwise one row per arm, labels then the visible metrics.
+func (r *Result) Table() *metrics.Table {
+	e := r.Experiment
+	if e.Table != nil {
+		return e.Table(r)
+	}
+	cols := append([]string(nil), e.Labels...)
+	for _, m := range e.Metrics {
+		if !m.Hidden {
+			cols = append(cols, m.Name)
+		}
+	}
+	t := metrics.NewTable(e.Title, cols...)
 	for _, row := range r.Rows {
-		if row.MapSlots == slots && row.Engine == engine {
-			return row.MapTime
+		cells := make([]any, 0, len(cols))
+		for _, l := range row.Labels {
+			cells = append(cells, l)
 		}
-	}
-	return -1
-}
-
-// Table renders the sweep.
-func (r *Fig5Result) Table() *metrics.Table {
-	t := metrics.NewTable("Figure 5 — HistogramRating map time vs initial map slots",
-		"map slots", "HadoopV1 s", "YARN s", "SMapReduce s")
-	for slots := 1; slots <= 8; slots++ {
-		t.AddRowf(slots,
-			r.Get(slots, core.EngineHadoopV1),
-			r.Get(slots, core.EngineYARN),
-			r.Get(slots, core.EngineSMapReduce))
+		for m, v := range row.Values {
+			if !e.Metrics[m].Hidden {
+				cells = append(cells, v)
+			}
+		}
+		t.AddRowf(cells...)
 	}
 	return t
 }
 
-// ---------------------------------------------------------------------------
-// Figure 6 — throughput vs input size.
-
-// Fig6Row is one (inputGB, engine) throughput sample.
-type Fig6Row struct {
-	InputGB       float64
-	Engine        core.Engine
-	ThroughputMBs float64
-}
-
-// Fig6Result holds the scaling sweep.
-type Fig6Result struct {
-	Rows []Fig6Row
-}
-
-// Figure6 reproduces Fig. 6: HistogramRating job throughput at input
-// sizes 50–250 GB. SMapReduce's advantage must grow with input size
-// (more time to adapt), reaching ≈2× HadoopV1 at the largest size.
-func Figure6(cfg Config) (*Fig6Result, error) {
-	cfg = cfg.normalize()
-	if cfg.Trials > 1 {
-		return figure6Averaged(cfg)
+// Chart renders the experiment's chart, or "" if it has none.
+func (r *Result) Chart() string {
+	if r.Experiment.Chart == nil {
+		return ""
 	}
-	sizes := []float64{50, 100, 150, 200, 250}
-	engines := core.Engines()
-	rows := make([]Fig6Row, len(sizes)*len(engines))
-	err := par.For(len(rows), func(i int) error {
-		gb := sizes[i/len(engines)]
-		engine := engines[i%len(engines)]
-		j, err := runOne(engine, cfg.cluster(), cfg.spec("histogram-ratings", gb))
-		if err != nil {
-			return fmt.Errorf("figure6 %.0f/%v: %w", gb, engine, err)
-		}
-		rows[i] = Fig6Row{InputGB: gb, Engine: engine, ThroughputMBs: j.ThroughputMBps()}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Fig6Result{Rows: rows}, nil
+	return r.Experiment.Chart(r)
 }
 
-// Get returns throughput for (gb, engine), or -1.
-func (r *Fig6Result) Get(gb float64, engine core.Engine) float64 {
-	for _, row := range r.Rows {
-		if row.InputGB == gb && row.Engine == engine {
-			return row.ThroughputMBs
-		}
+// labels formats an arm's label values.
+func labels(vs ...any) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = fmt.Sprint(v)
 	}
-	return -1
+	return out
 }
 
-// Table renders the sweep.
-func (r *Fig6Result) Table() *metrics.Table {
-	t := metrics.NewTable("Figure 6 — HistogramRating throughput vs input size",
-		"input GB", "HadoopV1 MB/s", "YARN MB/s", "SMapReduce MB/s", "SMR/V1", "SMR/YARN")
-	for _, gb := range []float64{50, 100, 150, 200, 250} {
-		v1 := r.Get(gb, core.EngineHadoopV1)
-		y := r.Get(gb, core.EngineYARN)
-		s := r.Get(gb, core.EngineSMapReduce)
-		t.AddRowf(gb, v1, y, s, s/v1, s/y)
-	}
-	return t
-}
-
-// ---------------------------------------------------------------------------
-// Figure 7 — ablations: thrashing detection and slow start.
-
-// Fig7Variant names one ablation arm.
-type Fig7Variant string
-
-const (
-	VariantHadoopV1    Fig7Variant = "HadoopV1"
-	VariantYARN        Fig7Variant = "YARN"
-	VariantFull        Fig7Variant = "SMapReduce"
-	VariantNoThrashDet Fig7Variant = "SMapReduce w/o thrash detection"
-	VariantNoSlowStart Fig7Variant = "SMapReduce w/o slow start"
+// Metrics shared by most experiments: the first job's timings and the
+// multi-job aggregates.
+var (
+	mapTime    = Metric{Name: "map s", Of: func(r *core.Result) float64 { return r.Jobs[0].MapTime() }}
+	execTime   = Metric{Name: "exec s", Of: func(r *core.Result) float64 { return r.Jobs[0].ExecutionTime() }}
+	throughput = Metric{Name: "MB/s", Of: func(r *core.Result) float64 { return r.Jobs[0].ThroughputMBps() }}
+	meanExec   = Metric{Name: "mean exec s", Of: (*core.Result).MeanExecutionTime}
+	lastFinish = Metric{Name: "last finish s", Of: (*core.Result).LastFinish}
 )
 
-// Fig7Row is one (benchmark, variant) map time.
-type Fig7Row struct {
-	Benchmark string
-	Variant   Fig7Variant
-	MapTime   float64
-}
-
-// Fig7Result holds the ablation matrix.
-type Fig7Result struct {
-	Rows []Fig7Row
-}
-
-// Fig7Benchmarks is the two-benchmark set of Fig. 7.
-var Fig7Benchmarks = []string{"histogram-movies", "inverted-index"}
-
-// Figure7 reproduces Fig. 7: map times with and without thrashing
-// detection and with and without the slow-start policy. Without
-// detection the manager overshoots the thrashing point and map time
-// must exceed both baselines.
-func Figure7(cfg Config) (*Fig7Result, error) {
-	cfg = cfg.normalize()
-	res := &Fig7Result{}
-	type arm struct {
-		variant Fig7Variant
-		engine  core.Engine
-		sm      core.SlotManagerConfig
-	}
-	arms := []arm{
-		{VariantHadoopV1, core.EngineHadoopV1, core.SlotManagerConfig{}},
-		{VariantYARN, core.EngineYARN, core.SlotManagerConfig{}},
-		{VariantFull, core.EngineSMapReduce, core.SlotManagerConfig{}},
-		{VariantNoThrashDet, core.EngineSMapReduce, core.SlotManagerConfig{DisableThrashDetection: true}},
-		{VariantNoSlowStart, core.EngineSMapReduce, core.SlotManagerConfig{DisableSlowStart: true}},
-	}
-	// Sizes are chosen so the workload outlives the slot ramp: the
-	// no-detection arm must have time to climb past the thrashing
-	// point, or the ablation is invisible.
-	sizes := map[string]float64{"histogram-movies": 250, "inverted-index": 100}
-	rows := make([]Fig7Row, len(Fig7Benchmarks)*len(arms))
-	err := par.For(len(rows), func(i int) error {
-		bench := Fig7Benchmarks[i/len(arms)]
-		a := arms[i%len(arms)]
-		r, err := core.Run(a.engine, core.Options{Cluster: cfg.cluster(), SlotManager: a.sm}, cfg.spec(bench, sizes[bench]))
-		if err != nil {
-			return fmt.Errorf("figure7 %s/%s: %w", bench, a.variant, err)
-		}
-		rows[i] = Fig7Row{Benchmark: bench, Variant: a.variant, MapTime: r.Jobs[0].MapTime()}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = rows
-	return res, nil
-}
-
-// Get returns the map time for (bench, variant), or -1.
-func (r *Fig7Result) Get(bench string, v Fig7Variant) float64 {
-	for _, row := range r.Rows {
-		if row.Benchmark == bench && row.Variant == v {
-			return row.MapTime
-		}
-	}
-	return -1
-}
-
-// Table renders the ablations.
-func (r *Fig7Result) Table() *metrics.Table {
-	t := metrics.NewTable("Figure 7 — map time with/without thrashing detection and slow start",
-		"benchmark", "variant", "map s")
-	for _, row := range r.Rows {
-		t.AddRowf(row.Benchmark, string(row.Variant), row.MapTime)
-	}
-	return t
-}
-
-// ---------------------------------------------------------------------------
-// Figures 8 and 9 — multiple concurrent jobs.
-
-// MultiJobRow is one engine's outcome on the 4-job workload.
-type MultiJobRow struct {
-	Engine     core.Engine
-	MeanExec   float64
-	LastFinish float64
-}
-
-// MultiJobResult holds one engine row per system.
-type MultiJobResult struct {
-	Benchmark string
-	Rows      []MultiJobRow
-}
-
-// multiJob runs 4 identical jobs submitted 5 s apart (the paper's
-// synthetic multi-job workload) on every engine.
-func multiJob(cfg Config, bench string, gbEach float64) (*MultiJobResult, error) {
-	cfg = cfg.normalize()
-	if cfg.Trials > 1 {
-		return multiJobAveraged(cfg, bench, gbEach)
-	}
-	res := &MultiJobResult{Benchmark: bench}
-	for _, engine := range core.Engines() {
-		specs := make([]mr.JobSpec, 4)
-		for i := range specs {
-			specs[i] = cfg.spec(bench, gbEach)
-			specs[i].Name = fmt.Sprintf("%s-%d", bench, i+1)
-			specs[i].SubmitAt = float64(i) * 5
-		}
-		r, err := core.Run(engine, core.Options{Cluster: cfg.cluster()}, specs...)
-		if err != nil {
-			return nil, fmt.Errorf("multijob %s/%v: %w", bench, engine, err)
-		}
-		res.Rows = append(res.Rows, MultiJobRow{
-			Engine:     engine,
-			MeanExec:   r.MeanExecutionTime(),
-			LastFinish: r.LastFinish(),
-		})
-	}
-	return res, nil
-}
-
-// Figure8 reproduces Fig. 8: four concurrent Grep jobs.
-func Figure8(cfg Config) (*MultiJobResult, error) { return multiJob(cfg, "grep", 40) }
-
-// Figure9 reproduces Fig. 9: four concurrent InvertedIndex jobs.
-func Figure9(cfg Config) (*MultiJobResult, error) { return multiJob(cfg, "inverted-index", 40) }
-
-// Get returns the row for an engine; ok is false if absent.
-func (r *MultiJobResult) Get(engine core.Engine) (MultiJobRow, bool) {
-	for _, row := range r.Rows {
-		if row.Engine == engine {
-			return row, true
-		}
-	}
-	return MultiJobRow{}, false
-}
-
-// Table renders the comparison.
-func (r *MultiJobResult) Table() *metrics.Table {
-	t := metrics.NewTable(
-		fmt.Sprintf("Figures 8/9 — 4 concurrent %s jobs (5 s stagger)", r.Benchmark),
-		"engine", "mean exec s", "last finish s")
-	for _, row := range r.Rows {
-		t.AddRowf(row.Engine.String(), row.MeanExec, row.LastFinish)
-	}
-	return t
-}
-
-// figure3Averaged runs Figure 3 per trial and averages every metric.
-func figure3Averaged(cfg Config) (*Fig3Result, error) {
-	var proto *Fig3Result
-	key := func(r Fig3Row, metric string) string {
-		return fmt.Sprintf("%s/%v/%s", r.Benchmark, r.Engine, metric)
-	}
-	sums, err := averageTrials(cfg, func(t Config) (map[string]float64, error) {
-		r, err := Figure3(t)
-		if err != nil {
-			return nil, err
-		}
-		if proto == nil {
-			proto = r
-		}
-		vals := make(map[string]float64, len(r.Rows)*4)
-		for _, row := range r.Rows {
-			vals[key(row, "map")] = row.MapTime
-			vals[key(row, "reduce")] = row.ReduceTime
-			vals[key(row, "exec")] = row.ExecTime
-			vals[key(row, "thr")] = row.ThroughputMBs
-		}
-		return vals, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range proto.Rows {
-		row := &proto.Rows[i]
-		row.MapTime = sums[key(*row, "map")]
-		row.ReduceTime = sums[key(*row, "reduce")]
-		row.ExecTime = sums[key(*row, "exec")]
-		row.ThroughputMBs = sums[key(*row, "thr")]
-	}
-	return proto, nil
-}
-
-// figure5Averaged averages the Figure 5 map times over trials.
-func figure5Averaged(cfg Config) (*Fig5Result, error) {
-	var proto *Fig5Result
-	key := func(r Fig5Row) string { return fmt.Sprintf("%d/%v", r.MapSlots, r.Engine) }
-	sums, err := averageTrials(cfg, func(t Config) (map[string]float64, error) {
-		r, err := Figure5(t)
-		if err != nil {
-			return nil, err
-		}
-		if proto == nil {
-			proto = r
-		}
-		vals := make(map[string]float64, len(r.Rows))
-		for _, row := range r.Rows {
-			vals[key(row)] = row.MapTime
-		}
-		return vals, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range proto.Rows {
-		proto.Rows[i].MapTime = sums[key(proto.Rows[i])]
-	}
-	return proto, nil
-}
-
-// figure6Averaged averages the Figure 6 throughputs over trials.
-func figure6Averaged(cfg Config) (*Fig6Result, error) {
-	var proto *Fig6Result
-	key := func(r Fig6Row) string { return fmt.Sprintf("%.0f/%v", r.InputGB, r.Engine) }
-	sums, err := averageTrials(cfg, func(t Config) (map[string]float64, error) {
-		r, err := Figure6(t)
-		if err != nil {
-			return nil, err
-		}
-		if proto == nil {
-			proto = r
-		}
-		vals := make(map[string]float64, len(r.Rows))
-		for _, row := range r.Rows {
-			vals[key(row)] = row.ThroughputMBs
-		}
-		return vals, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range proto.Rows {
-		proto.Rows[i].ThroughputMBs = sums[key(proto.Rows[i])]
-	}
-	return proto, nil
-}
-
-// multiJobAveraged averages the multi-job metrics over trials.
-func multiJobAveraged(cfg Config, bench string, gbEach float64) (*MultiJobResult, error) {
-	var proto *MultiJobResult
-	sums, err := averageTrials(cfg, func(t Config) (map[string]float64, error) {
-		r, err := multiJob(t, bench, gbEach)
-		if err != nil {
-			return nil, err
-		}
-		if proto == nil {
-			proto = r
-		}
-		vals := make(map[string]float64, len(r.Rows)*2)
-		for _, row := range r.Rows {
-			vals[row.Engine.String()+"/mean"] = row.MeanExec
-			vals[row.Engine.String()+"/last"] = row.LastFinish
-		}
-		return vals, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range proto.Rows {
-		proto.Rows[i].MeanExec = sums[proto.Rows[i].Engine.String()+"/mean"]
-		proto.Rows[i].LastFinish = sums[proto.Rows[i].Engine.String()+"/last"]
-	}
-	return proto, nil
+// Registry lists every experiment in the order smrbench runs them: the
+// paper's figures, then the extras.
+var Registry = []*Experiment{
+	fig1, fig3, fig4, fig5, fig6, fig7, fig8, fig9,
+	ablationBounds, ablationSlowStart, ablationConfirmations, ablationLazyEager, ablationTailBoost,
+	heterogeneous, schedulers, speculation, oversubscription, oracleGap,
+	controllers, skew, traceWorkload, multiTenant,
 }

@@ -5,59 +5,31 @@ import (
 
 	"smapreduce/internal/core"
 	"smapreduce/internal/metrics"
+	"smapreduce/internal/mr"
 )
 
-// Oversubscription measures how a reduce-heavy job degrades as the
-// rack uplinks shrink from non-blocking to 4:1 oversubscribed, and
-// whether the slot manager's advantage survives. The paper's testbed
-// has a single switch; this probes the design one fabric generation
-// later.
-type OversubRow struct {
-	Ratio  string // "non-blocking", "2:1", "4:1"
-	Engine core.Engine
-	Exec   float64
-}
-
-// OversubResult holds the fabric sweep.
-type OversubResult struct {
-	Rows []OversubRow
-}
-
-// Table renders the sweep.
-func (r *OversubResult) Table() *metrics.Table {
-	t := metrics.NewTable("Rack oversubscription (terasort)", "fabric", "engine", "exec s")
-	for _, row := range r.Rows {
-		t.AddRowf(row.Ratio, row.Engine.String(), row.Exec)
-	}
-	return t
-}
-
-// Get returns exec time for (ratio, engine), or -1.
-func (r *OversubResult) Get(ratio string, engine core.Engine) float64 {
-	for _, row := range r.Rows {
-		if row.Ratio == ratio && row.Engine == engine {
-			return row.Exec
+// oversubscription measures how a reduce-heavy job degrades as the rack
+// uplinks shrink from non-blocking to 4:1 oversubscribed, and whether
+// the slot manager's advantage survives. The paper's testbed has a
+// single switch; this probes the design one fabric generation later.
+var oversubscription = &Experiment{
+	Slug:    "oversubscription",
+	Title:   "Rack oversubscription (terasort)",
+	Labels:  []string{"fabric", "engine"},
+	Metrics: []Metric{execTime},
+	Arms: func(cfg Config) []Arm {
+		// A rack of 8 nodes can source 8×117 ≈ 936 MB/s; a 2:1 uplink
+		// carries half of that, 4:1 a quarter.
+		fabrics := []struct {
+			ratio  string
+			uplink float64
+		}{
+			{"non-blocking", 0},
+			{"2:1", 8 * 117 / 2},
+			{"4:1", 8 * 117 / 4},
 		}
-	}
-	return -1
-}
-
-// Oversubscription runs terasort across three fabric generations.
-func Oversubscription(cfg Config) (*OversubResult, error) {
-	cfg = cfg.normalize()
-	res := &OversubResult{}
-	// A rack of 8 nodes can source 8×117 ≈ 936 MB/s; a 2:1 uplink
-	// carries half of that, 4:1 a quarter.
-	fabrics := []struct {
-		ratio  string
-		uplink float64
-	}{
-		{"non-blocking", 0},
-		{"2:1", 8 * 117 / 2},
-		{"4:1", 8 * 117 / 4},
-	}
-	for _, f := range fabrics {
-		for _, engine := range []core.Engine{core.EngineHadoopV1, core.EngineSMapReduce} {
+		var arms []Arm
+		for _, f := range fabrics {
 			cluster := cfg.cluster()
 			cluster.Net.NodesPerRack = 8
 			cluster.Net.RackUplinkMBps = f.uplink
@@ -66,89 +38,61 @@ func Oversubscription(cfg Config) (*OversubResult, error) {
 			// shuffle bottleneck — otherwise oversubscription is
 			// invisible behind the Hadoop-1 copier ceiling.
 			cluster.PerFetchMBps = 20
-			r, err := core.Run(engine, core.Options{Cluster: cluster}, cfg.spec("terasort", 40))
-			if err != nil {
-				return nil, fmt.Errorf("oversubscription %s/%v: %w", f.ratio, engine, err)
-			}
-			res.Rows = append(res.Rows, OversubRow{Ratio: f.ratio, Engine: engine, Exec: r.Jobs[0].ExecutionTime()})
+			arms = append(arms, engineArms([]core.Engine{core.EngineHadoopV1, core.EngineSMapReduce},
+				cluster, []mr.JobSpec{cfg.spec("terasort", 40)}, f.ratio)...)
 		}
-	}
-	return res, nil
+		return arms
+	},
 }
 
-// OracleRow is one arm of the adaptivity-gap study.
-type OracleRow struct {
-	Setting string
-	Exec    float64
-}
+const oracleMaxSlots = 10
 
-// OracleResult compares SMapReduce against the best static
-// configuration found by exhaustive search — the budget an adaptive
-// controller is trying to reach without the search.
-type OracleResult struct {
-	Benchmark  string
-	BestSlots  int
-	Rows       []OracleRow
-	SweepTimes map[int]float64 // static exec time per slot count
-}
+// oracleSweepLabel labels the static HadoopV1 arm with this many map
+// slots per node.
+func oracleSweepLabel(slots int) string { return fmt.Sprintf("HadoopV1 static %d slots", slots) }
 
-// Table renders the study.
-func (r *OracleResult) Table() *metrics.Table {
-	t := metrics.NewTable(
-		fmt.Sprintf("Adaptivity gap (%s): SMapReduce vs best static config", r.Benchmark),
-		"setting", "exec s")
-	for _, row := range r.Rows {
-		t.AddRowf(row.Setting, row.Exec)
-	}
-	return t
-}
-
-// Get returns the exec time for a setting, or -1.
-func (r *OracleResult) Get(setting string) float64 {
-	for _, row := range r.Rows {
-		if row.Setting == setting {
-			return row.Exec
-		}
-	}
-	return -1
-}
-
-// OracleGap sweeps HadoopV1 static map slots 1..10 on a map-heavy job,
-// records the oracle-best static configuration, and measures how close
+// oracleGap sweeps HadoopV1 static map slots 1..10 on a map-heavy job,
+// derives the oracle-best static configuration, and measures how close
 // SMapReduce (which starts misconfigured at 3 and must learn) comes to
-// it.
-func OracleGap(cfg Config) (*OracleResult, error) {
-	cfg = cfg.normalize()
-	res := &OracleResult{Benchmark: "histogram-ratings", SweepTimes: make(map[int]float64)}
-	best, bestExec := 0, 0.0
-	for slots := 1; slots <= 10; slots++ {
-		cluster := cfg.cluster()
-		cluster.MapSlots = slots
-		cluster.MaxMapSlots = slots
-		r, err := core.Run(core.EngineHadoopV1, core.Options{Cluster: cluster}, cfg.spec("histogram-ratings", 120))
-		if err != nil {
-			return nil, fmt.Errorf("oracle sweep %d: %w", slots, err)
+// it. The table shows the default, the oracle and SMapReduce; the sweep
+// arms stay readable through Value.
+var oracleGap = &Experiment{
+	Slug:    "oracle-gap",
+	Title:   "Adaptivity gap (histogram-ratings): SMapReduce vs best static config",
+	Labels:  []string{"setting"},
+	Metrics: []Metric{execTime},
+	Arms: func(cfg Config) []Arm {
+		jobs := []mr.JobSpec{cfg.spec("histogram-ratings", 120)}
+		var arms []Arm
+		for slots := 1; slots <= oracleMaxSlots; slots++ {
+			cluster := cfg.cluster()
+			cluster.MapSlots = slots
+			cluster.MaxMapSlots = slots
+			arms = append(arms, arm([]string{oracleSweepLabel(slots)}, core.EngineHadoopV1, cluster, jobs...))
 		}
-		exec := r.Jobs[0].ExecutionTime()
-		res.SweepTimes[slots] = exec
-		if best == 0 || exec < bestExec {
+		def := engineArms([]core.Engine{core.EngineHadoopV1, core.EngineSMapReduce}, cfg.cluster(), jobs)
+		def[0].Labels = []string{"HadoopV1 default (3 slots)"}
+		def[1].Labels = []string{"SMapReduce (starts at 3)"}
+		return append(arms, def...)
+	},
+	Table: func(r *Result) *metrics.Table {
+		best, bestExec := oracleBest(r)
+		t := metrics.NewTable(r.Experiment.Title, "setting", "exec s")
+		t.AddRowf("HadoopV1 default (3 slots)", r.Value("exec s", "HadoopV1 default (3 slots)"))
+		t.AddRowf(fmt.Sprintf("HadoopV1 oracle (%d slots)", best), bestExec)
+		t.AddRowf("SMapReduce (starts at 3)", r.Value("exec s", "SMapReduce (starts at 3)"))
+		return t
+	},
+}
+
+// oracleBest returns the static slot count with the lowest exec time
+// (the first on a tie) and that time.
+func oracleBest(r *Result) (int, float64) {
+	best, bestExec := 0, 0.0
+	for slots := 1; slots <= oracleMaxSlots; slots++ {
+		if exec := r.Value("exec s", oracleSweepLabel(slots)); best == 0 || exec < bestExec {
 			best, bestExec = slots, exec
 		}
 	}
-	res.BestSlots = best
-
-	def, err := core.Run(core.EngineHadoopV1, core.Options{Cluster: cfg.cluster()}, cfg.spec("histogram-ratings", 120))
-	if err != nil {
-		return nil, err
-	}
-	smr, err := core.Run(core.EngineSMapReduce, core.Options{Cluster: cfg.cluster()}, cfg.spec("histogram-ratings", 120))
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = []OracleRow{
-		{"HadoopV1 default (3 slots)", def.Jobs[0].ExecutionTime()},
-		{fmt.Sprintf("HadoopV1 oracle (%d slots)", best), bestExec},
-		{"SMapReduce (starts at 3)", smr.Jobs[0].ExecutionTime()},
-	}
-	return res, nil
+	return best, bestExec
 }

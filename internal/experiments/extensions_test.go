@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"smapreduce/internal/core"
@@ -8,17 +10,14 @@ import (
 
 func TestOversubscription(t *testing.T) {
 	shape(t)
-	r, err := Oversubscription(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, oversubscription, testCfg())
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
 	for _, engine := range []core.Engine{core.EngineHadoopV1, core.EngineSMapReduce} {
-		nb := r.Get("non-blocking", engine)
-		two := r.Get("2:1", engine)
-		four := r.Get("4:1", engine)
+		nb := engineValue(r, "exec s", engine, "non-blocking")
+		two := engineValue(r, "exec s", engine, "2:1")
+		four := engineValue(r, "exec s", engine, "4:1")
 		if nb <= 0 || two <= 0 || four <= 0 {
 			t.Fatalf("%v missing fabric arms", engine)
 		}
@@ -33,7 +32,7 @@ func TestOversubscription(t *testing.T) {
 	}
 	// SMapReduce never loses to V1 by a meaningful margin on any fabric.
 	for _, ratio := range []string{"non-blocking", "2:1", "4:1"} {
-		if smr, v1 := r.Get(ratio, core.EngineSMapReduce), r.Get(ratio, core.EngineHadoopV1); smr > 1.1*v1 {
+		if smr, v1 := engineValue(r, "exec s", core.EngineSMapReduce, ratio), engineValue(r, "exec s", core.EngineHadoopV1, ratio); smr > 1.1*v1 {
 			t.Errorf("SMR (%v) lost to V1 (%v) on %s fabric", smr, v1, ratio)
 		}
 	}
@@ -41,21 +40,21 @@ func TestOversubscription(t *testing.T) {
 
 func TestOracleGap(t *testing.T) {
 	shape(t)
-	r, err := OracleGap(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	def := r.Get("HadoopV1 default (3 slots)")
-	oracle := r.SweepTimes[r.BestSlots]
-	smr := r.Get("SMapReduce (starts at 3)")
+	r := run(t, oracleGap, testCfg())
+	def := r.Value("exec s", "HadoopV1 default (3 slots)")
+	bestSlots, oracle := oracleBest(r)
+	smr := r.Value("exec s", "SMapReduce (starts at 3)")
 	if def <= 0 || oracle <= 0 || smr <= 0 {
 		t.Fatal("missing arms")
 	}
 	// The oracle is the sweep's minimum by construction.
-	for slots, exec := range r.SweepTimes {
-		if exec < oracle-1e-9 {
+	for slots := 1; slots <= oracleMaxSlots; slots++ {
+		if exec := r.Value("exec s", oracleSweepLabel(slots)); exec < oracle-1e-9 {
 			t.Fatalf("sweep[%d]=%v below recorded oracle %v", slots, exec, oracle)
 		}
+	}
+	if !strings.Contains(r.Table().String(), fmt.Sprintf("HadoopV1 oracle (%d slots)", bestSlots)) {
+		t.Errorf("table does not name the oracle's %d slots:\n%s", bestSlots, r.Table())
 	}
 	// The interesting claims: SMapReduce beats the default static
 	// config decisively and lands within 50% of the oracle despite
@@ -66,7 +65,7 @@ func TestOracleGap(t *testing.T) {
 	if smr > 1.5*oracle {
 		t.Errorf("SMR (%v) too far from the oracle (%v)", smr, oracle)
 	}
-	if r.BestSlots <= 3 {
-		t.Errorf("oracle slots = %d; expected the map-heavy optimum above the default 3", r.BestSlots)
+	if bestSlots <= 3 {
+		t.Errorf("oracle slots = %d; expected the map-heavy optimum above the default 3", bestSlots)
 	}
 }

@@ -5,8 +5,6 @@ import (
 
 	"smapreduce/internal/arrival"
 	"smapreduce/internal/core"
-	"smapreduce/internal/metrics"
-	"smapreduce/internal/par"
 	"smapreduce/internal/policy"
 )
 
@@ -19,58 +17,15 @@ import (
 // tenant's latency tail intact, and what does that protection cost the
 // batch tenants in makespan?
 
-// ShootoutRow is one (engine, load) cell of the sweep.
-type ShootoutRow struct {
-	Engine core.Engine
-	// Load is the offered-load multiplier applied to the batch tenants'
-	// arrival rates (1.0 ≈ the mix that keeps the paper-scale cluster
-	// moderately busy).
-	Load float64
-	// Jobs counts admitted (= completed) jobs over the horizon.
-	Jobs int
-	// Makespan is the finish time of the last job, in seconds.
-	Makespan float64
-	// P50/P99 are per-job latency percentiles (submission→finish).
-	P50, P99 float64
-	// SLOMisses counts analytics jobs that blew their latency objective.
-	SLOMisses int
-}
-
-// ShootoutResult holds the full sweep.
-type ShootoutResult struct {
-	Rows []ShootoutRow
-}
-
-// Get returns the row for (engine, load), or false.
-func (r *ShootoutResult) Get(engine core.Engine, load float64) (ShootoutRow, bool) {
-	for _, row := range r.Rows {
-		if row.Engine == engine && row.Load == load {
-			return row, true
-		}
-	}
-	return ShootoutRow{}, false
-}
-
-// Table renders the sweep.
-func (r *ShootoutResult) Table() *metrics.Table {
-	t := metrics.NewTable("Multi-tenant capacity shoot-out",
-		"engine", "load", "jobs", "makespan s", "p50 s", "p99 s", "SLO miss")
-	for _, row := range r.Rows {
-		t.AddRowf(row.Engine.String(), row.Load, row.Jobs, row.Makespan, row.P50, row.P99, row.SLOMisses)
-	}
-	return t
-}
-
-// ShootoutEngines lists the compared systems: the paper's three plus
+// shootoutEngines lists the compared systems: the paper's three plus
 // the three capacity policies on static slots.
-func ShootoutEngines() []core.Engine {
-	return append(core.Engines(), core.CapacityEngines()...)
-}
+var shootoutEngines = append(core.Engines(), core.CapacityEngines()...)
 
-// ShootoutLoads lists the offered-load multipliers swept: a healthy
-// cluster, the onset of contention, and well past saturation — the
-// regime capacity policies exist for.
-func ShootoutLoads() []float64 { return []float64{1, 4, 12} }
+// shootoutLoads lists the offered-load multipliers applied to the batch
+// tenants' arrival rates: a healthy cluster (1.0 ≈ the mix that keeps
+// the paper-scale cluster moderately busy), the onset of contention,
+// and well past saturation — the regime capacity policies exist for.
+var shootoutLoads = []float64{1, 4, 12}
 
 // shootoutArrivals builds the tenant mix at one load multiplier. Sizes
 // scale with cfg.Scale like every other experiment workload.
@@ -101,52 +56,44 @@ func shootoutArrivals(cfg Config, load float64) arrival.Config {
 // shootoutTenants is the policy configuration used by the capacity
 // engines: the SLO-bound tenant weighs double and holds a 30% capacity
 // guarantee under the queue policy.
-func shootoutTenants() []policy.Tenant {
-	return []policy.Tenant{
-		{Name: "analytics", Weight: 2, Guarantee: 0.3},
-		{Name: "etl", Weight: 1, Guarantee: 0.4},
-		{Name: "service", Weight: 1, Guarantee: 0.2},
-	}
+var shootoutTenants = []policy.Tenant{
+	{Name: "analytics", Weight: 2, Guarantee: 0.3},
+	{Name: "etl", Weight: 1, Guarantee: 0.4},
+	{Name: "service", Weight: 1, Guarantee: 0.2},
 }
 
-// MultiTenantShootout runs the sweep: every engine sees the exact same
-// arrival stream at each load level (the stream is a pure function of
-// the cluster seed, not the engine), so differences in the latency
-// tail are attributable to the policy alone.
-func MultiTenantShootout(cfg Config) (*ShootoutResult, error) {
-	cfg = cfg.normalize()
-	engines := ShootoutEngines()
-	loads := ShootoutLoads()
-	rows := make([]ShootoutRow, len(engines)*len(loads))
-	for ei, engine := range engines {
-		for li, load := range loads {
-			rows[ei*len(loads)+li] = ShootoutRow{Engine: engine, Load: load}
+// multiTenant runs the sweep: every engine sees the exact same arrival
+// stream at each load level (the stream is a pure function of the
+// cluster seed, not the engine), so differences in the latency tail are
+// attributable to the policy alone.
+var multiTenant = &Experiment{
+	Slug:   "multitenant",
+	Title:  "Multi-tenant capacity shoot-out",
+	Labels: []string{"engine", "load"},
+	Metrics: []Metric{
+		{Name: "jobs", Of: func(r *core.Result) float64 { return float64(len(r.Jobs)) }},
+		{Name: "makespan s", Of: (*core.Result).LastFinish},
+		{Name: "p50 s", Of: func(r *core.Result) float64 { return r.LatencyPercentile(50) }},
+		{Name: "p99 s", Of: func(r *core.Result) float64 { return r.LatencyPercentile(99) }},
+		{Name: "SLO miss", Of: func(r *core.Result) float64 { return float64(r.SLOMisses()) }},
+	},
+	Arms: func(cfg Config) []Arm {
+		var arms []Arm
+		for _, e := range shootoutEngines {
+			for _, load := range shootoutLoads {
+				cluster := cfg.cluster()
+				src, err := arrival.New(shootoutArrivals(cfg, load), arrival.RNG(cluster.Seed))
+				if err != nil {
+					// The mix is valid for every config Run accepts.
+					panic(fmt.Sprintf("experiments: shoot-out arrivals: %v", err))
+				}
+				arms = append(arms, Arm{
+					Labels: labels(e, load),
+					Engine: e,
+					Opts:   core.Options{Cluster: cluster, Arrivals: src, Tenants: shootoutTenants},
+				})
+			}
 		}
-	}
-	err := par.For(len(rows), func(i int) error {
-		row := &rows[i]
-		cluster := cfg.cluster()
-		src, err := arrival.New(shootoutArrivals(cfg, row.Load), arrival.RNG(cluster.Seed))
-		if err != nil {
-			return fmt.Errorf("shootout %v load %g: %w", row.Engine, row.Load, err)
-		}
-		res, err := core.Run(row.Engine, core.Options{
-			Cluster:  cluster,
-			Arrivals: src,
-			Tenants:  shootoutTenants(),
-		})
-		if err != nil {
-			return fmt.Errorf("shootout %v load %g: %w", row.Engine, row.Load, err)
-		}
-		row.Jobs = len(res.Jobs)
-		row.Makespan = res.LastFinish()
-		row.P50 = res.LatencyPercentile(50)
-		row.P99 = res.LatencyPercentile(99)
-		row.SLOMisses = res.SLOMisses()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ShootoutResult{Rows: rows}, nil
+		return arms
+	},
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 
 	"smapreduce/internal/core"
@@ -17,13 +18,15 @@ func shootoutCfg() Config {
 	return cfg
 }
 
+// shootoutValue reads one metric of the (engine, load) cell.
+func shootoutValue(r *Result, metric string, engine core.Engine, load float64) float64 {
+	return r.Value(metric, labels(engine, load)...)
+}
+
 func TestMultiTenantShootout(t *testing.T) {
 	shape(t)
-	r, err := MultiTenantShootout(shootoutCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines, loads := ShootoutEngines(), ShootoutLoads()
+	r := run(t, multiTenant, shootoutCfg())
+	engines, loads := shootoutEngines, shootoutLoads
 	if len(engines) < 4 {
 		t.Fatalf("shoot-out compares only %d engines", len(engines))
 	}
@@ -32,39 +35,35 @@ func TestMultiTenantShootout(t *testing.T) {
 	}
 	for _, engine := range engines {
 		for _, load := range loads {
-			row, ok := r.Get(engine, load)
-			if !ok {
-				t.Fatalf("missing row %v/%g", engine, load)
-			}
-			if row.Jobs <= 0 {
+			get := func(metric string) float64 { return shootoutValue(r, metric, engine, load) }
+			jobs, misses := get("jobs"), get("SLO miss")
+			if jobs <= 0 {
 				t.Fatalf("%v load %g admitted no jobs", engine, load)
 			}
-			if !(row.Makespan > 0 && row.P50 > 0 && row.P99 >= row.P50) {
-				t.Fatalf("%v load %g: makespan=%v p50=%v p99=%v",
-					engine, load, row.Makespan, row.P50, row.P99)
+			if makespan, p50, p99 := get("makespan s"), get("p50 s"), get("p99 s"); !(makespan > 0 && p50 > 0 && p99 >= p50) {
+				t.Fatalf("%v load %g: makespan=%v p50=%v p99=%v", engine, load, makespan, p50, p99)
 			}
-			if row.SLOMisses < 0 || row.SLOMisses > row.Jobs {
-				t.Fatalf("%v load %g: SLO misses %d of %d jobs", engine, load, row.SLOMisses, row.Jobs)
+			if misses < 0 || misses > jobs {
+				t.Fatalf("%v load %g: SLO misses %v of %v jobs", engine, load, misses, jobs)
 			}
 		}
 		// The same arrival stream feeds every load level; higher load
 		// must admit at least as many jobs.
-		lo, _ := r.Get(engine, loads[0])
-		hi, _ := r.Get(engine, loads[len(loads)-1])
-		if hi.Jobs < lo.Jobs {
-			t.Errorf("%v: jobs fell from %d to %d as load rose", engine, lo.Jobs, hi.Jobs)
+		lo := shootoutValue(r, "jobs", engine, loads[0])
+		hi := shootoutValue(r, "jobs", engine, loads[len(loads)-1])
+		if hi < lo {
+			t.Errorf("%v: jobs fell from %v to %v as load rose", engine, lo, hi)
 		}
 	}
 	// Identical engines see identical workloads: the job count at a
 	// given load is engine-independent (arrival streams are a pure
 	// function of the seed and load, never the engine).
 	for _, load := range loads {
-		ref, _ := r.Get(engines[0], load)
+		ref := shootoutValue(r, "jobs", engines[0], load)
 		for _, engine := range engines[1:] {
-			row, _ := r.Get(engine, load)
-			if row.Jobs != ref.Jobs {
-				t.Errorf("load %g: %v admitted %d jobs but %v admitted %d",
-					load, engines[0], ref.Jobs, engine, row.Jobs)
+			if jobs := shootoutValue(r, "jobs", engine, load); jobs != ref {
+				t.Errorf("load %g: %v admitted %v jobs but %v admitted %v",
+					load, engines[0], ref, engine, jobs)
 			}
 		}
 	}
@@ -76,24 +75,16 @@ func TestMultiTenantShootout(t *testing.T) {
 func TestShootoutDeterministic(t *testing.T) {
 	shape(t)
 	cfg := shootoutCfg()
-	a, err := MultiTenantShootout(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MultiTenantShootout(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := run(t, multiTenant, cfg)
+	b := run(t, multiTenant, cfg)
 	for i := range a.Rows {
-		if a.Rows[i] != b.Rows[i] {
-			t.Fatalf("row %d diverged between identical sweeps:\n%+v\n%+v", i, a.Rows[i], b.Rows[i])
+		if !slices.Equal(a.Rows[i].Values, b.Rows[i].Values) {
+			t.Fatalf("row %v diverged between identical sweeps:\n%v\n%v", a.Rows[i].Labels, a.Rows[i].Values, b.Rows[i].Values)
 		}
 	}
 	// The capacity engines must actually exercise their policies.
-	loads := ShootoutLoads()
 	for _, engine := range core.CapacityEngines() {
-		row, ok := a.Get(engine, loads[len(loads)-1])
-		if !ok || row.Jobs == 0 {
+		if shootoutValue(a, "jobs", engine, shootoutLoads[len(shootoutLoads)-1]) == 0 {
 			t.Fatalf("capacity engine %v ran no jobs", engine)
 		}
 	}

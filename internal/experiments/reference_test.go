@@ -2,36 +2,25 @@ package experiments
 
 import "testing"
 
-// TestFiguresReferenceDifferential pins the optimised paths on the
-// paper figures: running the figure workloads with SMR_REFERENCE=1
-// (mr's reference mode, read at cluster construction) must reproduce
-// the default-mode tables byte for byte.
+// TestFiguresReferenceDifferential pins the optimised paths on every
+// registered experiment: running it with SMR_REFERENCE=1 (mr's
+// reference mode, read at cluster construction) must reproduce the
+// default-mode table and chart byte for byte.
 func TestFiguresReferenceDifferential(t *testing.T) {
 	cfg := Config{Scale: 0.05, Workers: 8, Reduces: 8, Seed: 1}
-
-	d3, err := Figure3(cfg)
-	if err != nil {
-		t.Fatal(err)
+	render := func(e *Experiment) string {
+		r := run(t, e, cfg)
+		return r.Table().String() + r.Chart()
 	}
-	d4, err := Figure4(cfg)
-	if err != nil {
-		t.Fatal(err)
+	want := make([]string, len(Registry))
+	for i, e := range Registry {
+		want[i] = render(e)
 	}
 
 	t.Setenv("SMR_REFERENCE", "1")
-	r3, err := Figure3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4, err := Figure4(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := r3.Table().String(), d3.Table().String(); got != want {
-		t.Fatalf("Figure 3 diverges between default and reference mode:\ndefault:\n%s\nreference:\n%s", want, got)
-	}
-	if got, want := r4.Table().String(), d4.Table().String(); got != want {
-		t.Fatalf("Figure 4 diverges between default and reference mode:\ndefault:\n%s\nreference:\n%s", want, got)
+	for i, e := range Registry {
+		if got := render(e); got != want[i] {
+			t.Errorf("%s diverges between default and reference mode:\ndefault:\n%s\nreference:\n%s", e.Slug, want[i], got)
+		}
 	}
 }

@@ -5,169 +5,76 @@ import (
 	"math"
 
 	"smapreduce/internal/core"
-	"smapreduce/internal/metrics"
 	"smapreduce/internal/mr"
-	"smapreduce/internal/par"
 	"smapreduce/internal/puma"
 	"smapreduce/internal/sim"
-	"smapreduce/internal/stats"
 )
 
-// ControllerComparison pits the paper's balance-factor slot manager
-// against a model-free throughput hill climber on one map-heavy and
-// one reduce-heavy job. The climber should hold its own where only the
+// controllers pits the paper's balance-factor slot manager against a
+// model-free throughput hill climber on one map-heavy and one
+// reduce-heavy job. The climber should hold its own where only the
 // thrashing point matters (map-heavy) and give ground where the
 // map/shuffle balance matters (reduce-heavy) — isolating the value of
 // the paper's model.
-type ControllerRow struct {
-	Benchmark  string
-	Controller string
-	Exec       float64
-}
-
-// ControllerResult holds the comparison matrix.
-type ControllerResult struct {
-	Rows []ControllerRow
-}
-
-// Table renders the matrix.
-func (r *ControllerResult) Table() *metrics.Table {
-	t := metrics.NewTable("Balance-factor manager vs model-free hill climber",
-		"benchmark", "controller", "exec s")
-	for _, row := range r.Rows {
-		t.AddRowf(row.Benchmark, row.Controller, row.Exec)
-	}
-	return t
-}
-
-// Get returns the exec time for (bench, controller), or -1.
-func (r *ControllerResult) Get(bench, controller string) float64 {
-	for _, row := range r.Rows {
-		if row.Benchmark == bench && row.Controller == controller {
-			return row.Exec
+var controllers = &Experiment{
+	Slug:    "controllers",
+	Title:   "Balance-factor manager vs model-free hill climber",
+	Labels:  []string{"benchmark", "controller"},
+	Metrics: []Metric{execTime},
+	Arms: func(cfg Config) []Arm {
+		var arms []Arm
+		for _, bench := range []string{"histogram-ratings", "terasort"} {
+			a := engineArms([]core.Engine{core.EngineHadoopV1, core.EngineSMapReduce, core.EngineSMapReduce},
+				cfg.cluster(), []mr.JobSpec{cfg.spec(bench, 60)}, bench)
+			a[0].Labels[1] = "static (HadoopV1)"
+			a[1].Labels[1] = "slot manager (paper)"
+			a[2].Labels[1] = "hill climber (model-free)"
+			a[2].Controller = core.NewHillClimber()
+			arms = append(arms, a...)
 		}
-	}
-	return -1
+		return arms
+	},
 }
 
-// ControllerComparison runs the matrix.
-func ControllerComparison(cfg Config) (*ControllerResult, error) {
-	cfg = cfg.normalize()
-	res := &ControllerResult{}
-	for _, bench := range []string{"histogram-ratings", "terasort"} {
-		spec := cfg.spec(bench, 60)
-
-		static, err := core.Run(core.EngineHadoopV1, core.Options{Cluster: cfg.cluster()}, spec)
-		if err != nil {
-			return nil, fmt.Errorf("controller static %s: %w", bench, err)
+// skew sweeps reducer hot-key skew on terasort. The paper assumes
+// uniformly distributed data (§VII); this measures how both systems
+// degrade when that assumption breaks.
+var skew = &Experiment{
+	Slug:    "skew",
+	Title:   "Partition skew sensitivity (terasort)",
+	Labels:  []string{"zipf s", "engine"},
+	Metrics: []Metric{execTime},
+	Arms: func(cfg Config) []Arm {
+		var arms []Arm
+		for _, s := range []float64{0, 0.5, 1.0} {
+			spec := cfg.spec("terasort", 40)
+			spec.PartitionSkew = s
+			arms = append(arms, engineArms([]core.Engine{core.EngineHadoopV1, core.EngineSMapReduce},
+				cfg.cluster(), []mr.JobSpec{spec}, fmt.Sprint(s))...)
 		}
-		res.Rows = append(res.Rows, ControllerRow{bench, "static (HadoopV1)", static.Jobs[0].ExecutionTime()})
-
-		smr, err := core.Run(core.EngineSMapReduce, core.Options{Cluster: cfg.cluster()}, spec)
-		if err != nil {
-			return nil, fmt.Errorf("controller smr %s: %w", bench, err)
-		}
-		res.Rows = append(res.Rows, ControllerRow{bench, "slot manager (paper)", smr.Jobs[0].ExecutionTime()})
-
-		hcJobs, err := core.RunWithController(core.NewHillClimber(), cfg.cluster(), spec)
-		if err != nil {
-			return nil, fmt.Errorf("controller hc %s: %w", bench, err)
-		}
-		res.Rows = append(res.Rows, ControllerRow{bench, "hill climber (model-free)", hcJobs[0].ExecutionTime()})
-	}
-	return res, nil
+		return arms
+	},
 }
 
-// SkewRow is one (skew, engine) outcome.
-type SkewRow struct {
-	Skew   float64
-	Engine core.Engine
-	Exec   float64
-}
+// traceJobs is the length of the synthetic cluster trace.
+const traceJobs = 12
 
-// SkewResult holds the partition-skew sensitivity sweep.
-type SkewResult struct {
-	Rows []SkewRow
-}
-
-// Table renders the sweep.
-func (r *SkewResult) Table() *metrics.Table {
-	t := metrics.NewTable("Partition skew sensitivity (terasort)", "zipf s", "engine", "exec s")
-	for _, row := range r.Rows {
-		t.AddRowf(row.Skew, row.Engine.String(), row.Exec)
-	}
-	return t
-}
-
-// Get returns exec time for (skew, engine), or -1.
-func (r *SkewResult) Get(skew float64, engine core.Engine) float64 {
-	for _, row := range r.Rows {
-		if row.Skew == skew && row.Engine == engine {
-			return row.Exec
-		}
-	}
-	return -1
-}
-
-// SkewSensitivity sweeps reducer hot-key skew on terasort. The paper
-// assumes uniformly distributed data (§VII); this measures how both
-// systems degrade when that assumption breaks.
-func SkewSensitivity(cfg Config) (*SkewResult, error) {
-	cfg = cfg.normalize()
-	skews := []float64{0, 0.5, 1.0}
-	engines := []core.Engine{core.EngineHadoopV1, core.EngineSMapReduce}
-	rows := make([]SkewRow, len(skews)*len(engines))
-	err := par.For(len(rows), func(i int) error {
-		skew := skews[i/len(engines)]
-		engine := engines[i%len(engines)]
-		spec := cfg.spec("terasort", 40)
-		spec.PartitionSkew = skew
-		r, err := core.Run(engine, core.Options{Cluster: cfg.cluster()}, spec)
-		if err != nil {
-			return fmt.Errorf("skew %.1f/%v: %w", skew, engine, err)
-		}
-		rows[i] = SkewRow{Skew: skew, Engine: engine, Exec: r.Jobs[0].ExecutionTime()}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &SkewResult{Rows: rows}, nil
-}
-
-// TraceRow is one engine's outcome on the generated trace.
-type TraceRow struct {
-	Engine   core.Engine
-	MeanExec float64
-	P95Exec  float64
-	Makespan float64
-}
-
-// TraceResult holds the cluster-trace comparison.
-type TraceResult struct {
-	Jobs int
-	Rows []TraceRow
-}
-
-// Table renders the comparison.
-func (r *TraceResult) Table() *metrics.Table {
-	t := metrics.NewTable(
-		fmt.Sprintf("Synthetic cluster trace (%d mixed jobs, Poisson arrivals)", r.Jobs),
-		"engine", "mean exec s", "p95 exec s", "makespan s")
-	for _, row := range r.Rows {
-		t.AddRowf(row.Engine.String(), row.MeanExec, row.P95Exec, row.Makespan)
-	}
-	return t
-}
-
-// Get returns the row for an engine; ok reports presence.
-func (r *TraceResult) Get(engine core.Engine) (TraceRow, bool) {
-	for _, row := range r.Rows {
-		if row.Engine == engine {
-			return row, true
-		}
-	}
-	return TraceRow{}, false
+// traceWorkload replays one generated trace on every engine and reports
+// latency statistics and makespan — the shared-cluster view a week of
+// production looks like, compressed.
+var traceWorkload = &Experiment{
+	Slug:   "trace",
+	Title:  fmt.Sprintf("Synthetic cluster trace (%d mixed jobs, Poisson arrivals)", traceJobs),
+	Labels: []string{"engine"},
+	Metrics: []Metric{
+		meanExec,
+		{Name: "p95 exec s", Of: func(r *core.Result) float64 { return r.LatencyPercentile(95) }},
+		{Name: "makespan s", Of: (*core.Result).LastFinish},
+	},
+	Arms: func(cfg Config) []Arm {
+		specs := GenerateTrace(cfg.Seed, traceJobs, 30, 5*cfg.Scale, 40*cfg.Scale, cfg.Reduces)
+		return engineArms(core.Engines(), cfg.cluster(), specs)
+	},
 }
 
 // traceMix is the benchmark population of the synthetic trace, shaped
@@ -216,31 +123,4 @@ func GenerateTrace(seed uint64, jobs int, meanGapS, minGB, maxGB float64, reduce
 		})
 	}
 	return specs
-}
-
-// TraceWorkload replays one generated trace on every engine and
-// reports latency statistics and makespan — the shared-cluster view a
-// week of production looks like, compressed.
-func TraceWorkload(cfg Config) (*TraceResult, error) {
-	cfg = cfg.normalize()
-	const jobs = 12
-	res := &TraceResult{Jobs: jobs}
-	for _, engine := range core.Engines() {
-		specs := GenerateTrace(cfg.Seed, jobs, 30, 5*cfg.Scale, 40*cfg.Scale, cfg.Reduces)
-		r, err := core.Run(engine, core.Options{Cluster: cfg.cluster()}, specs...)
-		if err != nil {
-			return nil, fmt.Errorf("trace %v: %w", engine, err)
-		}
-		execs := make([]float64, 0, len(r.Jobs))
-		for _, j := range r.Jobs {
-			execs = append(execs, j.ExecutionTime())
-		}
-		res.Rows = append(res.Rows, TraceRow{
-			Engine:   engine,
-			MeanExec: stats.Mean(execs),
-			P95Exec:  stats.Percentile(execs, 95),
-			Makespan: r.LastFinish(),
-		})
-	}
-	return res, nil
 }

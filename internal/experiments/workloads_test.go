@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"smapreduce/internal/core"
@@ -8,19 +9,16 @@ import (
 
 func TestControllerComparison(t *testing.T) {
 	shape(t)
-	r, err := ControllerComparison(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, controllers, testCfg())
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
 	// Map-heavy: both controllers beat static; the climber is
 	// competitive with the manager.
 	mh := "histogram-ratings"
-	static := r.Get(mh, "static (HadoopV1)")
-	smr := r.Get(mh, "slot manager (paper)")
-	hc := r.Get(mh, "hill climber (model-free)")
+	static := r.Value("exec s", mh, "static (HadoopV1)")
+	smr := r.Value("exec s", mh, "slot manager (paper)")
+	hc := r.Value("exec s", mh, "hill climber (model-free)")
 	if smr >= static || hc >= static {
 		t.Errorf("map-heavy: controllers did not beat static (%v / %v vs %v)", smr, hc, static)
 	}
@@ -29,22 +27,20 @@ func TestControllerComparison(t *testing.T) {
 	}
 	// Reduce-heavy: the manager must not lose to the model-free law.
 	ts := "terasort"
-	if r.Get(ts, "slot manager (paper)") > 1.05*r.Get(ts, "hill climber (model-free)") {
+	if r.Value("exec s", ts, "slot manager (paper)") > 1.05*r.Value("exec s", ts, "hill climber (model-free)") {
 		t.Errorf("reduce-heavy: manager (%v) lost to climber (%v)",
-			r.Get(ts, "slot manager (paper)"), r.Get(ts, "hill climber (model-free)"))
+			r.Value("exec s", ts, "slot manager (paper)"), r.Value("exec s", ts, "hill climber (model-free)"))
 	}
 }
 
 func TestSkewSensitivity(t *testing.T) {
 	shape(t)
-	r, err := SkewSensitivity(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, skew, testCfg())
+	get := func(s float64, engine core.Engine) float64 { return engineValue(r, "exec s", engine, fmt.Sprint(s)) }
 	for _, engine := range []core.Engine{core.EngineHadoopV1, core.EngineSMapReduce} {
 		prev := 0.0
 		for _, skew := range []float64{0, 0.5, 1.0} {
-			exec := r.Get(skew, engine)
+			exec := get(skew, engine)
 			if exec <= 0 {
 				t.Fatalf("%v missing skew %v", engine, skew)
 			}
@@ -54,8 +50,8 @@ func TestSkewSensitivity(t *testing.T) {
 			prev = exec
 		}
 		// A Zipf-1 hot partition must visibly stretch the job.
-		if r.Get(1.0, engine) < 1.1*r.Get(0, engine) {
-			t.Errorf("%v: heavy skew barely visible: %v vs %v", engine, r.Get(1.0, engine), r.Get(0, engine))
+		if get(1.0, engine) < 1.1*get(0, engine) {
+			t.Errorf("%v: heavy skew barely visible: %v vs %v", engine, get(1.0, engine), get(0, engine))
 		}
 	}
 }
@@ -98,29 +94,27 @@ func TestGenerateTraceDeterministic(t *testing.T) {
 
 func TestTraceWorkload(t *testing.T) {
 	shape(t)
-	r, err := TraceWorkload(testCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := run(t, traceWorkload, testCfg())
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
-	v1, _ := r.Get(core.EngineHadoopV1)
-	smr, _ := r.Get(core.EngineSMapReduce)
-	if v1.MeanExec <= 0 || smr.MeanExec <= 0 {
+	v1 := engineValue(r, "mean exec s", core.EngineHadoopV1)
+	smr := engineValue(r, "mean exec s", core.EngineSMapReduce)
+	if v1 <= 0 || smr <= 0 {
 		t.Fatal("missing rows")
 	}
 	for _, row := range r.Rows {
-		if row.P95Exec < row.MeanExec {
-			t.Errorf("%v: p95 (%v) below mean (%v)", row.Engine, row.P95Exec, row.MeanExec)
+		mean, p95, makespan := r.Value("mean exec s", row.Labels...), r.Value("p95 exec s", row.Labels...), r.Value("makespan s", row.Labels...)
+		if p95 < mean {
+			t.Errorf("%v: p95 (%v) below mean (%v)", row.Labels, p95, mean)
 		}
-		if row.Makespan <= 0 {
-			t.Errorf("%v: makespan %v", row.Engine, row.Makespan)
+		if makespan <= 0 {
+			t.Errorf("%v: makespan %v", row.Labels, makespan)
 		}
 	}
 	// On a mixed production trace the slot manager must not lose to
 	// static slots on mean latency, and typically wins.
-	if smr.MeanExec > 1.05*v1.MeanExec {
-		t.Errorf("trace mean: SMR (%v) lost to V1 (%v)", smr.MeanExec, v1.MeanExec)
+	if smr > 1.05*v1 {
+		t.Errorf("trace mean: SMR (%v) lost to V1 (%v)", smr, v1)
 	}
 }

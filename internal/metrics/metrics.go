@@ -90,20 +90,6 @@ func (s *Series) CrossingTime(v float64) Time {
 	return math.NaN()
 }
 
-// Resample returns the series evaluated at fixed intervals from t0 to
-// t1 inclusive, step-interpolated — the shape used when printing
-// figure data.
-func (s *Series) Resample(t0, t1, dt Time) []Point {
-	if dt <= 0 {
-		panic(fmt.Sprintf("metrics: Resample step %v must be positive", dt))
-	}
-	var out []Point
-	for t := t0; t <= t1+1e-9; t += dt {
-		out = append(out, Point{T: t, V: s.At(t)})
-	}
-	return out
-}
-
 // Progress records a job's progress curve. Following the paper, total
 // progress runs to 200%: 100 for the map tasks plus 100 for the
 // reduce tasks.

@@ -78,28 +78,6 @@ func TestCrossingTime(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	s := NewSeries("x")
-	s.Add(0, 0)
-	s.Add(10, 100)
-	pts := s.Resample(0, 20, 5)
-	if len(pts) != 5 {
-		t.Fatalf("resampled %d points, want 5", len(pts))
-	}
-	want := []float64{0, 0, 100, 100, 100}
-	for i, w := range want {
-		if pts[i].V != w {
-			t.Fatalf("resample[%d] = %v, want %v", i, pts[i].V, w)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero-step resample did not panic")
-		}
-	}()
-	s.Resample(0, 1, 0)
-}
-
 func TestProgressSample(t *testing.T) {
 	p := NewProgress("job")
 	p.Sample(1, 10, 0)

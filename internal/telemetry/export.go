@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
+
+	"smapreduce/internal/metrics"
 )
 
 // WriteFile exports the collector to path, picking the format from the
@@ -58,6 +60,39 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// timelineSeries is the subset of series TimelineChart plots: the slot
+// targets and occupancy of the paper's Fig. 5 and the rate/balance
+// trajectories of Fig. 6, in plot order.
+var timelineSeries = []string{
+	"slotmgr/map-target",
+	"slotmgr/reduce-target",
+	"cluster/running-maps",
+	"cluster/running-reduces",
+	"slotmgr/in-MBps",
+	"slotmgr/out-MBps",
+	"slotmgr/shuffle-MBps",
+	"slotmgr/balance-f",
+	"net/total-MBps",
+	"cluster/map-input-MB",
+}
+
+// TimelineChart renders the Figure-5/6-style slot and rate timelines:
+// one 40-column sparkline per series with its final value. Series the
+// collector does not carry are skipped, so the chart also renders
+// baseline-engine captures.
+func (c *Collector) TimelineChart() string {
+	var b strings.Builder
+	for _, name := range timelineSeries {
+		s := c.Get(name)
+		if s == nil || s.Len() == 0 {
+			continue
+		}
+		fmt.Fprintf(&b, "%-22s %s  last %.4g\n",
+			name, metrics.Sparkline(s.Points(), 40), s.Last().V)
+	}
+	return b.String()
 }
 
 // BuildVersion reports the main module's version as recorded in the
