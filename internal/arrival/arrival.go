@@ -78,21 +78,23 @@ type Config struct {
 	Tenants []Tenant `json:"tenants"`
 }
 
-// Validate reports the first problem with the config, or nil.
+// Validate reports the first problem with the config, or nil. Every
+// float must be finite: NaN and infinities are rejected, never
+// compared through.
 func (c Config) Validate() error {
 	switch {
-	case c.Horizon < 0:
-		return fmt.Errorf("arrival: Horizon = %v, must be >= 0", c.Horizon)
+	case !nonNegative(c.Horizon):
+		return fmt.Errorf("arrival: Horizon = %v, must be >= 0 and finite", c.Horizon)
 	case c.MaxJobs < 0:
 		return fmt.Errorf("arrival: MaxJobs = %d, must be >= 0", c.MaxJobs)
 	case c.Horizon == 0 && c.MaxJobs == 0:
 		return fmt.Errorf("arrival: unbounded stream: set Horizon or MaxJobs")
-	case c.LoadFactor < 0:
-		return fmt.Errorf("arrival: LoadFactor = %v, must be >= 0", c.LoadFactor)
-	case c.Diurnal < 0 || c.Diurnal >= 1:
+	case !nonNegative(c.LoadFactor):
+		return fmt.Errorf("arrival: LoadFactor = %v, must be >= 0 and finite", c.LoadFactor)
+	case !(c.Diurnal >= 0 && c.Diurnal < 1):
 		return fmt.Errorf("arrival: Diurnal = %v, must be in [0,1)", c.Diurnal)
-	case c.DiurnalPeriod < 0:
-		return fmt.Errorf("arrival: DiurnalPeriod = %v, must be >= 0", c.DiurnalPeriod)
+	case !nonNegative(c.DiurnalPeriod):
+		return fmt.Errorf("arrival: DiurnalPeriod = %v, must be >= 0 and finite", c.DiurnalPeriod)
 	case c.Diurnal > 0 && c.DiurnalPeriod == 0 && defaultDiurnalPeriod <= 0:
 		return fmt.Errorf("arrival: unreachable")
 	case len(c.Tenants) == 0:
@@ -105,16 +107,16 @@ func (c Config) Validate() error {
 			return fmt.Errorf("arrival: tenant %d has empty name", i)
 		case seen[t.Name]:
 			return fmt.Errorf("arrival: duplicate tenant %q", t.Name)
-		case t.MeanInterarrival <= 0:
-			return fmt.Errorf("arrival: tenant %s: MeanInterarrival = %v, must be positive", t.Name, t.MeanInterarrival)
+		case !(t.MeanInterarrival > 0) || math.IsInf(t.MeanInterarrival, 0):
+			return fmt.Errorf("arrival: tenant %s: MeanInterarrival = %v, must be positive and finite", t.Name, t.MeanInterarrival)
 		case len(t.Benchmarks) == 0:
 			return fmt.Errorf("arrival: tenant %s: no benchmarks", t.Name)
-		case t.InputMBMin <= 0 || t.InputMBMax < t.InputMBMin:
-			return fmt.Errorf("arrival: tenant %s: input range [%v,%v] invalid", t.Name, t.InputMBMin, t.InputMBMax)
+		case !(t.InputMBMin > 0 && t.InputMBMax >= t.InputMBMin) || math.IsInf(t.InputMBMax, 0):
+			return fmt.Errorf("arrival: tenant %s: input range [%v,%v] invalid: need 0 < min <= max, finite", t.Name, t.InputMBMin, t.InputMBMax)
 		case t.Reduces <= 0:
 			return fmt.Errorf("arrival: tenant %s: Reduces = %d, must be positive", t.Name, t.Reduces)
-		case t.SLOSeconds < 0:
-			return fmt.Errorf("arrival: tenant %s: SLOSeconds = %v, must be >= 0", t.Name, t.SLOSeconds)
+		case !nonNegative(t.SLOSeconds):
+			return fmt.Errorf("arrival: tenant %s: SLOSeconds = %v, must be >= 0 and finite", t.Name, t.SLOSeconds)
 		case t.MaxJobs < 0:
 			return fmt.Errorf("arrival: tenant %s: MaxJobs = %d, must be >= 0", t.Name, t.MaxJobs)
 		}
@@ -129,6 +131,9 @@ func (c Config) Validate() error {
 }
 
 const defaultDiurnalPeriod = 86400.0
+
+// nonNegative reports whether v is a finite number >= 0.
+func nonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 0) }
 
 // ParseConfig decodes a JSON arrival config and validates it. Unknown
 // fields are rejected so typos fail loudly.

@@ -58,6 +58,31 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestValidationRejectsNonFinite pins that NaN and infinities never
+// pass as times, rates or sizes: each would slip through a plain
+// ordered comparison.
+func TestValidationRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(c *Config, v float64){
+		"Horizon":          func(c *Config, v float64) { c.Horizon = v },
+		"LoadFactor":       func(c *Config, v float64) { c.LoadFactor = v },
+		"Diurnal":          func(c *Config, v float64) { c.Diurnal = v },
+		"DiurnalPeriod":    func(c *Config, v float64) { c.DiurnalPeriod = v },
+		"MeanInterarrival": func(c *Config, v float64) { c.Tenants[0].MeanInterarrival = v },
+		"InputMBMin":       func(c *Config, v float64) { c.Tenants[0].InputMBMin = v },
+		"InputMBMax":       func(c *Config, v float64) { c.Tenants[0].InputMBMax = v },
+		"SLOSeconds":       func(c *Config, v float64) { c.Tenants[0].SLOSeconds = v },
+	}
+	for name, set := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := twoTenantConfig()
+			set(&cfg, v)
+			if err := cfg.Validate(); err == nil {
+				t.Errorf("%s = %v: Validate accepted it", name, v)
+			}
+		}
+	}
+}
+
 func TestSourceDeterminism(t *testing.T) {
 	// Two sources from the same seed must produce identical streams —
 	// the property open-arrival fleet determinism rests on.

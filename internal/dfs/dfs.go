@@ -9,6 +9,8 @@ package dfs
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"smapreduce/internal/sim"
@@ -125,24 +127,32 @@ func (fs *FS) Rack(node int) int { return node / fs.cfg.NodesPerRack }
 // Create stores a file of sizeMB, placing blocks with the HDFS default
 // policy: first replica on the (rotating) writer node, second on a node
 // in a different rack, third on a different node in the second rack.
-// Creating an existing name or a non-positive size returns an error.
+// Creating an existing name or a size that is not positive and finite
+// returns an error.
+//
+// Every block's replica list is a window of one array sized for the
+// whole file, so staging a file allocates per file, not per block.
 func (fs *FS) Create(name string, sizeMB float64) (*File, error) {
 	if _, ok := fs.files[name]; ok {
 		return nil, fmt.Errorf("dfs: file %q already exists", name)
 	}
-	if sizeMB <= 0 {
-		return nil, fmt.Errorf("dfs: file %q size %v must be positive", name, sizeMB)
+	if !(sizeMB > 0) || math.IsInf(sizeMB, 0) {
+		return nil, fmt.Errorf("dfs: file %q size %v must be positive and finite", name, sizeMB)
 	}
-	f := &File{Name: name, SizeMB: sizeMB}
+	n := 0
+	for remaining := sizeMB; remaining > 0; n++ {
+		remaining -= min(remaining, fs.cfg.BlockSizeMB)
+	}
+	repl := min(fs.cfg.Replication, fs.nodes)
+	f := &File{Name: name, SizeMB: sizeMB, Blocks: make([]Block, n)}
+	replicas := make([]int, 0, n*repl)
 	remaining := sizeMB
-	for i := 0; remaining > 0; i++ {
-		b := Block{Index: i, SizeMB: fs.cfg.BlockSizeMB}
-		if remaining < b.SizeMB {
-			b.SizeMB = remaining
-		}
-		remaining -= b.SizeMB
-		b.Replicas = fs.place()
-		f.Blocks = append(f.Blocks, b)
+	for i := range f.Blocks {
+		size := min(remaining, fs.cfg.BlockSizeMB)
+		remaining -= size
+		start := len(replicas)
+		replicas = fs.place(replicas, repl)
+		f.Blocks[i] = Block{Index: i, SizeMB: size, Replicas: replicas[start:len(replicas):len(replicas)]}
 	}
 	fs.files[name] = f
 	return f, nil
@@ -185,11 +195,20 @@ func (fs *FS) Files() []string {
 	return names
 }
 
-// Splits returns the map input splits of a file, one per block.
+// Splits returns the map input splits of a file, one per block. Each
+// split's Hosts is a copy of its block's replica list, never an alias;
+// the copies share one array per call.
 func (f *File) Splits() []Split {
+	n := 0
+	for _, b := range f.Blocks {
+		n += len(b.Replicas)
+	}
+	hosts := make([]int, n)
 	splits := make([]Split, len(f.Blocks))
 	for i, b := range f.Blocks {
-		splits[i] = Split{File: f.Name, Index: b.Index, SizeMB: b.SizeMB, Hosts: append([]int(nil), b.Replicas...)}
+		h := hosts[:copy(hosts, b.Replicas):len(b.Replicas)]
+		hosts = hosts[len(h):]
+		splits[i] = Split{File: f.Name, Index: b.Index, SizeMB: b.SizeMB, Hosts: h}
 	}
 	return splits
 }
@@ -277,21 +296,18 @@ func (fs *FS) TotalStoredMB() float64 {
 	return total
 }
 
-// place picks replica nodes for one block following the HDFS default
-// placement policy, degrading gracefully on tiny clusters.
-func (fs *FS) place() []int {
-	repl := fs.cfg.Replication
-	if repl > fs.nodes {
-		repl = fs.nodes
-	}
-	chosen := make([]int, 0, repl)
-	used := make(map[int]bool, repl)
+// place appends up to repl replica nodes for one block to dst,
+// following the HDFS default placement policy and degrading gracefully
+// on tiny clusters. The block's replicas are dst's new tail, which
+// also serves as the used set: it holds at most repl nodes.
+func (fs *FS) place(dst []int, repl int) []int {
+	start := len(dst)
+	used := func(n int) bool { return slices.Contains(dst[start:], n) }
 	add := func(n int) bool {
-		if n < 0 || used[n] {
+		if n < 0 || used(n) {
 			return false
 		}
-		used[n] = true
-		chosen = append(chosen, n)
+		dst = append(dst, n)
 		return true
 	}
 
@@ -302,22 +318,22 @@ func (fs *FS) place() []int {
 	add(first)
 
 	// Second replica: random node in a different rack, if one exists.
-	if len(chosen) < repl {
-		add(fs.pickNode(func(n int) bool { return !used[n] && fs.Rack(n) != fs.Rack(first) }))
+	if len(dst)-start < repl {
+		add(fs.pickNode(func(n int) bool { return !used(n) && fs.Rack(n) != fs.Rack(first) }))
 	}
 	// Third replica: random node in the same rack as the second.
-	if len(chosen) >= 2 && len(chosen) < repl {
-		second := chosen[1]
-		add(fs.pickNode(func(n int) bool { return !used[n] && fs.Rack(n) == fs.Rack(second) }))
+	if k := len(dst) - start; k >= 2 && k < repl {
+		second := dst[start+1]
+		add(fs.pickNode(func(n int) bool { return !used(n) && fs.Rack(n) == fs.Rack(second) }))
 	}
 	// Any remaining replicas (or fallbacks when the cluster has a
 	// single rack): uniform random over unused nodes.
-	for len(chosen) < repl {
-		if !add(fs.pickNode(func(n int) bool { return !used[n] })) {
+	for len(dst)-start < repl {
+		if !add(fs.pickNode(func(n int) bool { return !used(n) })) {
 			break
 		}
 	}
-	return chosen
+	return dst
 }
 
 // pickNode returns a uniformly random node satisfying ok, or -1.

@@ -65,6 +65,16 @@ func TestCreateErrors(t *testing.T) {
 	if _, err := fs.Create("c", -5); err == nil {
 		t.Fatal("negative-size create succeeded")
 	}
+	// A NaN size would stage a zero-block file and +Inf would never
+	// finish splitting; both are rejected, as is -Inf.
+	for _, size := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := fs.Create("d", size); err == nil {
+			t.Fatalf("create of size %v succeeded", size)
+		}
+	}
+	if got := fs.Files(); len(got) != 1 {
+		t.Fatalf("failed creates left files behind: %v", got)
+	}
 }
 
 func TestOpenDelete(t *testing.T) {

@@ -65,3 +65,83 @@ func TestShuffleFetchAllocFree(t *testing.T) {
 		t.Fatalf("%.3f allocations per shuffle flow, want <= 0.1", perFlow)
 	}
 }
+
+// stageAllocs stages and admits jobs of inputMB on a fresh 16-tracker
+// cluster and returns the heap allocations per job.
+func stageAllocs(t *testing.T, inputMB float64) float64 {
+	t.Helper()
+	c := MustNewCluster(DefaultConfig())
+	return testing.AllocsPerRun(20, func() {
+		j, err := c.stageJob(JobSpec{Name: "grep", Profile: puma.MustGet("grep"), InputMB: inputMB, Reduces: 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.jt.admit(j)
+	})
+}
+
+// TestStageJobAllocs pins that job staging allocates per file and per
+// job, not per block or per host: the input's replica lists, the
+// splits' host copies, the tasks and the by-host index each come from
+// one array, so a 100 GB job (800 blocks) costs as many allocations as
+// a 10 GB one (80 blocks).
+func TestStageJobAllocs(t *testing.T) {
+	small, large := stageAllocs(t, 10*1024), stageAllocs(t, 100*1024)
+	t.Logf("allocations per staged job: %v at 10 GB, %v at 100 GB", small, large)
+	if small != large {
+		t.Fatalf("staging allocates %v objects at 10 GB but %v at 100 GB; want equal", small, large)
+	}
+}
+
+// fixedCaps grants every tenant the same cap, appending into dst, so a
+// tick over unchanged tenants allocates only what the cluster does.
+type fixedCaps struct{}
+
+func (fixedCaps) Name() string      { return "fixed" }
+func (fixedCaps) Interval() float64 { return 5 }
+func (fixedCaps) Allocate(now float64, total int, tenants []TenantSnapshot, dst []TenantAllocation) []TenantAllocation {
+	for _, t := range tenants {
+		dst = append(dst, TenantAllocation{Tenant: t.Tenant, TaskCap: 2, Share: 2 / float64(total), Reason: "fixed"})
+	}
+	return dst
+}
+
+// TestCapacityTickAllocs pins the capacity tick's allocation contract:
+// snapshot and allocation rows are built in reused scratch, and a
+// decision equal to the previous one shares its logged rows, so ticks
+// over unchanged tenant state add only the log's amortised growth.
+func TestCapacityTickAllocs(t *testing.T) {
+	c := MustNewCluster(smallConfig())
+	if err := c.SetCapacityPolicy(fixedCaps{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tenant := range []string{"analytics", "etl", "service"} {
+		if _, err := c.Submit(tenantJob(tenant+"-job", tenant, 2048)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first tick applies the caps and launches work; the second
+	// sees the settled state every later tick repeats.
+	c.applyCapacity()
+	c.applyCapacity()
+	const ticks = 1000
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for range ticks {
+		c.applyCapacity()
+	}
+	runtime.ReadMemStats(&ms)
+	perTick := float64(ms.Mallocs-before) / ticks
+	t.Logf("%.3f allocations per unchanged capacity tick", perTick)
+	if len(c.capLog) != ticks+2 {
+		t.Fatalf("logged %d decisions, want %d", len(c.capLog), ticks+2)
+	}
+	first, last := c.capLog[1], c.capLog[ticks+1]
+	if len(first.Tenants) != 3 || &first.Tenants[0] != &last.Tenants[0] || &first.Allocs[0] != &last.Allocs[0] {
+		t.Fatal("unchanged decisions do not share their logged rows")
+	}
+	if perTick >= 0.05 {
+		t.Fatalf("%.3f allocations per unchanged capacity tick, want < 0.05", perTick)
+	}
+}

@@ -2,6 +2,7 @@ package mr
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -52,7 +53,9 @@ type TenantAllocation struct {
 }
 
 // CapacityDecision is one applied capacity tick, kept on the cluster's
-// decision log so every rebalance stays explainable.
+// decision log so every rebalance stays explainable. Its rows are
+// read-only: they live in per-run arenas, and a decision whose rows
+// equal the previous decision's shares them.
 type CapacityDecision struct {
 	At      float64
 	Total   int // task capacity divided at this tick
@@ -81,8 +84,10 @@ type CapacityPolicy interface {
 	// Interval is the rebalance period in virtual seconds.
 	Interval() float64
 	// Allocate divides total task capacity among the given tenants
-	// (sorted by name) and returns one allocation per tenant.
-	Allocate(now float64, total int, tenants []TenantSnapshot) []TenantAllocation
+	// (sorted by name), appends one allocation per tenant to dst and
+	// returns the extended slice. It must leave dst's existing elements
+	// and the tenants slice unchanged and retain neither.
+	Allocate(now float64, total int, tenants []TenantSnapshot, dst []TenantAllocation) []TenantAllocation
 }
 
 // SetCapacityPolicy attaches a capacity policy to the cluster. Unlike
@@ -254,19 +259,16 @@ func (c *Cluster) totalTaskCapacity() int {
 	return total
 }
 
-// tenantSnapshots builds the policy input, one snapshot per known
-// tenant in name order.
-func (c *Cluster) tenantSnapshots() []TenantSnapshot {
-	if len(c.tenantNames) == 0 {
-		return nil
-	}
-	snaps := make([]TenantSnapshot, len(c.tenantNames))
-	for i, name := range c.tenantNames {
+// tenantSnapshots builds the policy input into dst's storage, one
+// snapshot per known tenant in name order.
+func (c *Cluster) tenantSnapshots(dst []TenantSnapshot) []TenantSnapshot {
+	snaps := dst[:0]
+	for _, name := range c.tenantNames {
 		cap, ok := c.tenantCaps[name]
 		if !ok {
 			cap = -1
 		}
-		snaps[i] = TenantSnapshot{Tenant: name, RunningTasks: c.tenantRunning[name], Cap: cap}
+		snaps = append(snaps, TenantSnapshot{Tenant: name, RunningTasks: c.tenantRunning[name], Cap: cap})
 	}
 	for _, j := range c.jt.queue {
 		s := &snaps[c.tenantIndex[j.Tenant()]]
@@ -282,6 +284,46 @@ func (c *Cluster) tenantSnapshots() []TenantSnapshot {
 		snaps[i].Demand = snaps[i].RunningTasks + snaps[i].PendingTasks
 	}
 	return snaps
+}
+
+// rowArena backs a run's decision-log rows with shared chunks, so a
+// tick allocates per chunk rather than per decision. Rows it hands out
+// are read-only, and rows equal to the previous ones are handed out
+// again rather than copied.
+type rowArena[T any] struct {
+	chunk []T
+	last  []T
+}
+
+// arenaChunkMax bounds a rowArena chunk, in rows; chunks start small
+// and double up to it, so a short run pays for a few rows only.
+const arenaChunkMax = 1024
+
+// keep returns an arena-backed copy of rows, or the previous result
+// when its rows equal these under equal; nil for no rows.
+func (a *rowArena[T]) keep(rows []T, equal func(a, b T) bool) []T {
+	if len(rows) == 0 {
+		return nil
+	}
+	if slices.EqualFunc(a.last, rows, equal) {
+		return a.last
+	}
+	if cap(a.chunk)-len(a.chunk) < len(rows) {
+		a.chunk = make([]T, 0, max(len(rows), min(2*cap(a.chunk), arenaChunkMax), 16))
+	}
+	start := len(a.chunk)
+	a.chunk = append(a.chunk, rows...)
+	a.last = a.chunk[start:len(a.chunk):len(a.chunk)]
+	return a.last
+}
+
+// sameSnapshot and sameAllocation compare log rows exactly: floats by
+// their bits, so sharing a row never changes the log's content.
+func sameSnapshot(a, b TenantSnapshot) bool { return a == b }
+
+func sameAllocation(a, b TenantAllocation) bool {
+	return a.Tenant == b.Tenant && a.TaskCap == b.TaskCap &&
+		math.Float64bits(a.Share) == math.Float64bits(b.Share) && a.Reason == b.Reason
 }
 
 // scheduleCapacity arms the periodic capacity tick; like the sampler
@@ -303,15 +345,19 @@ func (c *Cluster) capTick() {
 
 // applyCapacity runs one rebalance: snapshot tenants, ask the policy,
 // apply and log the caps, then kick assignment so raised caps take
-// effect immediately rather than on the next heartbeat.
+// effect immediately rather than on the next heartbeat. Snapshot and
+// allocation rows are built in scratch reused tick to tick and logged
+// through the arenas, so an unchanged decision allocates nothing.
 func (c *Cluster) applyCapacity() {
-	tenants := c.tenantSnapshots()
+	tenants := c.tenantSnapshots(c.snapScratch)
+	c.snapScratch = tenants
 	if len(tenants) == 0 {
 		return
 	}
 	now := c.clock.Now()
 	total := c.totalTaskCapacity()
-	allocs := c.capacity.Allocate(now, total, tenants)
+	allocs := c.capacity.Allocate(now, total, tenants, c.allocScratch[:0])
+	c.allocScratch = allocs
 	// Defensive total order: a policy returning tenants in a different
 	// order must not perturb the event log. Names are unique per
 	// decision, so any correct sort yields this one order.
@@ -338,7 +384,12 @@ func (c *Cluster) applyCapacity() {
 				trace.Str("tenant", a.Tenant), trace.Num("cap", float64(a.TaskCap)))
 		}
 	}
-	c.capLog = append(c.capLog, CapacityDecision{At: now, Total: total, Tenants: tenants, Allocs: allocs})
+	c.capLog = append(c.capLog, CapacityDecision{
+		At:      now,
+		Total:   total,
+		Tenants: c.capSnaps.keep(tenants, sameSnapshot),
+		Allocs:  c.capAllocs.keep(allocs, sameAllocation),
+	})
 	if changed {
 		for _, tt := range c.trackers {
 			c.jt.assign(tt)

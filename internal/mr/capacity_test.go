@@ -17,8 +17,8 @@ type stubPolicy struct {
 
 func (p *stubPolicy) Name() string      { return "stub" }
 func (p *stubPolicy) Interval() float64 { return p.interval }
-func (p *stubPolicy) Allocate(now float64, total int, tenants []TenantSnapshot) []TenantAllocation {
-	return p.alloc(now, total, tenants)
+func (p *stubPolicy) Allocate(now float64, total int, tenants []TenantSnapshot, dst []TenantAllocation) []TenantAllocation {
+	return append(dst, p.alloc(now, total, tenants)...)
 }
 
 // specList replays a fixed spec list as an ArrivalSource.

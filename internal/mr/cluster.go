@@ -62,7 +62,8 @@ type Cluster struct {
 	// Multi-tenant capacity management (capacity.go): the attached
 	// policy, its periodic tick, the applied per-tenant task caps and
 	// running counters, the sorted tenant name list with each name's
-	// position in it, and the decision log.
+	// position in it, and the decision log with the arenas backing its
+	// rows and the tick's scratch rows.
 	capacity          CapacityPolicy
 	capEvent          sim.EventRef
 	capFn             func()
@@ -72,6 +73,10 @@ type Cluster struct {
 	tenantNames       []string
 	tenantIndex       map[string]int
 	capLog            []CapacityDecision
+	capSnaps          rowArena[TenantSnapshot]
+	capAllocs         rowArena[TenantAllocation]
+	snapScratch       []TenantSnapshot
+	allocScratch      []TenantAllocation
 
 	// sampleFn/ctrlFn are the periodic tick callbacks, bound once so
 	// re-arming the sampler and controller each tick does not allocate
@@ -768,7 +773,7 @@ type TrackerStats struct {
 
 // Snapshot gathers Stats. Safe to call from controller Tick.
 func (c *Cluster) Snapshot() Stats {
-	s := Stats{Now: c.clock.Now(), HeadJobID: -1, FrontJobID: -1}
+	s := Stats{Now: c.clock.Now(), HeadJobID: -1, FrontJobID: -1, Trackers: make([]TrackerStats, 0, len(c.trackers))}
 	for _, j := range c.jt.jobs {
 		if j.Submitted < 0 {
 			continue

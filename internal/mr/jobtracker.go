@@ -17,7 +17,7 @@ type JobTracker struct {
 	// Pending map tasks indexed by job and by replica host for fast
 	// node-local matching.
 	pendingMaps   map[*Job][]*mapTask
-	pendingByHost map[*Job]map[int][]*mapTask
+	pendingByHost map[*Job]hostIndex
 
 	// Slot targets for the Dynamic policy, one pair per tracker,
 	// delivered on the next heartbeat.
@@ -29,7 +29,7 @@ func newJobTracker(c *Cluster) *JobTracker {
 	jt := &JobTracker{
 		c:              c,
 		pendingMaps:    make(map[*Job][]*mapTask),
-		pendingByHost:  make(map[*Job]map[int][]*mapTask),
+		pendingByHost:  make(map[*Job]hostIndex),
 		desiredMaps:    make([]int, c.cfg.Workers),
 		desiredReduces: make([]int, c.cfg.Workers),
 	}
@@ -40,21 +40,52 @@ func newJobTracker(c *Cluster) *JobTracker {
 	return jt
 }
 
+// hostIndex lists a job's map tasks by replica host over one flat
+// array indexed by tracker: host h's tasks, in map order, are
+// tasks[at[h]:at[h+1]].
+type hostIndex struct {
+	at    []int32
+	tasks []*mapTask
+}
+
+// on returns the map tasks with a replica on host.
+func (x hostIndex) on(host int) []*mapTask { return x.tasks[x.at[host]:x.at[host+1]] }
+
 // admit registers a job at its submission time. A non-empty queue ends
-// every tracker's quiet, so all parked heartbeats wake.
+// every tracker's quiet, so all parked heartbeats wake. The pending
+// list and the by-host index share one array, so admission allocates
+// per job rather than per host.
 func (jt *JobTracker) admit(j *Job) {
 	jt.c.wakeTrackers()
 	j.Submitted = jt.c.clock.Now()
 	jt.jobs = append(jt.jobs, j)
 	jt.queue = append(jt.queue, j)
-	jt.pendingMaps[j] = append([]*mapTask(nil), j.maps...)
-	byHost := make(map[int][]*mapTask)
+	at := make([]int32, jt.c.fs.Nodes()+1)
 	for _, m := range j.maps {
 		for _, h := range m.split.Hosts {
-			byHost[h] = append(byHost[h], m)
+			at[h+1]++
 		}
 	}
-	jt.pendingByHost[j] = byHost
+	for h := 1; h < len(at); h++ {
+		at[h] += at[h-1]
+	}
+	nm := len(j.maps)
+	all := make([]*mapTask, nm+int(at[len(at)-1]))
+	// Capped at nm, so a requeue that outgrows the pending list moves
+	// it out rather than writing into the index.
+	jt.pendingMaps[j] = all[:copy(all, j.maps):nm]
+	tasks := all[nm:]
+	// Filling each host's run through its start offset leaves at[h] at
+	// host h's end; shifting by one restores the starts.
+	for _, m := range j.maps {
+		for _, h := range m.split.Hosts {
+			tasks[at[h]] = m
+			at[h]++
+		}
+	}
+	copy(at[1:], at)
+	at[0] = 0
+	jt.pendingByHost[j] = hostIndex{at: at, tasks: tasks}
 }
 
 // retire drops a finished job from the scheduling queue.
@@ -188,8 +219,7 @@ func (jt *JobTracker) nextMap(tt *TaskTracker) *mapTask {
 			continue
 		}
 		// Node-local.
-		byHost := jt.pendingByHost[j]
-		for _, m := range byHost[tt.id] {
+		for _, m := range jt.pendingByHost[j].on(tt.id) {
 			if m.state == TaskPending {
 				jt.take(j, m)
 				return m

@@ -61,8 +61,13 @@ type TaskTracker struct {
 	lastMapOutputMB   float64
 	lastShuffleMB     float64
 	hbEvent           sim.EventRef
-	disturbance       *resource.Activity
+	disturbance       *resource.Activity // &disturbAct while a slot change perturbs the node
 	disturbanceExpiry sim.EventRef
+
+	// The slot-change disturbance and its expiry callback, built at the
+	// tracker's first slot change and reused by every later one.
+	disturbAct  resource.Activity
+	stabilizeFn func()
 
 	// Heartbeat machinery, bound once so the periodic re-arm allocates
 	// nothing: the event label, the clock callback, the Mutate body it
@@ -301,22 +306,22 @@ func (tt *TaskTracker) applyDisturbance() {
 		// Already perturbed: extend the window.
 		c.clock.Cancel(tt.disturbanceExpiry)
 	} else {
-		tt.disturbance = &resource.Activity{
-			Kind:     resource.Phantom,
-			Weight:   0,
-			Pressure: c.cfg.SlotChangePressure,
-			Label:    fmt.Sprintf("slot-change tt%d", tt.id),
+		if tt.stabilizeFn == nil {
+			tt.disturbAct = resource.Activity{Kind: resource.Phantom, Pressure: c.cfg.SlotChangePressure}
+			tt.stabilizeFn = func() { c.Mutate(tt.endDisturbance) }
 		}
+		tt.disturbance = &tt.disturbAct
 		tt.node.Add(tt.disturbance)
 	}
-	tt.disturbanceExpiry = c.clock.After(c.cfg.StabilizeTime, "stabilize", func() {
-		c.Mutate(func() {
-			if tt.disturbance != nil {
-				tt.node.Remove(tt.disturbance)
-				tt.disturbance = nil
-			}
-		})
-	})
+	tt.disturbanceExpiry = c.clock.After(c.cfg.StabilizeTime, "stabilize", tt.stabilizeFn)
+}
+
+// endDisturbance lifts the slot-change pressure, if any.
+func (tt *TaskTracker) endDisturbance() {
+	if tt.disturbance != nil {
+		tt.node.Remove(tt.disturbance)
+		tt.disturbance = nil
+	}
 }
 
 // heartbeat is the tracker's periodic exchange with the job tracker:
@@ -490,8 +495,5 @@ func (tt *TaskTracker) stop() {
 	tt.c.clock.Cancel(tt.blacklistCheck)
 	tt.c.clock.Cancel(tt.probationEnd)
 	tt.hbResume, tt.blacklistCheck, tt.probationEnd = 0, 0, 0
-	if tt.disturbance != nil {
-		tt.node.Remove(tt.disturbance)
-		tt.disturbance = nil
-	}
+	tt.endDisturbance()
 }

@@ -105,14 +105,14 @@ func (c config) weight(name string) float64 {
 	return 1
 }
 
-// uncappedAll lifts every cap — used when total capacity covers total
-// demand, so caps would only throttle arrivals between ticks.
-func uncappedAll(tenants []mr.TenantSnapshot, reason string) []mr.TenantAllocation {
-	out := make([]mr.TenantAllocation, len(tenants))
-	for i, t := range tenants {
-		out[i] = mr.TenantAllocation{Tenant: t.Tenant, TaskCap: -1, Share: 0, Reason: reason}
+// uncappedAll appends rows lifting every cap to dst — used when total
+// capacity covers total demand, so caps would only throttle arrivals
+// between ticks.
+func uncappedAll(dst []mr.TenantAllocation, tenants []mr.TenantSnapshot, reason string) []mr.TenantAllocation {
+	for _, t := range tenants {
+		dst = append(dst, mr.TenantAllocation{Tenant: t.Tenant, TaskCap: -1, Share: 0, Reason: reason})
 	}
-	return out
+	return dst
 }
 
 // totalDemand sums tenant demands.
@@ -227,17 +227,16 @@ func roundCaps(total int, tenants []mr.TenantSnapshot, alloc []float64) []int {
 	return caps
 }
 
-// allocations assembles the result rows from integer caps.
-func allocations(total int, tenants []mr.TenantSnapshot, caps []int, reason string) []mr.TenantAllocation {
-	out := make([]mr.TenantAllocation, len(tenants))
+// allocations appends the result rows for integer caps to dst.
+func allocations(dst []mr.TenantAllocation, total int, tenants []mr.TenantSnapshot, caps []int, reason string) []mr.TenantAllocation {
 	for i, t := range tenants {
 		share := 0.0
 		if total > 0 {
 			share = float64(caps[i]) / float64(total)
 		}
-		out[i] = mr.TenantAllocation{Tenant: t.Tenant, TaskCap: caps[i], Share: share, Reason: reason}
+		dst = append(dst, mr.TenantAllocation{Tenant: t.Tenant, TaskCap: caps[i], Share: share, Reason: reason})
 	}
-	return out
+	return dst
 }
 
 // FairShare divides capacity by weighted max-min fairness: every
@@ -262,13 +261,13 @@ func (p *FairShare) Name() string { return "fair-share" }
 func (p *FairShare) Interval() float64 { return p.cfg.interval }
 
 // Allocate implements mr.CapacityPolicy.
-func (p *FairShare) Allocate(now float64, total int, tenants []mr.TenantSnapshot) []mr.TenantAllocation {
+func (p *FairShare) Allocate(now float64, total int, tenants []mr.TenantSnapshot, dst []mr.TenantAllocation) []mr.TenantAllocation {
 	if totalDemand(tenants) <= total {
-		return uncappedAll(tenants, "slack")
+		return uncappedAll(dst, tenants, "slack")
 	}
 	alloc := waterFill(float64(total), tenants, p.cfg.weight)
 	caps := roundCaps(total, tenants, alloc)
-	return allocations(total, tenants, caps, "water-fill")
+	return allocations(dst, total, tenants, caps, "water-fill")
 }
 
 // CapacityQueue mirrors Hadoop's Capacity Scheduler: each configured
@@ -294,9 +293,9 @@ func (p *CapacityQueue) Name() string { return "capacity-queue" }
 func (p *CapacityQueue) Interval() float64 { return p.cfg.interval }
 
 // Allocate implements mr.CapacityPolicy.
-func (p *CapacityQueue) Allocate(now float64, total int, tenants []mr.TenantSnapshot) []mr.TenantAllocation {
+func (p *CapacityQueue) Allocate(now float64, total int, tenants []mr.TenantSnapshot, dst []mr.TenantAllocation) []mr.TenantAllocation {
 	if totalDemand(tenants) <= total {
-		return uncappedAll(tenants, "slack")
+		return uncappedAll(dst, tenants, "slack")
 	}
 	// Phase 1: serve each tenant's guarantee, demand-capped.
 	alloc := make([]float64, len(tenants))
@@ -326,7 +325,7 @@ func (p *CapacityQueue) Allocate(now float64, total int, tenants []mr.TenantSnap
 		}
 	}
 	caps := roundCaps(total, tenants, alloc)
-	return allocations(total, tenants, caps, "guaranteed+elastic")
+	return allocations(dst, total, tenants, caps, "guaranteed+elastic")
 }
 
 // GameTheoretic computes the proportional-fairness equilibrium each
@@ -355,9 +354,9 @@ func (p *GameTheoretic) Name() string { return "game-theoretic" }
 func (p *GameTheoretic) Interval() float64 { return p.cfg.interval }
 
 // Allocate implements mr.CapacityPolicy.
-func (p *GameTheoretic) Allocate(now float64, total int, tenants []mr.TenantSnapshot) []mr.TenantAllocation {
+func (p *GameTheoretic) Allocate(now float64, total int, tenants []mr.TenantSnapshot, dst []mr.TenantAllocation) []mr.TenantAllocation {
 	if totalDemand(tenants) <= total {
-		return uncappedAll(tenants, "slack")
+		return uncappedAll(dst, tenants, "slack")
 	}
 	// a(λ) = Σ clamp(wᵢ/λ − 1, 0, dᵢ) is non-increasing in λ. Bisect λ
 	// between ~0 (everyone at demand; infeasible here since demand >
@@ -397,7 +396,7 @@ func (p *GameTheoretic) Allocate(now float64, total int, tenants []mr.TenantSnap
 	}
 	fill(hi) // final allocation at the feasible shadow price
 	caps := roundCaps(total, tenants, alloc)
-	return allocations(total, tenants, caps, "nash")
+	return allocations(dst, total, tenants, caps, "nash")
 }
 
 var (

@@ -70,7 +70,7 @@ func TestSlackLiftsAllCaps(t *testing.T) {
 	}
 	tenants := snaps(map[string]int{"a": 3, "b": 4})
 	for _, p := range policies {
-		allocs := p.Allocate(0, 10, tenants) // demand 7 <= total 10
+		allocs := p.Allocate(0, 10, tenants, nil) // demand 7 <= total 10
 		for _, a := range allocs {
 			if a.TaskCap >= 0 {
 				t.Errorf("%s: tenant %s capped at %d under slack, want uncapped", p.Name(), a.Tenant, a.TaskCap)
@@ -84,7 +84,7 @@ func TestSlackLiftsAllCaps(t *testing.T) {
 
 func TestFairShareEqualWeights(t *testing.T) {
 	p := mustFairShare(t, Options{})
-	got := capsOf(t, p.Allocate(0, 10, snaps(map[string]int{"a": 20, "b": 20})))
+	got := capsOf(t, p.Allocate(0, 10, snaps(map[string]int{"a": 20, "b": 20}), nil))
 	want := map[string]int{"a": 5, "b": 5}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("caps = %v, want %v", got, want)
@@ -93,7 +93,7 @@ func TestFairShareEqualWeights(t *testing.T) {
 
 func TestFairShareWeights(t *testing.T) {
 	p := mustFairShare(t, Options{Tenants: []Tenant{{Name: "a", Weight: 3}, {Name: "b", Weight: 1}}})
-	got := capsOf(t, p.Allocate(0, 12, snaps(map[string]int{"a": 20, "b": 20})))
+	got := capsOf(t, p.Allocate(0, 12, snaps(map[string]int{"a": 20, "b": 20}), nil))
 	want := map[string]int{"a": 9, "b": 3}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("caps = %v, want %v", got, want)
@@ -103,7 +103,7 @@ func TestFairShareWeights(t *testing.T) {
 func TestFairShareRedistributesUnusedShare(t *testing.T) {
 	// a only wants 2 of its fair 5; the surplus flows to b.
 	p := mustFairShare(t, Options{})
-	got := capsOf(t, p.Allocate(0, 10, snaps(map[string]int{"a": 2, "b": 20})))
+	got := capsOf(t, p.Allocate(0, 10, snaps(map[string]int{"a": 2, "b": 20}), nil))
 	want := map[string]int{"a": 2, "b": 8}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("caps = %v, want %v", got, want)
@@ -113,7 +113,7 @@ func TestFairShareRedistributesUnusedShare(t *testing.T) {
 func TestFairShareAntiStarvation(t *testing.T) {
 	// b's continuous share rounds to zero; it must still get one slot.
 	p := mustFairShare(t, Options{Tenants: []Tenant{{Name: "a", Weight: 100}, {Name: "b", Weight: 1}}})
-	got := capsOf(t, p.Allocate(0, 4, snaps(map[string]int{"a": 10, "b": 10})))
+	got := capsOf(t, p.Allocate(0, 4, snaps(map[string]int{"a": 10, "b": 10}), nil))
 	if got["b"] < 1 {
 		t.Errorf("caps = %v: tenant b starved", got)
 	}
@@ -124,7 +124,7 @@ func TestFairShareAntiStarvation(t *testing.T) {
 
 func TestFairShareSharesSumToOne(t *testing.T) {
 	p := mustFairShare(t, Options{})
-	allocs := p.Allocate(0, 7, snaps(map[string]int{"a": 9, "b": 9, "c": 9}))
+	allocs := p.Allocate(0, 7, snaps(map[string]int{"a": 9, "b": 9, "c": 9}), nil)
 	sum := 0.0
 	for _, a := range allocs {
 		if a.TaskCap < 0 {
@@ -142,7 +142,7 @@ func TestCapacityQueueGuarantees(t *testing.T) {
 		{Name: "a", Guarantee: 0.7},
 		{Name: "b", Guarantee: 0.1},
 	}})
-	got := capsOf(t, p.Allocate(0, 10, snaps(map[string]int{"a": 20, "b": 20})))
+	got := capsOf(t, p.Allocate(0, 10, snaps(map[string]int{"a": 20, "b": 20}), nil))
 	if got["a"] < 7 {
 		t.Errorf("caps = %v: tenant a below its 70%% guarantee", got)
 	}
@@ -161,7 +161,7 @@ func TestCapacityQueueElasticity(t *testing.T) {
 		{Name: "a", Guarantee: 0.8},
 		{Name: "b", Guarantee: 0.2},
 	}})
-	got := capsOf(t, p.Allocate(0, 10, snaps(map[string]int{"a": 2, "b": 20})))
+	got := capsOf(t, p.Allocate(0, 10, snaps(map[string]int{"a": 2, "b": 20}), nil))
 	want := map[string]int{"a": 2, "b": 8}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("caps = %v, want %v", got, want)
@@ -170,7 +170,7 @@ func TestCapacityQueueElasticity(t *testing.T) {
 
 func TestGameTheoreticEqualSplit(t *testing.T) {
 	p := mustGameTheoretic(t, Options{})
-	got := capsOf(t, p.Allocate(0, 10, snaps(map[string]int{"a": 20, "b": 20})))
+	got := capsOf(t, p.Allocate(0, 10, snaps(map[string]int{"a": 20, "b": 20}), nil))
 	want := map[string]int{"a": 5, "b": 5}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("caps = %v, want %v", got, want)
@@ -181,7 +181,7 @@ func TestGameTheoreticWeights(t *testing.T) {
 	// KKT: aᵢ = wᵢ/λ − 1. With w = (3, 1) and total 10: 4/λ − 2 = 10,
 	// so 1/λ = 3 and the equilibrium is a = (8, 2).
 	p := mustGameTheoretic(t, Options{Tenants: []Tenant{{Name: "a", Weight: 3}, {Name: "b", Weight: 1}}})
-	got := capsOf(t, p.Allocate(0, 10, snaps(map[string]int{"a": 20, "b": 20})))
+	got := capsOf(t, p.Allocate(0, 10, snaps(map[string]int{"a": 20, "b": 20}), nil))
 	want := map[string]int{"a": 8, "b": 2}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("caps = %v, want %v", got, want)
@@ -191,7 +191,7 @@ func TestGameTheoreticWeights(t *testing.T) {
 func TestGameTheoreticDemandClamp(t *testing.T) {
 	// a saturates at its demand of 3; the rest of the pool flows to b.
 	p := mustGameTheoretic(t, Options{})
-	got := capsOf(t, p.Allocate(0, 10, snaps(map[string]int{"a": 3, "b": 20})))
+	got := capsOf(t, p.Allocate(0, 10, snaps(map[string]int{"a": 3, "b": 20}), nil))
 	want := map[string]int{"a": 3, "b": 7}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("caps = %v, want %v", got, want)
@@ -211,11 +211,46 @@ func TestAllocateDeterministic(t *testing.T) {
 	}
 	for _, mk := range build {
 		p1, p2 := mk(), mk()
-		ref := p1.Allocate(5, 9, tenants)
+		ref := p1.Allocate(5, 9, tenants, nil)
 		for i := 0; i < 10; i++ {
-			if got := p2.Allocate(5, 9, tenants); !reflect.DeepEqual(got, ref) {
+			if got := p2.Allocate(5, 9, tenants, nil); !reflect.DeepEqual(got, ref) {
 				t.Fatalf("%s: call %d diverged:\n got %v\nwant %v", p1.Name(), i, got, ref)
 			}
+		}
+	}
+}
+
+// TestAllocateAppends pins Allocate's append contract on every policy,
+// in the slack and the contended regime: the rows land after dst's
+// existing elements, which stay untouched, and equal the rows a nil
+// dst yields; the slack path allocates nothing when dst has room.
+func TestAllocateAppends(t *testing.T) {
+	opts := Options{Tenants: []Tenant{{Name: "a", Weight: 2, Guarantee: 0.25}}}
+	policies := []mr.CapacityPolicy{
+		mustFairShare(t, opts),
+		mustCapacityQueue(t, opts),
+		mustGameTheoretic(t, opts),
+	}
+	tenants := snaps(map[string]int{"a": 13, "b": 7, "c": 21})
+	prefix := []mr.TenantAllocation{
+		{Tenant: "kept-1", TaskCap: 7, Share: 0.5, Reason: "prefix"},
+		{Tenant: "kept-2", TaskCap: -1, Reason: "prefix"},
+	}
+	for _, p := range policies {
+		for _, total := range []int{100, 9} { // slack, then contended
+			dst := make([]mr.TenantAllocation, len(prefix), len(prefix)+len(tenants))
+			copy(dst, prefix)
+			got := p.Allocate(0, total, tenants, dst)
+			if !reflect.DeepEqual(got[:len(prefix)], prefix) {
+				t.Errorf("%s total=%d: dst's existing rows changed: %v", p.Name(), total, got[:len(prefix)])
+			}
+			if want := p.Allocate(0, total, tenants, nil); !reflect.DeepEqual(got[len(prefix):], want) {
+				t.Errorf("%s total=%d: appended %v, want %v", p.Name(), total, got[len(prefix):], want)
+			}
+		}
+		buf := make([]mr.TenantAllocation, 0, len(tenants))
+		if n := testing.AllocsPerRun(100, func() { buf = p.Allocate(0, 100, tenants, buf[:0]) }); n != 0 {
+			t.Errorf("%s: slack Allocate into a roomy dst made %v allocations, want 0", p.Name(), n)
 		}
 	}
 }
@@ -234,7 +269,7 @@ func TestCapsNeverExceedTotal(t *testing.T) {
 	for _, demands := range cases {
 		for _, p := range policies {
 			for _, total := range []int{1, 3, 16, 97} {
-				allocs := p.Allocate(0, total, snaps(demands))
+				allocs := p.Allocate(0, total, snaps(demands), nil)
 				sum := 0
 				capped := false
 				for _, a := range allocs {
