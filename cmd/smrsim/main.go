@@ -77,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		mapSlots    = fs.Int("map-slots", 3, "initial map slots per tracker")
 		reduceSlots = fs.Int("reduce-slots", 2, "initial reduce slots per tracker")
 		seed        = fs.Uint64("seed", 1, "simulation seed")
-		traceLog    = fs.Bool("tracelog", false, "print runtime trace lines")
+		traceLog    = fs.Bool("tracelog", false, "print the runtime event log as text, one line per event except task starts and completions")
 		tracePath   = fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file (open in Perfetto or chrome://tracing)")
 		traceV      = fs.Int("tracev", 0, "trace verbosity: 0 tasks+decisions, 1 +shuffle flows, 2 +all fabric flows")
 		explain     = fs.Bool("explain", false, "print the slot manager's decision audit trail (full inputs per decision)")
@@ -179,10 +179,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if len(plan.Chaos.Faults) > 0 {
 		fmt.Fprintf(stderr, "smrsim: armed %d chaos faults\n%s", len(plan.Chaos.Faults), plan.Chaos)
 	}
-	if *traceLog {
-		plan.Options.Trace = func(format string, args ...any) { fmt.Fprintf(stdout, format+"\n", args...) }
-	}
-	plan.Options.Events = *eventsPath != ""
+	plan.Options.Events = *eventsPath != "" || *traceLog
 	var telem *telemetry.Collector
 	if *telemPath != "" || *serveAddr != "" {
 		telem = telemetry.NewCollector(0)
@@ -216,7 +213,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		srv.MarkDone()
 	}
 
-	if res.Events != nil {
+	if *traceLog {
+		if err := res.Events.WriteText(stdout); err != nil {
+			return err
+		}
+	}
+	if *eventsPath != "" {
 		if err := writeFile(*eventsPath, res.Events.WriteJSONL); err != nil {
 			return err
 		}

@@ -68,6 +68,18 @@ func TestArrivalExplainGolden(t *testing.T) {
 	}
 }
 
+// TestTraceLogGolden pins -tracelog: the event log rendered as text,
+// one line per event except task starts and completions, ahead of the
+// usual summary. The chaos schedule makes it show the fault, blacklist
+// and probation lines next to speculation and slot changes.
+func TestTraceLogGolden(t *testing.T) {
+	got := runOK(t, "-bench", "terasort", "-input-gb", "10", "-speculate", "-tracelog",
+		"-chaos", "crash tt3 @5; rejoin tt3 @20; hbloss tt2 @4 for 30; slow node4 @3 for 10 cpu 0.5 disk 0.5; link node1 @8 for 5 egress 0.2 ingress 0")
+	if want := golden(t, "tracelog.golden"); got != want {
+		t.Errorf("-tracelog stdout differs:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestFailAtIsChaosCrash pins -fail-at/-fail-id as shorthand for a
 // chaos crash fault: both runs write the same event log.
 func TestFailAtIsChaosCrash(t *testing.T) {
@@ -97,13 +109,13 @@ func TestFleetMixGolden(t *testing.T) {
 }
 
 // TestSinksAndReports drives the optional outputs: trace, telemetry,
-// history, runtime trace lines and a capacity engine's decision log.
+// history, the -tracelog text and a capacity engine's decision log.
 func TestSinksAndReports(t *testing.T) {
 	dir := t.TempDir()
 	tracePath, telemPath := filepath.Join(dir, "run.json"), filepath.Join(dir, "run.csv")
 	out := runOK(t, "-bench", "grep", "-input-gb", "2", "-jobs", "2", "-tracelog", "-history",
 		"-trace", tracePath, "-tracev", "1", "-telemetry", telemPath)
-	for _, want := range []string{"submit job s0-grep-2", "mean exec:", "trace summary:", "slot/rate timeline:", "job s0-grep-1:"} {
+	for _, want := range []string{"job-submitted s0-grep-2: 16 maps, 30 reduces", "mean exec:", "trace summary:", "slot/rate timeline:", "job s0-grep-1:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stdout lacks %q:\n%s", want, out)
 		}

@@ -107,8 +107,6 @@ type Options struct {
 	// SlotManager tunes the SMapReduce controller; ignored for the
 	// baselines. Zero value means paper defaults.
 	SlotManager SlotManagerConfig
-	// Trace, when non-nil, receives runtime trace lines.
-	Trace func(format string, args ...any)
 	// Telemetry, when non-nil, receives the cluster's probe series
 	// (and, on SMapReduce, the slot manager's) sampled over the run.
 	Telemetry *telemetry.Collector
@@ -199,7 +197,6 @@ func Run(engine Engine, opts Options, specs ...mr.JobSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Trace = opts.Trace
 
 	res := &Result{Engine: engine, Cluster: c}
 	if opts.Events {

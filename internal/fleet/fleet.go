@@ -38,16 +38,16 @@ import (
 	"smapreduce/internal/stats"
 )
 
-// Defaults for the merged distributions' geometry. Histograms only
-// merge over identical geometry, so these are fleet-level, not
-// per-worker, choices.
+// The merged distributions' geometry, the only one a fleet uses.
+// Histograms only merge over identical geometry, so these are
+// fleet-level, not per-worker, choices.
 const (
 	// DefaultHistMax bounds the makespan/execution-time histograms'
 	// range [0, DefaultHistMax) seconds; later samples land in the
 	// overflow bucket (still counted in mean/quantiles' mass).
 	DefaultHistMax = 4096
-	// DefaultHistBuckets is the cell count at default geometry: 32 s
-	// resolution over the default range.
+	// DefaultHistBuckets is the cell count: 32 s resolution over the
+	// range.
 	DefaultHistBuckets = 128
 )
 
@@ -66,9 +66,6 @@ type Config struct {
 	// Cluster is the per-tenant base configuration; its Seed is
 	// overridden per cluster. The zero value means DefaultClusterConfig.
 	Cluster mr.Config
-	// SlotManager tunes the SMapReduce controller (ignored for the
-	// baselines); zero means paper defaults.
-	SlotManager core.SlotManagerConfig
 	// Specs generates cluster i's workload. rng is derived from the
 	// cluster's seed, so the workload is reproducible per cluster
 	// regardless of worker count. Nil means DefaultSpecs.
@@ -96,12 +93,6 @@ type Config struct {
 	// pattern). The Result's cluster substrate is recycled for the
 	// worker's next run: do not retain o.Result past the call.
 	PerCluster func(o ClusterOut)
-
-	// HistMax/HistBuckets override the merged histograms' geometry
-	// ([0, HistMax) split into HistBuckets cells); non-positive values
-	// take the defaults.
-	HistMax     float64
-	HistBuckets int
 }
 
 // ClusterOut is one finished cluster's artefacts, delivered to the
@@ -217,21 +208,12 @@ func Run(cfg Config) (*Result, error) {
 	if specs == nil {
 		specs = DefaultSpecs
 	}
-	histMax := cfg.HistMax
-	if histMax <= 0 {
-		histMax = DefaultHistMax
-	}
-	histBuckets := cfg.HistBuckets
-	if histBuckets <= 0 {
-		histBuckets = DefaultHistBuckets
-	}
-
 	shards := make([]*shard, workers)
 	for w := range shards {
 		shards[w] = &shard{
 			sim:          mr.NewSimState(),
-			makespanHist: stats.NewHistogram(0, histMax, histBuckets),
-			jobExecHist:  stats.NewHistogram(0, histMax, histBuckets),
+			makespanHist: stats.NewHistogram(0, DefaultHistMax, DefaultHistBuckets),
+			jobExecHist:  stats.NewHistogram(0, DefaultHistMax, DefaultHistBuckets),
 		}
 	}
 	err := par.ForN(cfg.Clusters, workers, func(worker, i int) error {
@@ -246,8 +228,8 @@ func Run(cfg Config) (*Result, error) {
 		Workers:      workers,
 		Engine:       cfg.Engine,
 		Seed:         cfg.Seed,
-		MakespanHist: stats.NewHistogram(0, histMax, histBuckets),
-		JobExecHist:  stats.NewHistogram(0, histMax, histBuckets),
+		MakespanHist: stats.NewHistogram(0, DefaultHistMax, DefaultHistBuckets),
+		JobExecHist:  stats.NewHistogram(0, DefaultHistMax, DefaultHistBuckets),
 	}
 	// Merge order is fixed (worker index) for tidiness, but the
 	// accumulators are exact, so any order would produce identical
@@ -277,11 +259,10 @@ func (sh *shard) runOne(cfg *Config, base mr.Config, specs func(int, *sim.Rand) 
 	// (runtime noise) and 1 (DFS layout) of the same seed, and open
 	// arrival streams fork 3 (arrival.RNG).
 	opts := core.Options{
-		Cluster:     ccfg,
-		SlotManager: cfg.SlotManager,
-		Sim:         sh.sim,
-		Events:      cfg.CollectEvents,
-		Capacity:    cfg.Capacity,
+		Cluster:  ccfg,
+		Sim:      sh.sim,
+		Events:   cfg.CollectEvents,
+		Capacity: cfg.Capacity,
 	}
 	var jobSpecs []mr.JobSpec
 	if cfg.Arrivals != nil {

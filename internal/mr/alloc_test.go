@@ -145,3 +145,20 @@ func TestCapacityTickAllocs(t *testing.T) {
 		t.Fatalf("%.3f allocations per unchanged capacity tick, want < 0.05", perTick)
 	}
 }
+
+// TestSlotChangeAllocs pins that a slot change with no sink attached
+// formats nothing: note builds the event's detail and the instant's
+// fields only inside the sink that reads them, so flipping a tracker's
+// targets back and forth allocates nothing once its disturbance
+// callback is bound.
+func TestSlotChangeAllocs(t *testing.T) {
+	c := MustNewCluster(smallConfig())
+	tt := c.trackers[0]
+	flip := func() {
+		tt.setTargets(2, 3)
+		tt.setTargets(3, 2)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Mutate(flip) }); n != 0 {
+		t.Fatalf("a slot change without sinks allocates %v objects, want 0", n)
+	}
+}

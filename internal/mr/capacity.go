@@ -5,8 +5,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-
-	"smapreduce/internal/trace"
 )
 
 // Multi-tenant capacity management. A CapacityPolicy divides the
@@ -365,24 +363,16 @@ func (c *Cluster) applyCapacity() {
 	changed := false
 	for _, a := range allocs {
 		old, had := c.tenantCaps[a.Tenant]
+		if had && old == a.TaskCap || !had && a.TaskCap < 0 {
+			continue // unchanged; a negative cap means uncapped
+		}
 		if a.TaskCap < 0 {
-			if had {
-				delete(c.tenantCaps, a.Tenant)
-				changed = true
-				c.emit(EvTenantCap, "", "", -1, a.Tenant+"=uncapped")
-			}
-			continue
+			delete(c.tenantCaps, a.Tenant)
+		} else {
+			c.tenantCaps[a.Tenant] = a.TaskCap
 		}
-		if had && old == a.TaskCap {
-			continue
-		}
-		c.tenantCaps[a.Tenant] = a.TaskCap
 		changed = true
-		c.emit(EvTenantCap, "", "", -1, fmt.Sprintf("%s=%d", a.Tenant, a.TaskCap))
-		if c.tracer.Enabled() {
-			c.tracer.Instant(now, trace.PIDController, "capacity", "tenant-cap",
-				trace.Str("tenant", a.Tenant), trace.Num("cap", float64(a.TaskCap)))
-		}
+		c.note(transition{kind: EvTenantCap, tracker: -1, x: float64(a.TaskCap), text: a.Tenant})
 	}
 	c.capLog = append(c.capLog, CapacityDecision{
 		At:      now,

@@ -97,10 +97,6 @@ type Cluster struct {
 	sim    *SimState
 	noPool bool
 
-	// Trace, when non-nil, receives one line per notable runtime event
-	// (slot changes, barriers, job completion). Used by the examples.
-	Trace func(format string, args ...any)
-
 	// onProgress, when set, receives aggregate Progress snapshots at
 	// milestone instants (progress.go) — the serve mode's live stream.
 	onProgress func(Progress)
@@ -153,86 +149,42 @@ func (c *Cluster) EnableUtilisation() *Utilisation {
 // sampled on the progress sampler's cadence (Config.SampleInterval).
 func (c *Cluster) EnableTelemetry(col *telemetry.Collector) {
 	c.telem = col
-	col.Register("cluster/running-maps", func() float64 {
-		n := 0
-		for _, tt := range c.trackers {
-			n += len(tt.runningMaps)
-		}
-		return float64(n)
-	})
-	col.Register("cluster/running-reduces", func() float64 {
-		n := 0
-		for _, tt := range c.trackers {
-			n += len(tt.runningReduces)
-		}
-		return float64(n)
-	})
+	// total registers the sum of f over the trackers, in tracker order;
+	// count registers the number of trackers f holds for.
+	total := func(name string, f func(tt *TaskTracker) float64) {
+		col.Register(name, func() float64 {
+			s := 0.0
+			for _, tt := range c.trackers {
+				s += f(tt)
+			}
+			return s
+		})
+	}
+	count := func(name string, f func(tt *TaskTracker) bool) {
+		total(name, func(tt *TaskTracker) float64 {
+			if f(tt) {
+				return 1
+			}
+			return 0
+		})
+	}
+	total("cluster/running-maps", func(tt *TaskTracker) float64 { return float64(len(tt.runningMaps)) })
+	total("cluster/running-reduces", func(tt *TaskTracker) float64 { return float64(len(tt.runningReduces)) })
 	col.Register("cluster/pending-maps", func() float64 { return float64(c.jt.PendingMapCount()) })
 	col.Register("cluster/pending-reduces", func() float64 { return float64(c.jt.PendingReduceCount()) })
-	col.Register("cluster/map-input-MB", func() float64 {
-		s := 0.0
-		for _, tt := range c.trackers {
-			s += tt.mapInputDoneMB + tt.inFlightMapInputMB()
-		}
-		return s
-	})
-	col.Register("cluster/map-output-MB", func() float64 {
-		s := 0.0
-		for _, tt := range c.trackers {
-			s += tt.mapOutputDoneMB + tt.inFlightMapOutputMB()
-		}
-		return s
-	})
-	col.Register("cluster/shuffle-MB", func() float64 {
-		s := 0.0
-		for _, tt := range c.trackers {
-			s += tt.shuffleDoneMB + tt.inFlightShuffleMB()
-		}
-		return s
-	})
-	col.Register("cluster/map-input-MBps", func() float64 {
-		s := 0.0
-		for _, tt := range c.trackers {
-			s += tt.mapInputRate.Value()
-		}
-		return s
-	})
-	col.Register("cluster/shuffle-MBps", func() float64 {
-		s := 0.0
-		for _, tt := range c.trackers {
-			s += tt.shuffleRate.Value()
-		}
-		return s
-	})
+	total("cluster/map-input-MB", func(tt *TaskTracker) float64 { return tt.mapInputDoneMB + tt.inFlightMapInputMB() })
+	total("cluster/map-output-MB", func(tt *TaskTracker) float64 { return tt.mapOutputDoneMB + tt.inFlightMapOutputMB() })
+	total("cluster/shuffle-MB", func(tt *TaskTracker) float64 { return tt.shuffleDoneMB + tt.inFlightShuffleMB() })
+	total("cluster/map-input-MBps", func(tt *TaskTracker) float64 { return tt.mapInputRate.Value() })
+	total("cluster/shuffle-MBps", func(tt *TaskTracker) float64 { return tt.shuffleRate.Value() })
 	col.Register("net/total-MBps", c.fabric.TotalRate)
 	// Fault-model gauges (internal/chaos): how much of the cluster is
 	// currently dead, silenced or running degraded.
-	col.Register("cluster/failed-trackers", func() float64 {
-		n := 0
-		for _, tt := range c.trackers {
-			if tt.failed {
-				n++
-			}
-		}
-		return float64(n)
-	})
-	col.Register("cluster/unschedulable-trackers", func() float64 {
-		n := 0
-		for _, tt := range c.trackers {
-			if !tt.schedulable() {
-				n++
-			}
-		}
-		return float64(n)
-	})
-	col.Register("cluster/degraded-nodes", func() float64 {
-		n := 0
-		for _, node := range c.nodes {
-			if cpu, disk := node.ServiceScale(); cpu != 1 || disk != 1 {
-				n++
-			}
-		}
-		return float64(n)
+	count("cluster/failed-trackers", func(tt *TaskTracker) bool { return tt.failed })
+	count("cluster/unschedulable-trackers", func(tt *TaskTracker) bool { return !tt.schedulable() })
+	count("cluster/degraded-nodes", func(tt *TaskTracker) bool {
+		cpu, disk := tt.node.ServiceScale()
+		return cpu != 1 || disk != 1
 	})
 	for i, tt := range c.trackers {
 		tt := tt
@@ -403,13 +355,6 @@ func (c *Cluster) SetController(ctrl Controller) error {
 	return nil
 }
 
-// tracef emits a trace line if tracing is enabled.
-func (c *Cluster) tracef(format string, args ...any) {
-	if c.Trace != nil {
-		c.Trace("[%9.2f] "+format, append([]any{c.clock.Now()}, args...)...)
-	}
-}
-
 // Run submits the given jobs at their SubmitAt times and drives the
 // simulation until all of them finish. It returns the completed jobs in
 // submission order. Run may only be called once per cluster.
@@ -517,7 +462,6 @@ func (c *Cluster) scheduleArrival(src ArrivalSource, spec JobSpec, at float64) {
 			if c.arrivalErr == nil {
 				c.arrivalErr = fmt.Errorf("mr: arrival %s: %w", spec.Name, err)
 			}
-			c.tracef("arrival %s rejected: %v", spec.Name, err)
 			if c.activeJobs == 0 && c.jobsToSubmit == 0 {
 				c.shutdown()
 			}
@@ -572,14 +516,7 @@ func (c *Cluster) submitJob(j *Job) {
 		c.jt.admit(j)
 		c.registerTenant(j)
 		c.traceJobBegin(j)
-		detail := fmt.Sprintf("%d maps, %d reduces", j.NumMaps(), j.NumReduces())
-		if j.Spec.Tenant != "" {
-			detail += ", tenant " + j.Spec.Tenant
-		}
-		c.emit(EvJobSubmitted, j.Spec.Name, "", -1, detail)
-		c.tracef("submit job %s (%d maps, %d reduces, %.0f MB)",
-			j.Spec.Name, j.NumMaps(), j.NumReduces(), j.Spec.InputMB)
-		c.progressMilestone(MilestoneJobSubmit, j.Spec.Name)
+		c.note(transition{kind: EvJobSubmitted, job: j, tracker: -1})
 		for _, tt := range c.trackers {
 			c.jt.assign(tt)
 		}
@@ -698,7 +635,6 @@ func (c *Cluster) shutdown() {
 	c.clock.Cancel(c.ctrlEvent)
 	c.clock.Cancel(c.sampleEvent)
 	c.clock.Cancel(c.capEvent)
-	c.tracef("all jobs finished; shutting down")
 }
 
 // Stats is an instantaneous snapshot of the runtime state the slot

@@ -74,11 +74,41 @@ func (c *Cluster) EnableEventLog(limit int) *EventLog {
 	return c.events
 }
 
-// emit appends an event if logging is enabled.
-func (c *Cluster) emit(kind EventKind, job, task string, tracker int, detail string) {
-	if c.events == nil {
-		return
+// A transition is one runtime state change as every sink reads it:
+// its kind, the job, task and tracker it concerns, and up to two
+// numbers whose meaning the kind fixes (see detail and traceInstant).
+// Building one formats nothing; each attached sink formats only the
+// fields it reads.
+type transition struct {
+	kind    EventKind
+	job     *Job
+	task    string // "map" or "reduce" for task-level kinds, naming id
+	id      int    // the map index or reduce partition
+	tracker int    // -1 when the transition concerns no tracker
+	x, y    float64
+	text    string // a tenant cap's tenant, a requeue's or fault error's cause
+}
+
+// note is the one observation call of a runtime transition. It feeds
+// every attached sink: the event log, the trace instant of the kind
+// (instants) and, for a job's submission, barrier and finish, the
+// progress milestone. With no sink attached it costs a nil check each.
+func (c *Cluster) note(t transition) {
+	if c.events != nil {
+		c.logEvent(&t)
 	}
+	if c.tracer.Enabled() {
+		c.traceInstant(&t)
+	}
+	switch t.kind {
+	case EvJobSubmitted, EvBarrier, EvJobFinished:
+		c.progressMilestone(string(t.kind), t.job.Spec.Name)
+	}
+}
+
+// logEvent is the event-log sink: it appends t as an Event, evicting
+// the oldest half of the log when it is full.
+func (c *Cluster) logEvent(t *transition) {
 	l := c.events
 	if len(l.events) >= l.limit {
 		// Drop the oldest half in one amortised move — at least one
@@ -91,23 +121,43 @@ func (c *Cluster) emit(kind EventKind, job, task string, tracker int, detail str
 		l.events = l.events[:n]
 		l.Dropped += half
 	}
-	l.events = append(l.events, Event{
-		At: c.clock.Now(), Kind: kind, Job: job, Task: task, Tracker: tracker, Detail: detail,
-	})
-	if c.inv != nil {
-		e := &l.events[len(l.events)-1]
-		c.inv.CheckEventAppend(e.At, len(l.events), l.limit)
+	e := Event{At: c.clock.Now(), Kind: t.kind, Tracker: t.tracker, Detail: t.detail()}
+	if t.job != nil {
+		e.Job = t.job.Spec.Name
 	}
+	if t.task != "" {
+		e.Task = t.task + "/" + strconv.Itoa(t.id)
+	}
+	l.events = append(l.events, e)
+	c.inv.CheckEventAppend(e.At, len(l.events), l.limit)
 }
 
-// emitTask logs a task-level event. The "<type>/<id>" task name is
-// formatted only when a log is attached, so task launches and commits
-// on an unlogged run format nothing.
-func (c *Cluster) emitTask(kind EventKind, j *Job, typ string, id, tracker int, detail string) {
-	if c.events == nil {
-		return
+// detail formats the event log's Detail field of t.
+func (t *transition) detail() string {
+	switch t.kind {
+	case EvJobSubmitted:
+		d := fmt.Sprintf("%d maps, %d reduces", t.job.NumMaps(), t.job.NumReduces())
+		if t.job.Spec.Tenant != "" {
+			d += ", tenant " + t.job.Spec.Tenant
+		}
+		return d
+	case EvSlotChange, EvTrackerRejoin: // map/reduce slot targets
+		return strconv.Itoa(int(t.x)) + "/" + strconv.Itoa(int(t.y))
+	case EvTrackerHBLost, EvTrackerProbation: // the window in seconds
+		return fmt.Sprint(t.x)
+	case EvTrackerBlacklisted:
+		return "incident " + strconv.Itoa(int(t.x))
+	case EvNodeDegraded:
+		return fmt.Sprintf("cpu %v disk %v", t.x, t.y)
+	case EvLinkDegraded:
+		return fmt.Sprintf("egress %v ingress %v", t.x, t.y)
+	case EvTenantCap: // a negative cap lifts the tenant's cap
+		if t.x < 0 {
+			return t.text + "=uncapped"
+		}
+		return t.text + "=" + strconv.Itoa(int(t.x))
 	}
-	c.emit(kind, j.Spec.Name, typ+"/"+strconv.Itoa(id), tracker, detail)
+	return t.text
 }
 
 // Events returns a copy of the collected events in emission order. The
@@ -128,6 +178,38 @@ func (l *EventLog) Filter(kind EventKind) []Event {
 		}
 	}
 	return out
+}
+
+// WriteText renders the log as text, one line per event except task
+// starts and commits: "[at] kind job task ttN: detail", each field
+// present only when the event has it.
+func (l *EventLog) WriteText(w io.Writer) error {
+	if l.Dropped > 0 {
+		if _, err := fmt.Fprintf(w, "(%d earlier events dropped)\n", l.Dropped); err != nil {
+			return err
+		}
+	}
+	for _, e := range l.events {
+		if e.Kind == EvTaskStarted || e.Kind == EvTaskDone {
+			continue
+		}
+		line := fmt.Sprintf("[%9.2f] %s", e.At, e.Kind)
+		for _, f := range []string{e.Job, e.Task} {
+			if f != "" {
+				line += " " + f
+			}
+		}
+		if e.Tracker >= 0 {
+			line += " tt" + strconv.Itoa(e.Tracker)
+		}
+		if e.Detail != "" {
+			line += ": " + e.Detail
+		}
+		if _, err := io.WriteString(w, line+"\n"); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WriteJSONL streams the log as one JSON object per line.

@@ -98,7 +98,7 @@ func TestEventLogCapDropsOldest(t *testing.T) {
 // eviction tests can identify exactly which entries survived.
 func emitN(c *Cluster, n int) {
 	for i := 0; i < n; i++ {
-		c.emit(EvSlotChange, "job", "", 0, strconv.Itoa(i))
+		c.note(transition{kind: EvFaultError, tracker: 0, text: strconv.Itoa(i)})
 	}
 }
 
@@ -162,6 +162,19 @@ func TestEventLogJSONLAfterEviction(t *testing.T) {
 		if want := strconv.Itoa(log.Dropped + i); e.Detail != want {
 			t.Fatalf("line %d detail = %q, want %q (ordering after eviction)", i, e.Detail, want)
 		}
+	}
+	// The text rendering says how many events it lost, then renders
+	// the retained window in the same order.
+	b.Reset()
+	if err := log.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	text := strings.Split(strings.TrimSpace(b.String()), "\n")
+	if want := fmt.Sprintf("(%d earlier events dropped)", log.Dropped); text[0] != want || len(text) != len(evs)+1 {
+		t.Fatalf("text log starts %q with %d lines, want %q and %d", text[0], len(text), want, len(evs)+1)
+	}
+	if want := "[     0.00] fault-error tt0: " + strconv.Itoa(log.Dropped); text[1] != want {
+		t.Fatalf("first retained text line = %q, want %q", text[1], want)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"smapreduce/internal/resource"
-	"smapreduce/internal/trace"
 )
 
 // FailTracker kills task tracker id at the current virtual time,
@@ -53,18 +52,9 @@ func (c *Cluster) ScheduleFailure(id int, at float64) {
 // trace. A nil err is a no-op, so fault callbacks can wrap their action
 // unconditionally.
 func (c *Cluster) faultErr(tracker int, kind string, err error) {
-	if err == nil {
-		return
+	if err != nil {
+		c.note(transition{kind: EvFaultError, tracker: tracker, text: kind + ": " + err.Error()})
 	}
-	c.emit(EvFaultError, "", "", tracker, fmt.Sprintf("%s: %v", kind, err))
-	if c.tracer.Enabled() {
-		pid := trace.PIDController
-		if tracker >= 0 && tracker < len(c.trackers) {
-			pid = trackerPID(tracker)
-		}
-		c.tracer.Instant(c.clock.Now(), pid, "failure", "fault-error")
-	}
-	c.tracef("fault %s on tracker %d not applied: %v", kind, tracker, err)
 }
 
 // failTracker does the work inside a mutation scope.
@@ -74,11 +64,7 @@ func (c *Cluster) failTracker(tt *TaskTracker) {
 	tt.mapInputRate.Reset()
 	tt.mapOutputRate.Reset()
 	tt.shuffleRate.Reset()
-	c.emit(EvTrackerDown, "", "", tt.id, "")
-	if c.tracer.Enabled() {
-		c.tracer.Instant(c.clock.Now(), trackerPID(tt.id), "failure", "tracker-down")
-	}
-	c.tracef("tracker %d failed", tt.id)
+	c.note(transition{kind: EvTrackerDown, tracker: tt.id})
 
 	// 1. Purge every reducer's shuffle state that references the dead
 	// node: live flows are aborted without credit, queued bytes are
@@ -233,7 +219,7 @@ func (c *Cluster) abortMap(m *mapTask) {
 	m.phase = 0
 	m.pendingOps = 0
 	c.jt.requeueMap(m.job, m)
-	c.emitTask(EvRequeued, m.job, "map", m.id, tt.id, "attempt aborted")
+	c.note(transition{kind: EvRequeued, job: m.job, task: "map", id: m.id, tracker: tt.id, text: "attempt aborted"})
 }
 
 // abortReduce tears a running reduce attempt down and returns the task
@@ -327,8 +313,7 @@ func (c *Cluster) requeueCommittedMap(j *Job, m *mapTask) {
 		j.BarrierAt = -1 // the barrier is no longer crossed
 	}
 	c.jt.requeueMap(j, m)
-	c.emitTask(EvRequeued, j, "map", m.id, -1, "output lost")
-	c.tracef("map %s/%d re-queued: output lost", j.Spec.Name, m.id)
+	c.note(transition{kind: EvRequeued, job: j, task: "map", id: m.id, tracker: -1, text: "output lost"})
 }
 
 // DecommissionTracker drains tracker id gracefully: it stops receiving
@@ -352,11 +337,7 @@ func (c *Cluster) DecommissionTracker(id int) error {
 		return fmt.Errorf("mr: tracker %d already draining", id)
 	}
 	tt.draining = true
-	c.emit(EvTrackerDrain, "", "", id, "")
-	if c.tracer.Enabled() {
-		c.tracer.Instant(c.clock.Now(), trackerPID(id), "failure", "tracker-drain")
-	}
-	c.tracef("tracker %d draining", tt.id)
+	c.note(transition{kind: EvTrackerDrain, tracker: id})
 	return nil
 }
 
@@ -388,10 +369,8 @@ func (c *Cluster) ScheduleSlowdown(id int, pressure, at, duration float64) {
 			Label:    fmt.Sprintf("slowdown tt%d", id),
 		}
 		c.Mutate(func() { c.nodes[id].Add(act) })
-		c.tracef("node %d slowdown begins (pressure %+.2f)", id, pressure)
 		c.clock.After(duration, lazyLabel(&c.trackers[id].slowdownEndLabel, "slowdown-end tt%d", id), func() {
 			c.Mutate(func() { c.nodes[id].Remove(act) })
-			c.tracef("node %d slowdown ends", id)
 		})
 	})
 }

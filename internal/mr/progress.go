@@ -2,15 +2,15 @@ package mr
 
 import "smapreduce/internal/trace"
 
-// Progress milestone vocabulary: the Milestone values OnProgress
-// observes. Lifecycle milestones fire once per transition with the
-// job's name attached; MilestoneSample fires on the progress sampler's
-// cadence with an empty Job.
+// The Milestone values OnProgress observes besides the lifecycle
+// transitions, which fire as string(EvJobSubmitted), string(EvBarrier)
+// and string(EvJobFinished) with the job's name attached (note):
+// MilestoneSample fires on the progress sampler's cadence with an
+// empty Job. MilestoneJobBarrier names the barrier for callers
+// outside the package.
 const (
-	MilestoneSample      = "sample"
-	MilestoneJobSubmit   = "job-submitted"
-	MilestoneJobBarrier  = "barrier-crossed"
-	MilestoneJobFinished = "job-finished"
+	MilestoneSample     = "sample"
+	MilestoneJobBarrier = string(EvBarrier)
 )
 
 // Progress is one aggregate progress snapshot delivered to the
@@ -69,11 +69,7 @@ func (c *Cluster) progressMilestone(milestone, job string) {
 		p.ReducePct /= float64(p.JobsSubmitted)
 	}
 	if milestone != MilestoneSample && c.tracer.Enabled() {
-		name := milestone
-		if job != "" {
-			name += " " + job
-		}
-		c.tracer.Instant(p.At, trace.PIDProgress, "progress", name,
+		c.tracer.Instant(p.At, trace.PIDProgress, "progress", milestone+" "+job,
 			trace.Num("jobs-finished", float64(p.JobsFinished)),
 			trace.Num("map-pct", p.MapPct), trace.Num("reduce-pct", p.ReducePct))
 	}

@@ -50,9 +50,9 @@ func TestProgressMilestones(t *testing.T) {
 			t.Fatalf("snapshot %d: percentages out of range %+v", i, p)
 		}
 	}
-	for _, m := range []string{MilestoneJobSubmit, MilestoneJobBarrier, MilestoneJobFinished} {
-		if counts[m] != 2 {
-			t.Errorf("milestone %q fired %d times, want 2", m, counts[m])
+	for _, m := range []EventKind{EvJobSubmitted, EvBarrier, EvJobFinished} {
+		if counts[string(m)] != 2 {
+			t.Errorf("milestone %q fired %d times, want 2", m, counts[string(m)])
 		}
 	}
 	if counts[MilestoneSample] == 0 {

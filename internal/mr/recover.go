@@ -78,11 +78,7 @@ func (c *Cluster) recoverTracker(tt *TaskTracker) {
 	c.jt.desiredMaps[tt.id] = c.cfg.MapSlots
 	c.jt.desiredReduces[tt.id] = c.cfg.ReduceSlots
 
-	c.emit(EvTrackerRejoin, "", "", tt.id, fmt.Sprintf("%d/%d", tt.mapTarget, tt.reduceTarget))
-	if c.tracer.Enabled() {
-		c.tracer.Instant(now, trackerPID(tt.id), "failure", "tracker-rejoin")
-	}
-	c.tracef("tracker %d rejoined", tt.id)
+	c.note(transition{kind: EvTrackerRejoin, tracker: tt.id, x: float64(tt.mapTarget), y: float64(tt.reduceTarget)})
 
 	// Empty disk: every output committed here before the crash is gone.
 	// The failure path already re-queued the ones needed at crash time;
@@ -154,15 +150,10 @@ func (c *Cluster) ScheduleHeartbeatLoss(id int, at, duration float64) {
 }
 
 func (c *Cluster) beginHeartbeatLoss(tt *TaskTracker, duration float64) {
-	now := c.clock.Now()
 	tt.hbLost = true
 	c.clock.Cancel(tt.hbEvent)
 	tt.hbEvent = 0
-	c.emit(EvTrackerHBLost, "", "", tt.id, fmt.Sprintf("%v", duration))
-	if c.tracer.Enabled() {
-		c.tracer.Instant(now, trackerPID(tt.id), "failure", "hb-lost")
-	}
-	c.tracef("tracker %d heartbeats lost for %vs", tt.id, duration)
+	c.note(transition{kind: EvTrackerHBLost, tracker: tt.id, x: duration})
 
 	// The job tracker's side: silence beyond the timeout blacklists the
 	// node. The check fires only if the loss window is still open then.
@@ -175,11 +166,7 @@ func (c *Cluster) beginHeartbeatLoss(tt *TaskTracker, duration float64) {
 				}
 				tt.blacklisted = true
 				tt.blacklistCount++
-				c.emit(EvTrackerBlacklisted, "", "", tt.id, fmt.Sprintf("incident %d", tt.blacklistCount))
-				if c.tracer.Enabled() {
-					c.tracer.Instant(c.clock.Now(), trackerPID(tt.id), "failure", "blacklisted")
-				}
-				c.tracef("tracker %d blacklisted (incident %d)", tt.id, tt.blacklistCount)
+				c.note(transition{kind: EvTrackerBlacklisted, tracker: tt.id, x: float64(tt.blacklistCount)})
 			})
 		})
 	}
@@ -208,21 +195,13 @@ func (c *Cluster) endHeartbeatLoss(tt *TaskTracker) {
 	tt.lastMapOutputMB = tt.mapOutputDoneMB + tt.inFlightMapOutputMB()
 	tt.lastShuffleMB = tt.shuffleDoneMB + tt.inFlightShuffleMB()
 
-	c.emit(EvTrackerHBRestored, "", "", tt.id, "")
-	if c.tracer.Enabled() {
-		c.tracer.Instant(now, trackerPID(tt.id), "failure", "hb-restored")
-	}
-	c.tracef("tracker %d heartbeats restored", tt.id)
+	c.note(transition{kind: EvTrackerHBRestored, tracker: tt.id})
 
 	if tt.blacklisted {
 		tt.blacklisted = false
 		tt.probation = true
 		backoff := c.cfg.ProbationPeriod * math.Pow(2, float64(tt.blacklistCount-1))
-		c.emit(EvTrackerProbation, "", "", tt.id, fmt.Sprintf("%v", backoff))
-		if c.tracer.Enabled() {
-			c.tracer.Instant(now, trackerPID(tt.id), "failure", "probation")
-		}
-		c.tracef("tracker %d on probation for %vs", tt.id, backoff)
+		c.note(transition{kind: EvTrackerProbation, tracker: tt.id, x: backoff})
 		tt.probationEnd = c.clock.After(backoff, lazyLabel(&tt.probationLabel, "probation-end tt%d", tt.id), func() {
 			c.Mutate(func() {
 				tt.probationEnd = 0
@@ -230,11 +209,7 @@ func (c *Cluster) endHeartbeatLoss(tt *TaskTracker) {
 					return
 				}
 				tt.probation = false
-				c.emit(EvTrackerCleared, "", "", tt.id, "")
-				if c.tracer.Enabled() {
-					c.tracer.Instant(c.clock.Now(), trackerPID(tt.id), "failure", "probation-cleared")
-				}
-				c.tracef("tracker %d cleared from probation", tt.id)
+				c.note(transition{kind: EvTrackerCleared, tracker: tt.id})
 				c.jt.assign(tt)
 			})
 		})
@@ -264,18 +239,10 @@ func (c *Cluster) ScheduleNodeDegrade(id int, at, duration, cpuScale, diskScale 
 	}
 	c.clock.Schedule(at, fmt.Sprintf("degrade node%d", id), func() {
 		c.Mutate(func() { c.nodes[id].SetServiceScale(cpuScale, diskScale) })
-		c.emit(EvNodeDegraded, "", "", id, fmt.Sprintf("cpu %v disk %v", cpuScale, diskScale))
-		if c.tracer.Enabled() {
-			c.tracer.Instant(c.clock.Now(), trackerPID(id), "failure", "node-degraded")
-		}
-		c.tracef("node %d degraded (cpu %v, disk %v)", id, cpuScale, diskScale)
+		c.note(transition{kind: EvNodeDegraded, tracker: id, x: cpuScale, y: diskScale})
 		c.clock.After(duration, fmt.Sprintf("restore node%d", id), func() {
 			c.Mutate(func() { c.nodes[id].SetServiceScale(1, 1) })
-			c.emit(EvNodeRestored, "", "", id, "")
-			if c.tracer.Enabled() {
-				c.tracer.Instant(c.clock.Now(), trackerPID(id), "failure", "node-restored")
-			}
-			c.tracef("node %d restored", id)
+			c.note(transition{kind: EvNodeRestored, tracker: id})
 		})
 	})
 }
@@ -298,18 +265,10 @@ func (c *Cluster) ScheduleLinkDegrade(id int, at, duration, egressScale, ingress
 	}
 	c.clock.Schedule(at, fmt.Sprintf("degrade link%d", id), func() {
 		c.Mutate(func() { c.fabric.SetNodeLinkScale(id, egressScale, ingressScale) })
-		c.emit(EvLinkDegraded, "", "", id, fmt.Sprintf("egress %v ingress %v", egressScale, ingressScale))
-		if c.tracer.Enabled() {
-			c.tracer.Instant(c.clock.Now(), trackerPID(id), "failure", "link-degraded")
-		}
-		c.tracef("node %d links degraded (egress %v, ingress %v)", id, egressScale, ingressScale)
+		c.note(transition{kind: EvLinkDegraded, tracker: id, x: egressScale, y: ingressScale})
 		c.clock.After(duration, fmt.Sprintf("restore link%d", id), func() {
 			c.Mutate(func() { c.fabric.SetNodeLinkScale(id, 1, 1) })
-			c.emit(EvLinkRestored, "", "", id, "")
-			if c.tracer.Enabled() {
-				c.tracer.Instant(c.clock.Now(), trackerPID(id), "failure", "link-restored")
-			}
-			c.tracef("node %d links restored", id)
+			c.note(transition{kind: EvLinkRestored, tracker: id})
 		})
 	})
 }

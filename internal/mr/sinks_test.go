@@ -6,27 +6,56 @@ import (
 	"reflect"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	"smapreduce/internal/puma"
 	"smapreduce/internal/trace"
 )
 
-// figure3Cell runs one Figure-3 cell — a 100 GB terasort under Hadoop
-// V1's static slots on the paper's 16-tracker cluster, with output
-// replication on so every flow kind occurs — after attach has wired
-// its sinks, and returns the job and the final Stats.
-func figure3Cell(t *testing.T, attach func(c *Cluster)) (*Job, Stats) {
+// A sinkCell runs one workload after attach has wired its sinks and
+// returns the job and the final Stats.
+type sinkCell func(t *testing.T, attach func(c *Cluster)) (*Job, Stats)
+
+// runCell runs spec on a cluster of cfg after attach and prepare.
+func runCell(t *testing.T, cfg Config, spec JobSpec, attach, prepare func(c *Cluster)) (*Job, Stats) {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.OutputReplication = 2
 	c := MustNewCluster(cfg)
 	attach(c)
-	jobs, err := c.Run(JobSpec{Name: "terasort", Profile: puma.MustGet("terasort"), InputMB: 100 * 1024, Reduces: 30})
+	prepare(c)
+	jobs, err := c.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return jobs[0], c.Snapshot()
+}
+
+// figure3Cell runs one Figure-3 cell — a 100 GB terasort under Hadoop
+// V1's static slots on the paper's 16-tracker cluster, with output
+// replication on so every flow kind occurs.
+func figure3Cell(t *testing.T, attach func(c *Cluster)) (*Job, Stats) {
+	cfg := DefaultConfig()
+	cfg.OutputReplication = 2
+	return runCell(t, cfg, JobSpec{Name: "terasort", Profile: puma.MustGet("terasort"), InputMB: 100 * 1024, Reduces: 30},
+		attach, func(*Cluster) {})
+}
+
+// chaosCell runs a 20 GB terasort with speculation on under a crash, a
+// rejoin, a blacklisting heartbeat loss, a node and a link degradation
+// and a contention slowdown, so every fault transition is noted.
+func chaosCell(t *testing.T, attach func(c *Cluster)) (*Job, Stats) {
+	cfg := DefaultConfig()
+	cfg.OutputReplication = 2
+	cfg.Speculation = true
+	return runCell(t, cfg, JobSpec{Name: "terasort", Profile: puma.MustGet("terasort"), InputMB: 20 * 1024, Reduces: 30},
+		attach, func(c *Cluster) {
+			c.ScheduleFailure(3, 20)
+			c.ScheduleRecovery(3, 60)
+			c.ScheduleHeartbeatLoss(2, 15, 30)
+			c.ScheduleNodeDegrade(5, 10, 20, 0.5, 0.5)
+			c.ScheduleLinkDegrade(7, 12, 10, 0.3, 0)
+			c.ScheduleSlowdown(6, 1, 5, 30)
+		})
 }
 
 type flowSpan struct {
@@ -63,20 +92,30 @@ func flowSpans(t *testing.T, tr *trace.Tracer) []flowSpan {
 }
 
 // TestSinksDoNotPerturbSimulation pins that labels are formatted only
-// for the sinks that read them and never feed back: one Figure-3 cell
-// run with no sinks, with an event log, and with flow tracing at both
-// flow verbosities yields identical milestones and Stats. The traced
-// runs' flow spans keep the runtime's label format — "shuffle
-// job/rN<-src", "read job/id", "repl job/rN->dst" — with the peer in
-// the name matching the span's endpoints.
+// for the sinks that read them and never feed back: a Figure-3 cell and
+// a speculative cell under injected faults, each run with no sinks,
+// with an event log (rendered afterwards as -tracelog text too), with
+// an OnProgress hook, and with flow tracing at both flow verbosities,
+// yield identical milestones and Stats. The traced runs' flow spans
+// keep the runtime's label format — "shuffle job/rN<-src", "read
+// job/id", "repl job/rN->dst" — with the peer in the name matching the
+// span's endpoints.
 func TestSinksDoNotPerturbSimulation(t *testing.T) {
-	bare, bareStats := figure3Cell(t, func(*Cluster) {})
+	for name, cell := range map[string]sinkCell{"figure-3": figure3Cell, "speculative chaos": chaosCell} {
+		t.Run(name, func(t *testing.T) { checkSinks(t, cell) })
+	}
+}
+
+func checkSinks(t *testing.T, cell sinkCell) {
+	bare, bareStats := cell(t, func(*Cluster) {})
 	var log *EventLog
-	logged, loggedStats := figure3Cell(t, func(c *Cluster) { log = c.EnableEventLog(0) })
+	logged, loggedStats := cell(t, func(c *Cluster) { log = c.EnableEventLog(0) })
+	var snaps []Progress
+	hooked, hookedStats := cell(t, func(c *Cluster) { c.SetOnProgress(func(p Progress) { snaps = append(snaps, p) }) })
 	flowsTr := trace.New(trace.Options{Verbosity: trace.VerbosityFlows})
-	traced, tracedStats := figure3Cell(t, func(c *Cluster) { c.EnableTracing(flowsTr) })
+	traced, tracedStats := cell(t, func(c *Cluster) { c.EnableTracing(flowsTr) })
 	allTr := trace.New(trace.Options{Verbosity: trace.VerbosityAllFlows})
-	allTraced, allStats := figure3Cell(t, func(c *Cluster) { c.EnableTracing(allTr) })
+	allTraced, allStats := cell(t, func(c *Cluster) { c.EnableTracing(allTr) })
 
 	milestones := func(j *Job) [5]float64 {
 		return [5]float64{j.Submitted, j.Started, j.BarrierAt, j.FinishedAt, j.ShuffledMB}
@@ -84,7 +123,10 @@ func TestSinksDoNotPerturbSimulation(t *testing.T) {
 	for name, run := range map[string]struct {
 		job   *Job
 		stats Stats
-	}{"event log": {logged, loggedStats}, "flow tracing": {traced, tracedStats}, "all-flow tracing": {allTraced, allStats}} {
+	}{
+		"event log": {logged, loggedStats}, "progress hook": {hooked, hookedStats},
+		"flow tracing": {traced, tracedStats}, "all-flow tracing": {allTraced, allStats},
+	} {
 		if milestones(run.job) != milestones(bare) {
 			t.Errorf("%s moved the milestones: %v, bare run %v", name, milestones(run.job), milestones(bare))
 		}
@@ -94,6 +136,22 @@ func TestSinksDoNotPerturbSimulation(t *testing.T) {
 	}
 	if len(log.Events()) == 0 {
 		t.Fatal("event log recorded nothing")
+	}
+	var text strings.Builder
+	if err := log.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	lines := 0
+	for _, e := range log.Events() {
+		if e.Kind != EvTaskStarted && e.Kind != EvTaskDone {
+			lines++
+		}
+	}
+	if got := strings.Count(text.String(), "\n"); got != lines || lines == 0 {
+		t.Errorf("-tracelog text has %d lines, want %d: one per event except task starts and completions", got, lines)
+	}
+	if len(snaps) == 0 || snaps[len(snaps)-1].Milestone != string(EvJobFinished) {
+		t.Errorf("progress hook saw %d snapshots, the last not a job finish", len(snaps))
 	}
 	if d := flowsTr.Dropped() + allTr.Dropped(); d != 0 {
 		t.Fatalf("tracers dropped %d events; raise the limit", d)

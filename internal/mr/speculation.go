@@ -3,9 +3,6 @@ package mr
 import (
 	"fmt"
 	"math"
-	"strconv"
-
-	"smapreduce/internal/trace"
 )
 
 // Speculative execution for map tasks, modelled on Hadoop's scheme:
@@ -96,15 +93,8 @@ func (c *Cluster) launchBackup(tt *TaskTracker, original *mapTask) {
 	}
 	original.backup = clone
 	original.job.SpeculativeLaunched++
-	c.emitTask(EvSpeculative, original.job, "map", original.id, tt.id, "")
-	if c.tracer.Enabled() {
-		c.tracer.Instant(c.clock.Now(), trackerPID(tt.id), "speculation", "speculative-backup",
-			trace.Str("task", original.job.Spec.Name+"/map/"+strconv.Itoa(original.id)),
-			trace.Num("original-tt", float64(original.tracker.id)))
-	}
-	c.tracef("speculative backup of map %s/%d on tt%d (original on tt%d at %.0f%%)",
-		original.job.Spec.Name, original.id, tt.id, original.tracker.id,
-		100*original.progressFraction())
+	c.note(transition{kind: EvSpeculative, job: original.job, task: "map", id: original.id, tracker: tt.id,
+		x: float64(original.tracker.id)})
 	c.launchMap(tt, clone)
 }
 
@@ -120,7 +110,6 @@ func (c *Cluster) resolveSpeculation(m *mapTask) bool {
 	} else {
 		loser = orig
 		orig.job.SpeculativeWins++
-		c.tracef("speculative backup of map %s/%d won", orig.job.Spec.Name, orig.id)
 	}
 	orig.backup = nil
 	m.backupOf = nil

@@ -31,7 +31,7 @@ func (c *Cluster) launchMap(tt *TaskTracker, m *mapTask) {
 		c.inv.CheckMapLaunch(tt.id, len(tt.runningMaps), tt.mapTarget)
 	}
 	c.inv.CheckLaunchTracker(tt.id, tt.failed, tt.draining, tt.hbLost, tt.blacklisted, tt.probation)
-	c.emitTask(EvTaskStarted, m.job, "map", m.id, tt.id, "")
+	c.note(transition{kind: EvTaskStarted, job: m.job, task: "map", id: m.id, tracker: tt.id})
 	c.traceMapBegin(tt, m)
 	if m.job.Started < 0 {
 		m.job.Started = c.clock.Now()
@@ -205,12 +205,10 @@ func (c *Cluster) commitMap(m *mapTask) {
 		}
 	}
 
-	c.emitTask(EvTaskDone, j, "map", logical.id, tt.id, "")
+	c.note(transition{kind: EvTaskDone, job: j, task: "map", id: logical.id, tracker: tt.id})
 	if j.BarrierReached() {
 		j.BarrierAt = c.clock.Now()
-		c.emit(EvBarrier, j.Spec.Name, "", -1, "")
-		c.traceBarrier(j)
-		c.progressMilestone(MilestoneJobBarrier, j.Spec.Name)
+		c.note(transition{kind: EvBarrier, job: j, tracker: -1})
 		// Reducers blocked only on the barrier may now advance.
 		for _, r := range j.reduces {
 			if r.state == TaskRunning && r.phase == 0 {
@@ -317,7 +315,7 @@ func (c *Cluster) launchReduce(tt *TaskTracker, r *reduceTask) {
 		c.inv.CheckReduceLaunch(tt.id, len(tt.runningReduces), tt.reduceTarget)
 	}
 	c.inv.CheckLaunchTracker(tt.id, tt.failed, tt.draining, tt.hbLost, tt.blacklisted, tt.probation)
-	c.emitTask(EvTaskStarted, r.job, "reduce", r.partition, tt.id, "")
+	c.note(transition{kind: EvTaskStarted, job: r.job, task: "reduce", id: r.partition, tracker: tt.id})
 	c.traceReduceBegin(tt, r)
 	if r.job.Started < 0 {
 		r.job.Started = c.clock.Now()
@@ -545,7 +543,7 @@ func (c *Cluster) finishReduce(r *reduceTask) {
 	c.tenantTaskStopped(r.job, false)
 	r.job.reducesDone++
 	c.traceReduceEnd(r, "done")
-	c.emitTask(EvTaskDone, r.job, "reduce", r.partition, tt.id, "")
+	c.note(transition{kind: EvTaskDone, job: r.job, task: "reduce", id: r.partition, tracker: tt.id})
 	c.jt.taskFreed(tt)
 	c.checkJobCompletion(r.job)
 }
@@ -559,8 +557,7 @@ func (c *Cluster) checkJobCompletion(j *Job) {
 	j.FinishedAt = c.clock.Now()
 	j.Progress.Sample(c.clock.Now(), 100, 100)
 	c.traceJobEnd(j)
-	c.emit(EvJobFinished, j.Spec.Name, "", -1, "")
-	c.progressMilestone(MilestoneJobFinished, j.Spec.Name)
+	c.note(transition{kind: EvJobFinished, job: j, tracker: -1})
 	c.jt.retire(j)
 	c.activeJobs--
 	if c.activeJobs == 0 && c.jobsToSubmit == 0 {

@@ -15,11 +15,13 @@ import (
 // Track layout (see DESIGN.md trace schema):
 //
 //	PIDJobs         job lifecycle spans, barrier instants
-//	PIDController   slot-manager tick spans and decision instants
+//	PIDController   slot-manager tick spans and decision instants,
+//	                tenant-cap instants
 //	PIDNetwork      flow spans (verbosity-gated)
 //	PIDProgress     aggregate progress milestone instants (progress.go)
 //	PIDTrackerBase+i  tracker i: task attempt spans on slot lanes,
-//	                  drain spans, slot-change/speculation instants
+//	                  drain spans, slot-change/speculation/fault
+//	                  instants
 
 // EnableTracing attaches a tracer and names the runtime's tracks. Call
 // before Run. At VerbosityFlows and above, fabric flows get lifecycle
@@ -42,9 +44,6 @@ func (c *Cluster) EnableTracing(tr *trace.Tracer) {
 		c.fabric.SetFlowObserver(c.traceFlowAdd, c.traceFlowRemove)
 	}
 }
-
-// Tracer returns the attached tracer (nil when tracing is off).
-func (c *Cluster) Tracer() *trace.Tracer { return c.tracer }
 
 // trackerPID maps a tracker id to its trace track.
 func trackerPID(id int) int { return trace.PIDTrackerBase + id }
@@ -105,12 +104,62 @@ func (c *Cluster) traceJobEnd(j *Job) {
 	j.span = 0
 }
 
-// traceBarrier marks the job's map/reduce barrier on the jobs track.
-func (c *Cluster) traceBarrier(j *Job) {
-	if !c.tracer.Enabled() {
+// instants is the trace-instant table of the transition kinds that
+// leave one: the instant's track (pid 0 is the tracker's own),
+// category and name. Kinds absent here leave none: jobs and tasks have
+// spans, and submissions and finishes show on the progress track.
+var instants = map[EventKind]struct {
+	pid       int
+	cat, name string
+}{
+	EvBarrier:            {trace.PIDJobs, "job", "barrier"},
+	EvSlotChange:         {0, "slot", "slot-change"},
+	EvSpeculative:        {0, "speculation", "speculative-backup"},
+	EvTenantCap:          {trace.PIDController, "capacity", "tenant-cap"},
+	EvTrackerDown:        {0, "failure", "tracker-down"},
+	EvTrackerDrain:       {0, "failure", "tracker-drain"},
+	EvTrackerRejoin:      {0, "failure", "tracker-rejoin"},
+	EvTrackerHBLost:      {0, "failure", "hb-lost"},
+	EvTrackerHBRestored:  {0, "failure", "hb-restored"},
+	EvTrackerBlacklisted: {0, "failure", "blacklisted"},
+	EvTrackerProbation:   {0, "failure", "probation"},
+	EvTrackerCleared:     {0, "failure", "probation-cleared"},
+	EvNodeDegraded:       {0, "failure", "node-degraded"},
+	EvNodeRestored:       {0, "failure", "node-restored"},
+	EvLinkDegraded:       {0, "failure", "link-degraded"},
+	EvLinkRestored:       {0, "failure", "link-restored"},
+	EvFaultError:         {0, "failure", "fault-error"},
+}
+
+// traceInstant is the trace sink of note: the kind's instant, named
+// for its job on the jobs track, with the fields the slot-change,
+// speculation and tenant-cap instants carry. A fault error naming no
+// tracker lands on the controller track; lifting a tenant's cap
+// leaves no instant.
+func (c *Cluster) traceInstant(t *transition) {
+	in, ok := instants[t.kind]
+	if !ok || t.kind == EvTenantCap && t.x < 0 {
 		return
 	}
-	c.tracer.Instant(c.clock.Now(), trace.PIDJobs, "job", "barrier "+j.Spec.Name)
+	if in.pid == 0 {
+		in.pid = trace.PIDController
+		if t.tracker >= 0 && t.tracker < len(c.trackers) {
+			in.pid = trackerPID(t.tracker)
+		}
+	}
+	var fields []trace.Field
+	switch t.kind {
+	case EvBarrier:
+		in.name += " " + t.job.Spec.Name
+	case EvSlotChange:
+		fields = []trace.Field{trace.Num("maps", t.x), trace.Num("reduces", t.y)}
+	case EvSpeculative:
+		fields = []trace.Field{trace.Str("task", t.job.Spec.Name+"/map/"+strconv.Itoa(t.id)),
+			trace.Num("original-tt", t.x)}
+	case EvTenantCap:
+		fields = []trace.Field{trace.Str("tenant", t.text), trace.Num("cap", t.x)}
+	}
+	c.tracer.Instant(c.clock.Now(), in.pid, in.cat, in.name, fields...)
 }
 
 // traceMapBegin opens a map attempt's span on its tracker's track. The

@@ -257,11 +257,7 @@ func (tt *TaskTracker) setTargets(maps, reduces int) {
 	tt.c.inv.CheckSlotTargets(tt.id, maps, reduces, tt.c.cfg.MaxMapSlots, tt.c.cfg.MaxReduceSlots)
 	tt.mapTarget = maps
 	tt.reduceTarget = reduces
-	tt.c.emit(EvSlotChange, "", "", tt.id, fmt.Sprintf("%d/%d", maps, reduces))
-	if tt.c.tracer.Enabled() {
-		tt.c.tracer.Instant(tt.c.clock.Now(), trackerPID(tt.id), "slot", "slot-change",
-			trace.Num("maps", float64(maps)), trace.Num("reduces", float64(reduces)))
-	}
+	tt.c.note(transition{kind: EvSlotChange, tracker: tt.id, x: float64(maps), y: float64(reduces)})
 	tt.applyDisturbance()
 	if tt.c.cfg.EagerSlotChange {
 		tt.killSurplusMaps()
@@ -292,7 +288,6 @@ func (tt *TaskTracker) killSurplusMaps() {
 	})
 	for _, m := range victims[:surplus] {
 		tt.c.abortMap(m)
-		tt.c.tracef("map %s/%d killed by eager slot change on tt%d", m.job.Spec.Name, m.id, tt.id)
 	}
 }
 

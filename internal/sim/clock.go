@@ -464,9 +464,13 @@ func (c *Clock) RunUntilIdle(maxEvents uint64) uint64 {
 }
 
 // Advance moves the clock forward by d without firing anything, used by
-// tests that need to position the clock. It panics if events are
-// pending before now+d, because skipping them would corrupt causality.
+// tests that need to position the clock. It panics on a negative or
+// non-finite d, like After and Schedule, and if events are pending
+// before now+d, because skipping them would corrupt causality.
 func (c *Clock) Advance(d Time) {
+	if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
+		panic(fmt.Sprintf("sim: Advance(%v) needs a non-negative finite delay", d))
+	}
 	target := c.now + d
 	if s := c.peek(); s != nil && s.at <= target {
 		panic(fmt.Sprintf("sim: Advance(%v) would skip event %q at %v", d, s.label, s.at))

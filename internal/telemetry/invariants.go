@@ -48,7 +48,7 @@ type Invariants struct {
 	eventSeen    bool
 	lastSampleAt float64
 	sampleSeen   bool
-	counters     map[int][3]float64 // tracker -> {inMB, outMB, shufMB}
+	counters     [][3]float64 // by tracker id: {inMB, outMB, shufMB}
 }
 
 // NewInvariants returns a checker, or nil when checking is disabled.
@@ -56,7 +56,7 @@ func NewInvariants() *Invariants {
 	if !invariantsOn {
 		return nil
 	}
-	return &Invariants{counters: make(map[int][3]float64)}
+	return &Invariants{}
 }
 
 // CheckSlotTargets validates a slot-change command applied to tracker.
@@ -127,6 +127,9 @@ func (v *Invariants) CheckRecover(tracker, runningMaps, runningReduces int) {
 func (v *Invariants) CheckCounters(tracker int, inMB, outMB, shufMB float64) {
 	if v == nil {
 		return
+	}
+	if tracker >= len(v.counters) {
+		v.counters = append(v.counters, make([][3]float64, tracker+1-len(v.counters))...)
 	}
 	last := v.counters[tracker]
 	if inMB < last[0] || outMB < last[1] || shufMB < last[2] {
