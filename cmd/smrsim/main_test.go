@@ -68,6 +68,32 @@ func TestArrivalExplainGolden(t *testing.T) {
 	}
 }
 
+// TestSlotManagerExplainGolden pins the SMapReduce slot manager's
+// decision lines and full audit trail under -explain. The two runs
+// together fire every reason in the decision vocabulary: the
+// ranked-inverted-index run grows, shrinks on a lagging shuffle and
+// releases map slots in its tail; the kmeans run grows into confirmed
+// thrashing and boosts reduce slots in a small-shuffle tail.
+func TestSlotManagerExplainGolden(t *testing.T) {
+	got := runOK(t, "-engine", "smapreduce", "-bench", "ranked-inverted-index", "-input-gb", "40", "-explain") +
+		"----\n" +
+		runOK(t, "-engine", "smapreduce", "-bench", "kmeans", "-input-gb", "100", "-explain")
+	if want := golden(t, "smapreduce-explain.golden"); got != want {
+		t.Errorf("-explain stdout differs:\n%s\nwant:\n%s", got, want)
+	}
+	for _, reason := range []string{
+		"map-heavy: shuffle ahead of maps",
+		"reduce-heavy: shuffle lagging",
+		"thrashing confirmed at ",
+		"tail: releasing map slots",
+		"tail: small shuffle, boosting reduce slots",
+	} {
+		if !strings.Contains(got, "  "+reason) {
+			t.Errorf("no decision with reason %q", reason)
+		}
+	}
+}
+
 // TestTraceLogGolden pins -tracelog: the event log rendered as text,
 // one line per event except task starts and completions, ahead of the
 // usual summary. The chaos schedule makes it show the fault, blacklist
