@@ -46,13 +46,15 @@ cover:
 	$(GO) run ./cmd/covercheck -profile cover.out -floors COVERAGE.floors
 
 # fuzz-smoke runs each fuzz target for 10 s beyond its checked-in
-# seeds: the scenario, grid-spec and chaos-schedule parsers and the
-# clock's scheduling API. A smoke run, not a campaign.
+# seeds: the scenario, grid-spec and chaos-schedule parsers, the
+# clock's scheduling API and the slot manager's kernel. A smoke run,
+# not a campaign.
 fuzz-smoke:
 	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzParseScenario$$' -fuzztime 10s
 	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzParseGridSpec$$' -fuzztime 10s
 	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzParseSchedule$$' -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzClockSchedule$$' -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSlotKernel$$' -fuzztime 10s
 
 # bench-smoke proves the benchmark harness still runs end to end
 # (single iteration of a mid-weight figure), not a measurement.

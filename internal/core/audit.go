@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -25,8 +24,8 @@ func ReasonThrashing(mapSlots int) string {
 	return fmt.Sprintf("%s%d map slots", ReasonThrashingPrefix, mapSlots)
 }
 
-// AuditRecord carries the complete inputs and outputs of one
-// setTargets decision, so any slot move can be replayed and explained
+// AuditRecord carries the complete inputs and outputs of one kernel
+// decision, so any slot move can be replayed and explained
 // after the run: the windowed rates the balance factor was computed
 // from, the factor itself against its bounds, the thrashing-detector
 // state, and the job progress snapshot the manager saw.
@@ -71,9 +70,9 @@ type AuditRecord struct {
 	FrontTotalReduces   int
 }
 
-// Decision projects the record onto the compact Decision log entry it
-// accompanies; the two are recorded by the same setTargets call, so
-// Explain()[i].Decision() == Decisions()[i].
+// Decision projects the record onto its compact Decision log entry;
+// SlotManager.Decisions is this projection of the audit trail, so
+// Explain()[i].Decision() == Decisions()[i] by construction.
 func (a AuditRecord) Decision() Decision {
 	return Decision{At: a.At, MapTarget: a.MapTarget, ReduceTarget: a.ReduceTarget,
 		Factor: a.Factor, Reason: a.Reason}
@@ -96,29 +95,10 @@ func (a AuditRecord) String() string {
 	return b.String()
 }
 
-// Explain returns a copy of the audit trail: one record per logged
-// Decision, index-aligned with Decisions().
+// Explain returns a copy of the audit trail: one record per decision,
+// index-aligned with Decisions().
 func (m *SlotManager) Explain() []AuditRecord {
 	out := make([]AuditRecord, len(m.audits))
 	copy(out, m.audits)
 	return out
-}
-
-// verifyAudit asserts the invariant Explain and Decisions promise:
-// index-aligned, and each record reproduces its decision. Used by
-// tests; cheap enough to run anywhere.
-func verifyAudit(m *SlotManager) error {
-	ds, as := m.Decisions(), m.Explain()
-	if len(ds) != len(as) {
-		return fmt.Errorf("core: %d decisions but %d audit records", len(ds), len(as))
-	}
-	for i := range ds {
-		got := as[i].Decision()
-		if got.At != ds[i].At || got.MapTarget != ds[i].MapTarget ||
-			got.ReduceTarget != ds[i].ReduceTarget || got.Reason != ds[i].Reason ||
-			!(got.Factor == ds[i].Factor || (math.IsNaN(got.Factor) && math.IsNaN(ds[i].Factor))) {
-			return fmt.Errorf("core: audit %d %+v does not reproduce decision %+v", i, got, ds[i])
-		}
-	}
-	return nil
 }

@@ -18,6 +18,34 @@ func tickHarness(t *testing.T) (*mr.Cluster, *SlotManager) {
 	return c, m
 }
 
+// kernelHarness steps a defaulted kernel over smallCluster's bounds,
+// with no cluster, and logs the decisions the steps return.
+type kernelHarness struct {
+	k  Kernel
+	b  Bounds
+	ds []Decision
+}
+
+func newKernelHarness() *kernelHarness {
+	cfg := smallCluster()
+	h := &kernelHarness{
+		k: MustNewSlotManager(SlotManagerConfig{}).k,
+		b: Bounds{InitMaps: cfg.MapSlots, InitReduces: cfg.ReduceSlots,
+			MaxMaps: cfg.MaxMapSlots, MaxReduces: cfg.MaxReduceSlots, Workers: cfg.Workers},
+	}
+	h.tick(mr.Stats{Now: 0, HeadJobID: -1})
+	return h
+}
+
+func (h *kernelHarness) tick(s mr.Stats) {
+	if st := h.k.Step(s, h.b); st.Changed {
+		h.ds = append(h.ds, st.Audit.Decision())
+	}
+}
+
+func (h *kernelHarness) MapTarget() int        { return h.k.MapTarget() }
+func (h *kernelHarness) Decisions() []Decision { return h.ds }
+
 // frontStats builds a plausible front-stretch snapshot.
 func frontStats(now, outRate, potential float64, runningReduces int) mr.Stats {
 	return mr.Stats{
@@ -42,12 +70,12 @@ func frontStats(now, outRate, potential float64, runningReduces int) mr.Stats {
 }
 
 func TestTickIncrementsWhenMapHeavy(t *testing.T) {
-	c, m := tickHarness(t)
+	m := newKernelHarness()
 	start := m.MapTarget()
 	// Two ticks build the rate window; the second is stable and sees a
 	// hugely underused shuffle (f ≫ upper).
-	m.tick(c, frontStats(20, 100, 5000, 8))
-	m.tick(c, frontStats(40, 100, 5000, 8))
+	m.tick(frontStats(20, 100, 5000, 8))
+	m.tick(frontStats(40, 100, 5000, 8))
 	if m.MapTarget() != start+1 {
 		t.Fatalf("map target = %d, want %d", m.MapTarget(), start+1)
 	}
@@ -57,10 +85,10 @@ func TestTickIncrementsWhenMapHeavy(t *testing.T) {
 }
 
 func TestTickDecrementsWhenReduceHeavy(t *testing.T) {
-	c, m := tickHarness(t)
+	m := newKernelHarness()
 	start := m.MapTarget()
-	m.tick(c, frontStats(20, 1000, 100, 8))
-	m.tick(c, frontStats(40, 1000, 100, 8))
+	m.tick(frontStats(20, 1000, 100, 8))
+	m.tick(frontStats(40, 1000, 100, 8))
 	if m.MapTarget() != start-1 {
 		t.Fatalf("map target = %d, want %d", m.MapTarget(), start-1)
 	}
@@ -70,83 +98,83 @@ func TestTickDecrementsWhenReduceHeavy(t *testing.T) {
 }
 
 func TestTickHoldsWhenBalanced(t *testing.T) {
-	c, m := tickHarness(t)
+	m := newKernelHarness()
 	start := m.MapTarget()
 	// f ≈ 1: inside the band.
-	m.tick(c, frontStats(20, 500, 500, 8))
-	m.tick(c, frontStats(40, 500, 500, 8))
+	m.tick(frontStats(20, 500, 500, 8))
+	m.tick(frontStats(40, 500, 500, 8))
 	if m.MapTarget() != start || len(m.Decisions()) != 0 {
 		t.Fatalf("balanced state moved: %d, %+v", m.MapTarget(), m.Decisions())
 	}
 }
 
 func TestTickSlowStartGate(t *testing.T) {
-	c, m := tickHarness(t)
+	m := newKernelHarness()
 	s := frontStats(20, 100, 5000, 8)
 	s.DoneMaps = 5 // below 10% of 100
-	m.tick(c, s)
+	m.tick(s)
 	s2 := frontStats(40, 100, 5000, 8)
 	s2.DoneMaps = 5
-	m.tick(c, s2)
+	m.tick(s2)
 	if len(m.Decisions()) != 0 {
 		t.Fatalf("decided before slow start: %+v", m.Decisions())
 	}
 }
 
 func TestTickStabilizeGate(t *testing.T) {
-	c, m := tickHarness(t)
-	m.tick(c, frontStats(20, 100, 5000, 8))
-	m.tick(c, frontStats(40, 100, 5000, 8)) // change at t=40
+	m := newKernelHarness()
+	m.tick(frontStats(20, 100, 5000, 8))
+	m.tick(frontStats(40, 100, 5000, 8)) // change at t=40
 	n := len(m.Decisions())
 	// Within StabilizeDelay of the change: no further move.
-	m.tick(c, frontStats(45, 100, 5000, 8))
+	m.tick(frontStats(45, 100, 5000, 8))
 	if len(m.Decisions()) != n {
 		t.Fatalf("changed during stabilisation: %+v", m.Decisions())
 	}
 	// Past the delay it moves again.
-	m.tick(c, frontStats(55, 100, 5000, 8))
+	m.tick(frontStats(55, 100, 5000, 8))
 	if len(m.Decisions()) != n+1 {
 		t.Fatalf("no change after stabilisation: %+v", m.Decisions())
 	}
 }
 
 func TestTickSaturationGuard(t *testing.T) {
-	c, m := tickHarness(t)
+	m := newKernelHarness()
 	s := frontStats(20, 100, 5000, 8)
 	s.FrontRunningReduces = 0 // f = NaN would hold; make f computable
 	s.FrontRunningReduces = 1 // Rm = 100/8 → f = 400 ≫ upper
 	s.ShuffleMBps = 4900      // ≥ 0.85 × potential: pipeline saturated
-	m.tick(c, s)
+	m.tick(s)
 	s2 := s
 	s2.Now = 40
 	s2.MapInputProcessedMB = 100 * 40
 	s2.MapOutputProducedMB = 100 * 40
-	m.tick(c, s2)
+	m.tick(s2)
 	if len(m.Decisions()) != 0 {
 		t.Fatalf("grew into a saturated shuffle: %+v", m.Decisions())
 	}
 }
 
 func TestTickCeilingBlocksGrowth(t *testing.T) {
-	c, m := tickHarness(t)
+	m := newKernelHarness()
 	// Establish the front job first (the job transition resets
 	// learning, including any ceiling), then pin the ceiling.
-	m.tick(c, frontStats(20, 100, 5000, 8))
-	m.ceiling = m.MapTarget()
-	m.tick(c, frontStats(40, 100, 5000, 8))
-	m.tick(c, frontStats(60, 100, 5000, 8))
+	m.tick(frontStats(20, 100, 5000, 8))
+	m.k.ceiling = m.MapTarget()
+	m.tick(frontStats(40, 100, 5000, 8))
+	m.tick(frontStats(60, 100, 5000, 8))
 	if len(m.Decisions()) != 0 {
 		t.Fatalf("grew past the thrashing ceiling: %+v", m.Decisions())
 	}
 }
 
 func TestTickTailReleasesAndBoosts(t *testing.T) {
-	c, m := tickHarness(t)
+	m := newKernelHarness()
 	s := frontStats(20, 100, 5000, 8)
 	s.PendingMaps = 0
 	s.RunningMaps = 2
 	s.ShufflePerReduceMB = 50 // small shuffle → boost
-	m.tick(c, s)
+	m.tick(s)
 	if len(m.Decisions()) != 1 {
 		t.Fatalf("tail made %d decisions", len(m.Decisions()))
 	}
@@ -163,12 +191,12 @@ func TestTickTailReleasesAndBoosts(t *testing.T) {
 }
 
 func TestTickTailGuardLargeShuffle(t *testing.T) {
-	c, m := tickHarness(t)
+	m := newKernelHarness()
 	s := frontStats(20, 100, 5000, 8)
 	s.PendingMaps = 0
 	s.RunningMaps = 2
 	s.ShufflePerReduceMB = 4096 // large shuffle → no boost
-	m.tick(c, s)
+	m.tick(s)
 	if len(m.Decisions()) != 1 {
 		t.Fatalf("tail made %d decisions", len(m.Decisions()))
 	}
@@ -178,18 +206,18 @@ func TestTickTailGuardLargeShuffle(t *testing.T) {
 }
 
 func TestTickNoSignalHolds(t *testing.T) {
-	c, m := tickHarness(t)
+	m := newKernelHarness()
 	// Front job has no running reducers: f is NaN, nothing moves.
-	m.tick(c, frontStats(20, 100, 0, 0))
-	m.tick(c, frontStats(40, 100, 0, 0))
+	m.tick(frontStats(20, 100, 0, 0))
+	m.tick(frontStats(40, 100, 0, 0))
 	if len(m.Decisions()) != 0 {
 		t.Fatalf("moved without a signal: %+v", m.Decisions())
 	}
 }
 
 func TestTickEmptyQueueIsNoop(t *testing.T) {
-	c, m := tickHarness(t)
-	m.tick(c, mr.Stats{Now: 50, HeadJobID: -1})
+	m := newKernelHarness()
+	m.tick(mr.Stats{Now: 50, HeadJobID: -1})
 	if len(m.Decisions()) != 0 {
 		t.Fatal("decided with an empty queue")
 	}
