@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"smapreduce/internal/telemetry"
 )
 
 func TestEventLogCollectsLifecycle(t *testing.T) {
@@ -206,27 +208,40 @@ func TestEventLogDisabledIsFree(t *testing.T) {
 	// No panic, no log: emit must be a no-op without EnableEventLog.
 }
 
+// TestUtilisationSeries checks the cluster-wide utilisation probes the
+// telemetry collector samples: occupied slots and heartbeat-smoothed
+// rates, summed over the trackers.
 func TestUtilisationSeries(t *testing.T) {
 	c := MustNewCluster(smallConfig())
-	u := c.EnableUtilisation()
+	col := telemetry.NewCollector(0)
+	c.EnableTelemetry(col)
 	if _, err := c.Run(grepJob(2048)); err != nil {
 		t.Fatal(err)
 	}
-	if u.RunningMaps.Len() == 0 || u.MapInputMBps.Len() == 0 {
-		t.Fatal("utilisation series empty")
+	series := map[string]*telemetry.Series{}
+	peak := map[string]float64{}
+	for _, name := range []string{"cluster/running-maps", "cluster/running-reduces", "cluster/map-input-MBps", "cluster/shuffle-MBps"} {
+		s := col.Get(name)
+		if s == nil || s.Len() == 0 {
+			t.Fatalf("utilisation series %s empty", name)
+		}
+		series[name] = s
+		for _, p := range s.Points() {
+			peak[name] = max(peak[name], p.V)
+		}
 	}
 	// Peak concurrency is bounded by the slot configuration.
-	if u.RunningMaps.MaxV() > float64(smallConfig().Workers*smallConfig().MaxMapSlots) {
-		t.Fatalf("running maps peak %v exceeds slot capacity", u.RunningMaps.MaxV())
+	if p := peak["cluster/running-maps"]; p > float64(smallConfig().Workers*smallConfig().MaxMapSlots) {
+		t.Fatalf("running maps peak %v exceeds slot capacity", p)
 	}
-	if u.RunningMaps.MaxV() <= 0 {
+	if peak["cluster/running-maps"] <= 0 {
 		t.Fatal("running maps never rose above zero")
 	}
-	if u.MapInputMBps.MaxV() <= 0 {
+	if peak["cluster/map-input-MBps"] <= 0 {
 		t.Fatal("map rate never rose above zero")
 	}
 	// Series share the sampler cadence.
-	if u.RunningMaps.Len() != u.ShuffleMBps.Len() {
+	if series["cluster/running-maps"].Len() != series["cluster/shuffle-MBps"].Len() {
 		t.Fatal("series lengths diverge")
 	}
 }
