@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -66,18 +67,30 @@ func TestShuffleFetchAllocFree(t *testing.T) {
 	}
 }
 
-// stageAllocs stages and admits jobs of inputMB on a fresh 16-tracker
-// cluster and returns the heap allocations per job.
-func stageAllocs(t *testing.T, inputMB float64) float64 {
+// stageAllocs stages and admits one job of inputMB on each of 20
+// fresh 16-tracker clusters and returns the fewest heap allocations one
+// staging made. A fresh cluster starts every staging from the same
+// empty job and file registries, so their amortised growth is the same
+// for both sizes instead of depending on how many jobs came before;
+// the minimum drops allocations other goroutines (the GC, the race
+// runtime) make between the two reads.
+func stageAllocs(t *testing.T, inputMB float64) uint64 {
 	t.Helper()
-	c := MustNewCluster(DefaultConfig())
-	return testing.AllocsPerRun(20, func() {
+	fewest := uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for range 20 {
+		c := MustNewCluster(DefaultConfig())
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
 		j, err := c.stageJob(JobSpec{Name: "grep", Profile: puma.MustGet("grep"), InputMB: inputMB, Reduces: 30})
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.jt.admit(j)
-	})
+		runtime.ReadMemStats(&ms)
+		fewest = min(fewest, ms.Mallocs-before)
+	}
+	return fewest
 }
 
 // TestStageJobAllocs pins that job staging allocates per file and per

@@ -3,6 +3,7 @@ package mr
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"smapreduce/internal/dfs"
 	"smapreduce/internal/metrics"
@@ -128,7 +129,7 @@ func newJob(id int, spec JobSpec, file *dfs.File, beta float64, workers int) *Jo
 		Started:     -1,
 		BarrierAt:   -1,
 		FinishedAt:  -1,
-		Progress:    metrics.NewProgress(fmt.Sprintf("%s#%d", spec.Name, id)),
+		Progress:    metrics.NewProgress(spec.Name + "#" + strconv.Itoa(id)),
 		mapPressure: resource.PressureForPeak(spec.Profile.MapPeakSlots, beta),
 	}
 	// Tasks and their per-reducer bookkeeping are carved out of a few
