@@ -1,9 +1,9 @@
 # Developer entry points. The tier-1 gate the CI (and the next PR's
-# baseline) runs is `make check`: build, vet, full test suite.
+# baseline) runs is `make check`: gofmt, build, vet, full test suite.
 
 GO ?= go
 
-.PHONY: all build test check vet race invariants reference cover fuzz-smoke bench-smoke perf-smoke trace-smoke serve-smoke grid-smoke clean
+.PHONY: all build fmt test check vet race invariants reference cover fuzz-smoke bench-smoke perf-smoke trace-smoke serve-smoke grid-smoke clean
 
 all: check
 
@@ -13,11 +13,15 @@ build:
 vet:
 	$(GO) vet ./...
 
+# fmt fails when any Go file is not gofmt-formatted.
+fmt:
+	test -z "$$(gofmt -l .)"
+
 test:
 	$(GO) test ./...
 
 # check is the tier-1 flow: everything must stay green.
-check: build vet test
+check: fmt build vet test
 
 # race runs the runtime-heavy internal packages under the race
 # detector; the figure matrices are too slow for -race, the internals

@@ -40,7 +40,7 @@ import (
 )
 
 func main() {
-	os.Exit(exitCode(run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
+	os.Exit(exitCode(run(os.Args[1:], os.Stdout, os.Stderr, notifyStop), os.Stderr))
 }
 
 // usageError marks a bad command line; run has already reported it
@@ -60,10 +60,12 @@ func exitCode(err error, stderr io.Writer) int {
 	return 1
 }
 
-// run is main with injectable arguments and streams, so the command is
-// testable in-process. The flags fill one scenario.Scenario; the run
-// executes its Plan through core.Run.
-func run(args []string, stdout, stderr io.Writer) error {
+// run is main with injectable arguments, streams and stop source, so
+// the command is testable in-process. The flags fill one
+// scenario.Scenario; the run executes its Plan through core.Run. When
+// a service is up, run calls stop once the service is ready to wait
+// and drains the service when the returned channel delivers.
+func run(args []string, stdout, stderr io.Writer, stop func() <-chan os.Signal) error {
 	fs := flag.NewFlagSet("smrsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -137,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		awaitShutdown(stderr, srv, *drainDur)
+		awaitShutdown(stderr, srv, *drainDur, stop())
 		return nil
 	}
 
@@ -298,7 +300,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	if srv != nil {
 		fmt.Fprintf(stderr, "smrsim: run finished; still serving on %s (Ctrl-C drains and exits)\n", srv.Addr())
-		awaitShutdown(stderr, srv, *drainDur)
+		awaitShutdown(stderr, srv, *drainDur, stop())
 	}
 	return nil
 }

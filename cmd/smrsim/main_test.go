@@ -19,7 +19,7 @@ import (
 func runOK(t *testing.T, args ...string) string {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
-	if err := run(args, &stdout, &stderr); err != nil {
+	if err := run(args, &stdout, &stderr, nil); err != nil {
 		t.Fatalf("run %q: %v\nstderr:\n%s", args, err, stderr.String())
 	}
 	return stdout.String()
@@ -184,7 +184,7 @@ func TestBadFlagsReturnErrors(t *testing.T) {
 	}
 	for name, args := range cases {
 		var stdout, stderr bytes.Buffer
-		err := run(args, &stdout, &stderr)
+		err := run(args, &stdout, &stderr, nil)
 		if err == nil {
 			t.Errorf("%s: %q accepted", name, args)
 			continue
@@ -200,7 +200,7 @@ func TestBadFlagsReturnErrors(t *testing.T) {
 		}
 	}
 	var stdout, stderr bytes.Buffer
-	err := run([]string{"-h"}, &stdout, &stderr)
+	err := run([]string{"-h"}, &stdout, &stderr, nil)
 	if !errors.Is(err, flag.ErrHelp) {
 		t.Errorf("-h: err = %v, want flag.ErrHelp", err)
 	}
@@ -220,7 +220,7 @@ func TestBuildArrivalsInlineAndErrors(t *testing.T) {
 	}
 	for _, arg := range []string{"/no/such/file.json", `{"tenants": []}`} {
 		var stdout, stderr bytes.Buffer
-		if err := run([]string{"-arrive", arg}, &stdout, &stderr); err == nil {
+		if err := run([]string{"-arrive", arg}, &stdout, &stderr, nil); err == nil {
 			t.Errorf("-arrive %q accepted", arg)
 		}
 	}

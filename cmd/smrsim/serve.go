@@ -31,16 +31,21 @@ func startServer(stdout, stderr io.Writer, addr string, opts serve.Options) (*se
 	return srv, nil
 }
 
-// awaitShutdown keeps the service up until SIGINT/SIGTERM, then drains
-// it gracefully: intake stops, queued and running simulations finish
-// (bounded by the -drain deadline), the ledger flushes, and the
-// listener closes. This replaces the old serve loop that blocked
-// forever and died mid-write on Ctrl-C.
-func awaitShutdown(stderr io.Writer, srv *serve.Server, drain time.Duration) {
+// notifyStop returns a channel that receives SIGINT and SIGTERM from
+// now on. It is main's stop source for awaitShutdown; tests pass a
+// channel of their own instead.
+func notifyStop() <-chan os.Signal {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sigc)
-	sig := <-sigc
+	return sigc
+}
+
+// awaitShutdown keeps the service up until stop delivers a signal,
+// then drains it gracefully: intake stops, queued and running
+// simulations finish (bounded by the -drain deadline), the ledger
+// flushes, and the listener closes.
+func awaitShutdown(stderr io.Writer, srv *serve.Server, drain time.Duration, stop <-chan os.Signal) {
+	sig := <-stop
 	fmt.Fprintf(stderr, "smrsim: %v: draining runs (deadline %s)\n", sig, drain)
 	ctx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()

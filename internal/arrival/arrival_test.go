@@ -38,9 +38,9 @@ func drain(t *testing.T, s *Source) []mr.JobSpec {
 
 func TestValidation(t *testing.T) {
 	bad := []Config{
-		{},                    // unbounded, no tenants
-		{Horizon: -1},         // negative horizon
-		{Horizon: 100},        // no tenants
+		{},             // unbounded, no tenants
+		{Horizon: -1},  // negative horizon
+		{Horizon: 100}, // no tenants
 		{Horizon: 100, Diurnal: 1.2, Tenants: twoTenantConfig().Tenants},
 		{Horizon: 100, Tenants: []Tenant{{Name: "", Benchmarks: []string{"grep"}, MeanInterarrival: 1, InputMBMin: 1, InputMBMax: 1, Reduces: 1}}},
 		{Horizon: 100, Tenants: []Tenant{{Name: "a", Benchmarks: []string{"no-such-benchmark"}, MeanInterarrival: 1, InputMBMin: 1, InputMBMax: 1, Reduces: 1}}},

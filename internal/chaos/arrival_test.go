@@ -32,9 +32,9 @@ func chaosArrivalSpecs() []mr.JobSpec {
 	}
 	return []mr.JobSpec{
 		mk("pre", 0, 1024),
-		mk("during-crash", 12, 512),    // tt3 is down, tt2 silent
+		mk("during-crash", 12, 512),     // tt3 is down, tt2 silent
 		mk("during-blacklist", 25, 512), // tt2 blacklisted by now
-		mk("post", 90, 512),            // after rejoin and probation
+		mk("post", 90, 512),             // after rejoin and probation
 	}
 }
 

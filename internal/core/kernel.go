@@ -324,7 +324,7 @@ func (k *Kernel) tailStretch(s mr.Stats, b Bounds, st *Step) {
 	}
 	reduces := k.reduceTarget
 	reason := ReasonTailRelease
-	if !k.cfg.DisableTailBoost && s.ShufflePerReduceMB > 0 && s.ShufflePerReduceMB < k.cfg.TailShufflePerReduceMB {
+	if !k.cfg.DisableTailBoost && s.ShufflePerReduceMB > 0 && s.ShufflePerReduceMB < tailShufflePerReduceMB {
 		reduces = b.MaxReduces
 		reason = ReasonTailBoost
 	}

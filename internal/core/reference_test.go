@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"smapreduce/internal/mr"
 	"smapreduce/internal/puma"
+	"smapreduce/internal/trace"
 )
 
 // jobMilestones is the externally observable outcome of one job; the
@@ -29,7 +32,6 @@ func runReference(t *testing.T, reference bool) ([]jobMilestones, []Decision, []
 	const inputMB, jobs = 10240.0, 6
 	cfg := mr.DefaultConfig()
 	cfg.Seed = 11
-	cfg.OutputReplication = 2
 	cfg.Reference = reference
 	names := puma.Names()
 	specs := make([]mr.JobSpec, 0, jobs)
@@ -43,9 +45,13 @@ func runReference(t *testing.T, reference bool) ([]jobMilestones, []Decision, []
 			SubmitAt: float64(i) * 2,
 		})
 	}
-	res, err := Run(EngineSMapReduce, Options{Cluster: cfg}, specs...)
+	tr := trace.New(trace.Options{Verbosity: trace.VerbosityAllFlows})
+	res, err := Run(EngineSMapReduce, Options{Cluster: cfg, Tracer: tr}, specs...)
 	if err != nil {
 		t.Fatalf("Run (reference=%v): %v", reference, err)
+	}
+	if n := readSpans(t, tr); n == 0 {
+		t.Fatalf("reference=%v: no remote DFS read flow, only shuffles reach the verifier", reference)
 	}
 	ms := make([]jobMilestones, len(res.Jobs))
 	for i, j := range res.Jobs {
@@ -61,6 +67,31 @@ func runReference(t *testing.T, reference bool) ([]jobMilestones, []Decision, []
 		}
 	}
 	return ms, res.Decisions, res.Audits
+}
+
+// readSpans counts the remote split-read flow spans tr recorded.
+func readSpans(t *testing.T, tr *trace.Tracer) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteChromeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph  string `json:"ph"`
+			Cat string `json:"cat"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" && ev.Cat == "read" {
+			n++
+		}
+	}
+	return n
 }
 
 // TestReferenceDifferential runs the full SMapReduce engine — slot

@@ -40,14 +40,18 @@ import (
 	"smapreduce/internal/trace"
 )
 
+// interval is the period between decisions, seconds. The paper's
+// manager runs "after every time period" long enough for all trackers
+// to have heartbeated; with 1 s heartbeats 5 s is comfortable.
+const interval float64 = 5
+
+// tailShufflePerReduceMB is the "small shuffle" threshold under which
+// the tail stretch may add reduce slots (§III-B3).
+const tailShufflePerReduceMB float64 = 256
+
 // SlotManagerConfig tunes the slot manager. Zero values are replaced by
 // the paper's defaults in NewSlotManager.
 type SlotManagerConfig struct {
-	// Interval between decisions, seconds. The paper's manager runs
-	// "after every time period" long enough for all trackers to have
-	// heartbeated; with 1 s heartbeats 5 s is comfortable.
-	Interval float64
-
 	// SlowStartFraction of map tasks that must finish before the first
 	// decision (paper default 10%).
 	SlowStartFraction float64
@@ -74,10 +78,6 @@ type SlotManagerConfig struct {
 	// chance"; 2 matches the paper).
 	SuspectConfirmations int
 
-	// TailShufflePerReduceMB is the "small shuffle" threshold under
-	// which the tail stretch may add reduce slots (§III-B3).
-	TailShufflePerReduceMB float64
-
 	// Ablation switches (Fig. 7), named so the zero value is the
 	// paper's full algorithm.
 	DisableThrashDetection bool
@@ -95,22 +95,18 @@ type SlotManagerConfig struct {
 // DefaultSlotManagerConfig returns the paper's settings.
 func DefaultSlotManagerConfig() SlotManagerConfig {
 	return SlotManagerConfig{
-		Interval:               5,
-		SlowStartFraction:      0.10,
-		LowerBound:             0.80,
-		UpperBound:             1.30,
-		StabilizeDelay:         10,
-		RateWindow:             24,
-		SuspectConfirmations:   2,
-		TailShufflePerReduceMB: 256,
+		SlowStartFraction:    0.10,
+		LowerBound:           0.80,
+		UpperBound:           1.30,
+		StabilizeDelay:       10,
+		RateWindow:           24,
+		SuspectConfirmations: 2,
 	}
 }
 
 // Validate reports the first problem with the config, or nil.
 func (c SlotManagerConfig) Validate() error {
 	switch {
-	case c.Interval <= 0:
-		return fmt.Errorf("core: Interval = %v, must be positive", c.Interval)
 	case c.SlowStartFraction < 0 || c.SlowStartFraction > 1:
 		return fmt.Errorf("core: SlowStartFraction = %v, must be in [0,1]", c.SlowStartFraction)
 	case c.LowerBound <= 0 || c.UpperBound < c.LowerBound:
@@ -121,8 +117,6 @@ func (c SlotManagerConfig) Validate() error {
 		return fmt.Errorf("core: RateWindow = %v, must be positive", c.RateWindow)
 	case c.SuspectConfirmations < 1:
 		return fmt.Errorf("core: SuspectConfirmations = %d, must be >= 1", c.SuspectConfirmations)
-	case c.TailShufflePerReduceMB < 0:
-		return fmt.Errorf("core: TailShufflePerReduceMB = %v, must be >= 0", c.TailShufflePerReduceMB)
 	}
 	return nil
 }
@@ -173,13 +167,11 @@ func NewSlotManager(cfg SlotManagerConfig) (*SlotManager, error) {
 			*v = def
 		}
 	}
-	orDefault(&cfg.Interval, d.Interval)
 	orDefault(&cfg.SlowStartFraction, d.SlowStartFraction)
 	orDefault(&cfg.LowerBound, d.LowerBound)
 	orDefault(&cfg.UpperBound, d.UpperBound)
 	orDefault(&cfg.StabilizeDelay, d.StabilizeDelay)
 	orDefault(&cfg.RateWindow, d.RateWindow)
-	orDefault(&cfg.TailShufflePerReduceMB, d.TailShufflePerReduceMB)
 	if cfg.SuspectConfirmations == 0 {
 		cfg.SuspectConfirmations = d.SuspectConfirmations
 	}
@@ -200,7 +192,7 @@ func MustNewSlotManager(cfg SlotManagerConfig) *SlotManager {
 }
 
 // Interval implements mr.Controller.
-func (m *SlotManager) Interval() float64 { return m.k.cfg.Interval }
+func (m *SlotManager) Interval() float64 { return interval }
 
 // Decisions returns the decision log (for traces, tests and examples):
 // the audit trail projected through AuditRecord.Decision.

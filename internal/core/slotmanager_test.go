@@ -50,14 +50,12 @@ func TestDefaultConfigValid(t *testing.T) {
 
 func TestConfigValidateRejects(t *testing.T) {
 	mutations := []func(*SlotManagerConfig){
-		func(c *SlotManagerConfig) { c.Interval = -1 },
 		func(c *SlotManagerConfig) { c.SlowStartFraction = 2 },
 		func(c *SlotManagerConfig) { c.LowerBound = -1 },
 		func(c *SlotManagerConfig) { c.UpperBound = c.LowerBound / 2 },
 		func(c *SlotManagerConfig) { c.StabilizeDelay = -1 },
 		func(c *SlotManagerConfig) { c.RateWindow = -1 },
 		func(c *SlotManagerConfig) { c.SuspectConfirmations = -1 },
-		func(c *SlotManagerConfig) { c.TailShufflePerReduceMB = -1 },
 	}
 	for i, mutate := range mutations {
 		cfg := DefaultSlotManagerConfig()
@@ -71,7 +69,7 @@ func TestConfigValidateRejects(t *testing.T) {
 func TestZeroConfigGetsPaperDefaults(t *testing.T) {
 	m := MustNewSlotManager(SlotManagerConfig{})
 	d := DefaultSlotManagerConfig()
-	if m.k.cfg.Interval != d.Interval || m.k.cfg.SlowStartFraction != d.SlowStartFraction ||
+	if m.k.cfg.SlowStartFraction != d.SlowStartFraction ||
 		m.k.cfg.UpperBound != d.UpperBound || m.k.cfg.RateWindow != d.RateWindow {
 		t.Fatalf("zero config not defaulted: %+v", m.k.cfg)
 	}
@@ -82,7 +80,7 @@ func TestZeroConfigGetsPaperDefaults(t *testing.T) {
 }
 
 func TestNewSlotManagerRejectsInvalid(t *testing.T) {
-	if _, err := NewSlotManager(SlotManagerConfig{Interval: -5}); err == nil {
+	if _, err := NewSlotManager(SlotManagerConfig{RateWindow: -5}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 	defer func() {
@@ -90,7 +88,7 @@ func TestNewSlotManagerRejectsInvalid(t *testing.T) {
 			t.Fatal("MustNewSlotManager did not panic")
 		}
 	}()
-	MustNewSlotManager(SlotManagerConfig{Interval: -5})
+	MustNewSlotManager(SlotManagerConfig{RateWindow: -5})
 }
 
 func TestMapHeavyJobGrowsMapSlots(t *testing.T) {
@@ -143,7 +141,7 @@ func TestThrashingDetectionCapsGrowth(t *testing.T) {
 func TestThrashingRollbackLogged(t *testing.T) {
 	// With a ceiling-free run long enough to overshoot, detection must
 	// roll the target back and log the confirmation.
-	_, m := runManaged(t, SlotManagerConfig{StabilizeDelay: 6, Interval: 3}, job("histogram-movies", 48*1024, 8))
+	_, m := runManaged(t, SlotManagerConfig{StabilizeDelay: 6}, job("histogram-movies", 48*1024, 8))
 	confirmed := false
 	for _, d := range m.Decisions() {
 		if strings.Contains(d.Reason, "thrashing confirmed") {
@@ -151,7 +149,7 @@ func TestThrashingRollbackLogged(t *testing.T) {
 		}
 	}
 	if !confirmed {
-		t.Skip("thrashing never confirmed in this configuration; growth stopped by balance instead")
+		t.Fatalf("thrashing never confirmed; decisions %v", m.Decisions())
 	}
 	if m.k.ceiling == 0 {
 		t.Fatal("confirmation did not set a ceiling")
@@ -397,7 +395,7 @@ func TestResultAggregates(t *testing.T) {
 }
 
 func TestRunRejectsBadSlotManagerConfig(t *testing.T) {
-	_, err := Run(EngineSMapReduce, Options{SlotManager: SlotManagerConfig{Interval: -1}}, job("grep", 1024, 4))
+	_, err := Run(EngineSMapReduce, Options{SlotManager: SlotManagerConfig{RateWindow: -1}}, job("grep", 1024, 4))
 	if err == nil {
 		t.Fatal("bad slot manager config accepted")
 	}

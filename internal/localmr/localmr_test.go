@@ -261,6 +261,35 @@ func TestPoolShrinksLazily(t *testing.T) {
 	}
 }
 
+// TestPoolResizeRunsEveryIndexOnce grows and shrinks a running pool
+// (targets 1, 3, 5, 7 in turn) and checks that every task index runs
+// exactly once.
+func TestPoolResizeRunsEveryIndexOnce(t *testing.T) {
+	const n = 500
+	p := &pool{target: 2}
+	var runs [n]atomic.Int32
+	p.run(n, func(i int) (int, int) {
+		runs[i].Add(1)
+		if i%50 == 0 {
+			p.mu.Lock()
+			p.target = 1 + 2*(i/50%4)
+			for p.alive < p.target {
+				p.spawnLocked()
+			}
+			p.mu.Unlock()
+		}
+		return 0, 0
+	})
+	for i := range runs {
+		if got := runs[i].Load(); got != 1 {
+			t.Fatalf("task %d ran %d times", i, got)
+		}
+	}
+	if p.peakSeen != 7 {
+		t.Fatalf("peak %d, want 7", p.peakSeen)
+	}
+}
+
 func TestStatsAccounting(t *testing.T) {
 	text := strings.Repeat("k v\n", 100)
 	cfg := staticConfig()

@@ -17,11 +17,13 @@ type PoolDecision struct {
 	Reason  string
 }
 
-// pool is a work-stealing goroutine pool whose size can be retuned
-// while it runs. Shrinking is lazy: a worker only exits after finishing
-// its current task (the engine-level analogue of §III-D's lazy slot
-// changing), and growth spawns fresh workers immediately. A pool with a
-// manager resizes to the manager's map target as tasks complete.
+// pool is a goroutine pool whose size can be retuned while it runs.
+// Workers claim task indices from a shared counter, so no dispatcher
+// sits between them. Shrinking is lazy: a worker only exits after
+// finishing its current task (the engine-level analogue of §III-D's
+// lazy slot changing), and growth spawns fresh workers immediately. A
+// pool with a manager resizes to the manager's map target as tasks
+// complete.
 type pool struct {
 	mgr *manager // nil for a fixed-size pool
 
@@ -29,11 +31,11 @@ type pool struct {
 	target   int
 	alive    int
 	peakSeen int          // highest concurrent worker count; read it after run
-	started  atomic.Int64 // tasks taken by a worker
+	started  atomic.Int64 // task indices claimed; may pass n at the end
 
-	tasks chan int
-	fn    func(int) (inBytes, outBytes int)
-	wg    sync.WaitGroup
+	n  int
+	fn func(int) (inBytes, outBytes int)
+	wg sync.WaitGroup
 }
 
 // run executes fn(i) for i in [0, n) on the pool and blocks until all
@@ -43,7 +45,7 @@ func (p *pool) run(n int, fn func(int) (inBytes, outBytes int)) {
 	if n <= 0 {
 		return
 	}
-	p.tasks = make(chan int)
+	p.n = n
 	p.fn = fn
 	p.wg.Add(n)
 
@@ -52,11 +54,6 @@ func (p *pool) run(n int, fn func(int) (inBytes, outBytes int)) {
 		p.spawnLocked()
 	}
 	p.mu.Unlock()
-
-	for i := 0; i < n; i++ {
-		p.tasks <- i
-	}
-	close(p.tasks)
 	p.wg.Wait()
 }
 
@@ -69,9 +66,14 @@ func (p *pool) spawnLocked() {
 	go p.worker()
 }
 
+// worker claims and runs tasks until none is left or the pool shrinks
+// below it.
 func (p *pool) worker() {
-	for i := range p.tasks {
-		p.started.Add(1)
+	for {
+		i := int(p.started.Add(1) - 1)
+		if i >= p.n {
+			return
+		}
 		if p.afterTask(p.fn(i)) {
 			return // lazy shrink: exit only between tasks
 		}
@@ -85,7 +87,8 @@ func (p *pool) afterTask(inBytes, outBytes int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.mgr != nil {
-		p.target = p.mgr.mapTaskDone(int(p.started.Load()), inBytes, outBytes)
+		started := min(int(p.started.Load()), p.n)
+		p.target = p.mgr.mapTaskDone(started, inBytes, outBytes)
 		for p.alive < p.target {
 			p.spawnLocked()
 		}

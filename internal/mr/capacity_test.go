@@ -188,9 +188,7 @@ func TestCapacityCapDeadlockBroken(t *testing.T) {
 	// and the capacity tick kept the clock alive forever. The reserve
 	// rule (reduces may not take the last unit while maps are pending)
 	// plus the single-map overshoot must let this run terminate.
-	cfg := smallConfig()
-	cfg.ReduceSlowstart = 0.05
-	c := MustNewCluster(cfg)
+	c := MustNewCluster(smallConfig())
 	err := c.SetCapacityPolicy(&stubPolicy{
 		interval: 1,
 		alloc: func(now float64, total int, tenants []TenantSnapshot) []TenantAllocation {

@@ -123,7 +123,7 @@ type Cluster struct {
 // probe series: cluster-wide task counts and cumulative MB counters,
 // per-tracker slot targets and occupancy, per-node CPU utilisation and
 // the aggregate fabric throughput. Call before Run; every series is
-// sampled on the progress sampler's cadence (Config.SampleInterval).
+// sampled on the progress sampler's cadence (sampleInterval).
 func (c *Cluster) EnableTelemetry(col *telemetry.Collector) {
 	c.telem = col
 	// total registers the sum of f over the trackers, in tracker order;
@@ -189,14 +189,6 @@ func newCluster(cfg Config, st *SimState) (*Cluster, error) {
 	}
 	net := cfg.Net
 	net.Nodes = cfg.Workers
-	// Heartbeat-loss handling defaults scale with the heartbeat period
-	// so custom configs predating the fault model keep working.
-	if cfg.BlacklistTimeout == 0 {
-		cfg.BlacklistTimeout = 3 * cfg.HeartbeatPeriod
-	}
-	if cfg.ProbationPeriod == 0 {
-		cfg.ProbationPeriod = 5 * cfg.HeartbeatPeriod
-	}
 	// Reference mode refuses recycled substrate (see Config.Reference).
 	cfg.Reference = cfg.Reference || os.Getenv("SMR_REFERENCE") == "1"
 	if st == nil || cfg.Reference {
@@ -262,7 +254,7 @@ func MustNewCluster(cfg Config) *Cluster {
 	return c
 }
 
-// newFlow builds a shuffle/read/replication flow, recycled from the
+// newFlow builds a shuffle or read flow, recycled from the
 // fabric's pool unless pooling is disabled. Its Label stays empty: the
 // op it drives carries its identity (see startFlow). The caller
 // registers it with c.fabric.Add and must pair every removal with
@@ -503,11 +495,11 @@ func (c *Cluster) submitJob(j *Job) {
 func (c *Cluster) start() {
 	c.started = true
 	for i, tt := range c.trackers {
-		offset := c.cfg.HeartbeatPeriod * float64(i) / float64(len(c.trackers))
+		offset := heartbeatPeriod * float64(i) / float64(len(c.trackers))
 		tt.lastHB = 0
 		// Keep the ref: a fault injected before the first beat (crash,
 		// heartbeat loss) must be able to cancel the pending chain.
-		tt.hbEvent = c.clock.SchedulePeriodic(offset, c.cfg.HeartbeatPeriod, tt.hbLabel, tt.hbFn)
+		tt.hbEvent = c.clock.SchedulePeriodic(offset, heartbeatPeriod, tt.hbLabel, tt.hbFn)
 	}
 	c.scheduleSampler()
 	if c.controller != nil {
@@ -527,14 +519,14 @@ func (c *Cluster) drive() {
 
 // scheduleSampler records progress curves for all running jobs. One
 // periodic event drives the whole chain: the clock re-arms it in place
-// every SampleInterval, so steady-state sampling does not allocate and
+// every sampleInterval, so steady-state sampling does not allocate and
 // shutdown's Cancel stops the chain wherever it is.
 func (c *Cluster) scheduleSampler() {
 	if c.sampleFn == nil {
 		c.sampleFn = c.sampleTick
 	}
 	c.sampleEvent = c.clock.SchedulePeriodic(
-		c.clock.Now()+c.cfg.SampleInterval, c.cfg.SampleInterval, "sample", c.sampleFn)
+		c.clock.Now()+sampleInterval, sampleInterval, "sample", c.sampleFn)
 }
 
 func (c *Cluster) sampleTick() {
@@ -702,7 +694,7 @@ func (c *Cluster) Snapshot() Stats {
 		}
 		break
 	}
-	perReducerCap := float64(c.cfg.Fetchers) * c.cfg.PerFetchMBps
+	perReducerCap := float64(fetchers) * c.cfg.PerFetchMBps
 	for _, tt := range c.trackers {
 		s.RunningMaps += len(tt.runningMaps)
 		s.RunningReduces += len(tt.runningReduces)

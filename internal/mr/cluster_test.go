@@ -46,15 +46,7 @@ func TestConfigValidateRejects(t *testing.T) {
 		func(c *Config) { c.ReduceSlots = 0 },
 		func(c *Config) { c.MaxMapSlots = 1 },
 		func(c *Config) { c.MaxReduceSlots = 0 },
-		func(c *Config) { c.HeartbeatPeriod = 0 },
-		func(c *Config) { c.SampleInterval = 0 },
-		func(c *Config) { c.ReduceSlowstart = 1.5 },
-		func(c *Config) { c.Fetchers = 0 },
 		func(c *Config) { c.PerFetchMBps = 0 },
-		func(c *Config) { c.Jitter = 1 },
-		func(c *Config) { c.SlotChangePressure = -1 },
-		func(c *Config) { c.StabilizeTime = -1 },
-		func(c *Config) { c.Policy = YARN; c.MapContainerMB = 0 },
 	}
 	for i, mutate := range mutations {
 		cfg := DefaultConfig()
@@ -410,20 +402,6 @@ func TestSetDesiredSlotsClampsAndPanics(t *testing.T) {
 	}
 }
 
-func TestReduceSlowstartGatesLaunch(t *testing.T) {
-	// With slowstart = 1.0 reduces launch only after every map commits,
-	// so shuffle cannot overlap and reduce time grows.
-	overlap := smallConfig()
-	overlap.ReduceSlowstart = 0.05
-	serial := smallConfig()
-	serial.ReduceSlowstart = 1.0
-	a := runOne(t, overlap, terasortJob(1024))
-	b := runOne(t, serial, terasortJob(1024))
-	if b.FinishedAt <= a.FinishedAt {
-		t.Fatalf("serial shuffle (%v) not slower than overlapped (%v)", b.FinishedAt, a.FinishedAt)
-	}
-}
-
 func TestMapHeavyVsReduceHeavyShape(t *testing.T) {
 	// Reduce-heavy jobs spend proportionally longer after the barrier.
 	g := runOne(t, smallConfig(), grepJob(2048))
@@ -504,137 +482,11 @@ func TestSkewSurvivesFailure(t *testing.T) {
 	}
 }
 
-func TestCompressionValidation(t *testing.T) {
-	cfg := smallConfig()
-	cfg.CompressShuffle = true
-	cfg.CompressionRatio = 0
-	if cfg.Validate() == nil {
-		t.Fatal("zero ratio accepted")
-	}
-	cfg.CompressionRatio = 1.5
-	if cfg.Validate() == nil {
-		t.Fatal("ratio > 1 accepted")
-	}
-	cfg.CompressionRatio = 0.45
-	cfg.CompressCPUPerMB = -1
-	if cfg.Validate() == nil {
-		t.Fatal("negative compress cost accepted")
-	}
-}
-
-func TestCompressionShrinksShuffle(t *testing.T) {
-	plain := runOne(t, smallConfig(), terasortJob(2048))
-	cfg := smallConfig()
-	cfg.CompressShuffle = true
-	packed := runOne(t, cfg, terasortJob(2048))
-	want := plain.ShuffledMB * cfg.CompressionRatio
-	if math.Abs(packed.ShuffledMB-want) > want*0.05 {
-		t.Fatalf("compressed shuffle %v, want ≈%v", packed.ShuffledMB, want)
-	}
-}
-
-func TestCompressionHelpsShuffleBoundJob(t *testing.T) {
-	// Terasort is network-bound in the reduce tail: compressing the
-	// shuffle must shorten the job despite the extra CPU.
-	plain := runOne(t, smallConfig(), terasortJob(4096))
-	cfg := smallConfig()
-	cfg.CompressShuffle = true
-	packed := runOne(t, cfg, terasortJob(4096))
-	if packed.FinishedAt >= plain.FinishedAt {
-		t.Fatalf("compression (%v) did not help a shuffle-bound job (%v)", packed.FinishedAt, plain.FinishedAt)
-	}
-}
-
-func TestCompressionNeutralOnMapHeavy(t *testing.T) {
-	// Grep shuffles ~nothing: compression buys nothing and costs a
-	// little CPU; the job must stay within a few percent.
-	plain := runOne(t, smallConfig(), grepJob(4096))
-	cfg := smallConfig()
-	cfg.CompressShuffle = true
-	packed := runOne(t, cfg, grepJob(4096))
-	if packed.FinishedAt > 1.05*plain.FinishedAt {
-		t.Fatalf("compression cost too much on map-heavy: %v vs %v", packed.FinishedAt, plain.FinishedAt)
-	}
-}
-
-func TestOutputReplicationValidation(t *testing.T) {
-	cfg := smallConfig()
-	cfg.OutputReplication = -1
-	if cfg.Validate() == nil {
-		t.Fatal("negative replication accepted")
-	}
-	cfg.OutputReplication = cfg.Workers + 1
-	if cfg.Validate() == nil {
-		t.Fatal("replication beyond cluster accepted")
-	}
-}
-
-func TestOutputReplicationLengthensTail(t *testing.T) {
-	// A write-dominated job: terasort's shape but with a near-identity
-	// reduce function, so the output pipeline is the reduce tail's
-	// critical path instead of hiding under reduce compute (a real
-	// effect: with the default profile the pipelines fully overlap the
-	// reduce CPU and replication is free — also asserted below).
-	prof := puma.MustGet("terasort")
-	prof.ReduceCPUPerMB = 0.003
-	spec := JobSpec{Name: "tsw", Profile: prof, InputMB: 2048, Reduces: 8}
-	r1 := runOne(t, smallConfig(), spec)
-	cfg := smallConfig()
-	cfg.OutputReplication = 3
-	r3 := runOne(t, cfg, spec)
-	if r3.ReduceTime() <= 1.2*r1.ReduceTime() {
-		t.Fatalf("3x replication (%v) not well above 1x (%v) on a write-bound job",
-			r3.ReduceTime(), r1.ReduceTime())
-	}
-	// The map phase is untouched.
-	if math.Abs(r3.MapTime()-r1.MapTime()) > 0.05*r1.MapTime() {
-		t.Fatalf("replication changed the map phase: %v vs %v", r3.MapTime(), r1.MapTime())
-	}
-
-	// With the unmodified profile the reduce CPU dominates and hides
-	// the pipeline: replication must then be nearly free.
-	d1 := runOne(t, smallConfig(), terasortJob(2048))
-	cfg3 := smallConfig()
-	cfg3.OutputReplication = 3
-	d3 := runOne(t, cfg3, terasortJob(2048))
-	if d3.FinishedAt > 1.1*d1.FinishedAt {
-		t.Fatalf("replication visible despite compute overlap: %v vs %v", d3.FinishedAt, d1.FinishedAt)
-	}
-}
-
-func TestOutputReplicationNeutralForTinyOutput(t *testing.T) {
-	// Grep's final output is tiny: replication must cost ~nothing.
-	r1 := runOne(t, smallConfig(), grepJob(2048))
-	cfg := smallConfig()
-	cfg.OutputReplication = 3
-	r3 := runOne(t, cfg, grepJob(2048))
-	if r3.FinishedAt > 1.05*r1.FinishedAt {
-		t.Fatalf("replication hurt a tiny-output job: %v vs %v", r3.FinishedAt, r1.FinishedAt)
-	}
-}
-
-func TestOutputReplicationSurvivesFailure(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Workers = 6
-	cfg.Net.Nodes = 6
-	cfg.OutputReplication = 3
-	c := MustNewCluster(cfg)
-	c.ScheduleFailure(2, 20)
-	jobs, err := c.Run(JobSpec{Name: "ts", Profile: puma.MustGet("terasort"), InputMB: 2048, Reduces: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !jobs[0].Finished() {
-		t.Fatal("replicated job did not survive failure")
-	}
-}
-
 func TestYARNWithCompressionAndFailure(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 6
 	cfg.Net.Nodes = 6
 	cfg.Policy = YARN
-	cfg.CompressShuffle = true
 	c := MustNewCluster(cfg)
 	c.ScheduleFailure(4, 15)
 	jobs, err := c.Run(JobSpec{Name: "ts", Profile: puma.MustGet("terasort"), InputMB: 2048, Reduces: 6})
@@ -642,7 +494,7 @@ func TestYARNWithCompressionAndFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !jobs[0].Finished() {
-		t.Fatal("YARN job did not survive compression + failure")
+		t.Fatal("YARN job did not survive failure")
 	}
 }
 

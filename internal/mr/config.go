@@ -90,28 +90,8 @@ type Config struct {
 	MaxReduceSlots int // upper bound a controller may set
 
 	// Runtime behaviour.
-	HeartbeatPeriod float64 // tracker heartbeat interval, seconds
-	SampleInterval  float64 // progress sampling interval, seconds
-	ReduceSlowstart float64 // fraction of maps finished before reduces launch
-	Fetchers        int     // parallel shuffle copiers per reduce task
-	PerFetchMBps    float64 // per-copier transfer cap (HTTP fetch goodput)
-	Jitter          float64 // relative task cost noise amplitude
-	Seed            uint64  // master RNG seed
-
-	// Slot-change disturbance: applying a slot command perturbs the
-	// tracker for StabilizeTime seconds with this extra pressure (the
-	// paper's "map processing rate ... will drop slightly at first").
-	SlotChangePressure float64
-	StabilizeTime      float64
-
-	// Heartbeat-loss handling (fault injection): a tracker silent for
-	// BlacklistTimeout seconds is blacklisted (no new work). When its
-	// heartbeats resume it serves a probation of ProbationPeriod
-	// seconds, doubled for every blacklisting incident it has accrued,
-	// before receiving work again. Zero values take defaults derived
-	// from HeartbeatPeriod in NewCluster.
-	BlacklistTimeout float64
-	ProbationPeriod  float64
+	PerFetchMBps float64 // per-copier transfer cap (HTTP fetch goodput)
+	Seed         uint64  // master RNG seed
 
 	// Policy selection.
 	Policy Policy
@@ -122,43 +102,19 @@ type Config struct {
 	// letting them finish. Exists for the lazy-vs-eager ablation; the
 	// killed attempts are re-queued and re-executed from scratch.
 	EagerSlotChange bool
-	// OutputReplication is the HDFS replication factor of reduce
-	// outputs. 1 (the default, and the common benchmark setting —
-	// terasort jobs set dfs.replication=1 for exactly this reason)
-	// writes only the local replica; higher values stream copies to
-	// replica nodes over the fabric and write them to remote disks,
-	// lengthening the reduce tail realistically.
-	OutputReplication int
-
-	// Shuffle compression (Hadoop's mapred.compress.map.output): map
-	// outputs are compressed before the spill, shrinking disk and
-	// network bytes by CompressionRatio at the cost of compress CPU in
-	// the map's spill phase and decompress CPU in the reduce merge.
-	CompressShuffle    bool
-	CompressionRatio   float64 // compressed size / uncompressed size, in (0,1]
-	CompressCPUPerMB   float64 // core-seconds per uncompressed MB (map side)
-	DecompressCPUPerMB float64 // core-seconds per uncompressed MB (reduce side)
 
 	// Speculative execution (maps only): when a running map's progress
-	// falls SpeculationGap below the mean of its running peers after
+	// falls speculationGap below the mean of its running peers after
 	// SpeculationMinRuntime seconds, a backup attempt launches on a
 	// different node; the first attempt to commit wins and the loser is
 	// killed. Off by default — the paper's systems do not speculate.
 	Speculation           bool
-	SpeculationGap        float64
 	SpeculationMinRuntime float64
 
 	// NodeSpecs optionally gives every worker its own hardware spec
 	// (heterogeneous clusters, the paper's future work). When nil all
 	// workers use NodeSpec; when set its length must equal Workers.
 	NodeSpecs []resource.Spec
-	// YARN container sizes; the node memory pool is derived from the
-	// equivalent slot configuration: MapSlots·MapContainerMB +
-	// ReduceSlots·ReduceContainerMB, matching how the paper configures
-	// "equivalently able to run 3 map containers and 2 reduce
-	// containers concurrently".
-	MapContainerMB    float64
-	ReduceContainerMB float64
 
 	// Reference turns on every reference path at once: a heap-only
 	// clock (no timing wheel), the fabric's full-resolve verifier, no
@@ -168,6 +124,49 @@ type Config struct {
 	// the per-layer differential tests assert. SMR_REFERENCE=1 forces it.
 	Reference bool
 }
+
+// Runtime constants of the paper's workbench. No experiment varies
+// them, so they are not options.
+const (
+	// heartbeatPeriod is the tracker heartbeat interval, seconds.
+	heartbeatPeriod float64 = 1
+	// sampleInterval is the progress sampling interval, seconds.
+	sampleInterval float64 = 2
+	// reduceSlowstart is the fraction of maps finished before reduces
+	// launch.
+	reduceSlowstart float64 = 0.05
+	// fetchers is the number of parallel shuffle copiers per reduce task.
+	fetchers = 5
+	// jitter is the relative task cost noise amplitude.
+	jitter float64 = 0.08
+
+	// Slot-change disturbance: applying a slot command perturbs the
+	// tracker for stabilizeTime seconds with slotChangePressure extra
+	// pressure (the paper's "map processing rate ... will drop slightly
+	// at first").
+	slotChangePressure float64 = 0.15
+	stabilizeTime      float64 = 4
+
+	// Heartbeat-loss handling (fault injection): a tracker silent for
+	// blacklistTimeout seconds is blacklisted (no new work). When its
+	// heartbeats resume it serves a probation of probationPeriod
+	// seconds, doubled for every blacklisting incident it has accrued,
+	// before receiving work again.
+	blacklistTimeout float64 = 3
+	probationPeriod  float64 = 5
+
+	// speculationGap is how far below its running peers' mean rate a
+	// map must fall to be speculated (see Config.Speculation).
+	speculationGap float64 = 0.2
+
+	// YARN container sizes; the node memory pool is derived from the
+	// equivalent slot configuration: MapSlots·mapContainerMB +
+	// ReduceSlots·reduceContainerMB, matching how the paper configures
+	// "equivalently able to run 3 map containers and 2 reduce
+	// containers concurrently".
+	mapContainerMB    float64 = 2048
+	reduceContainerMB float64 = 3072
+)
 
 // DefaultConfig mirrors the paper's workbench: 16 workers, 3 map +
 // 2 reduce slots, 128 MB blocks, GbE fabric, 1 s heartbeats.
@@ -181,26 +180,10 @@ func DefaultConfig() Config {
 		ReduceSlots:           2,
 		MaxMapSlots:           16,
 		MaxReduceSlots:        6,
-		HeartbeatPeriod:       1.0,
-		SampleInterval:        2.0,
-		BlacklistTimeout:      3.0,
-		ProbationPeriod:       5.0,
-		ReduceSlowstart:       0.05,
-		Fetchers:              5,
 		PerFetchMBps:          3.5,
-		Jitter:                0.08,
 		Seed:                  1,
-		SlotChangePressure:    0.15,
-		StabilizeTime:         4,
 		Policy:                HadoopV1,
-		SpeculationGap:        0.2,
 		SpeculationMinRuntime: 10,
-		OutputReplication:     1,
-		CompressionRatio:      0.45,
-		CompressCPUPerMB:      0.012,
-		DecompressCPUPerMB:    0.005,
-		MapContainerMB:        2048,
-		ReduceContainerMB:     3072,
 	}
 }
 
@@ -217,36 +200,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("mr: MaxMapSlots = %d below MapSlots %d", c.MaxMapSlots, c.MapSlots)
 	case c.MaxReduceSlots < c.ReduceSlots:
 		return fmt.Errorf("mr: MaxReduceSlots = %d below ReduceSlots %d", c.MaxReduceSlots, c.ReduceSlots)
-	case c.HeartbeatPeriod <= 0:
-		return fmt.Errorf("mr: HeartbeatPeriod = %v, must be positive", c.HeartbeatPeriod)
-	case c.SampleInterval <= 0:
-		return fmt.Errorf("mr: SampleInterval = %v, must be positive", c.SampleInterval)
-	case c.BlacklistTimeout < 0:
-		return fmt.Errorf("mr: BlacklistTimeout = %v, must be >= 0", c.BlacklistTimeout)
-	case c.ProbationPeriod < 0:
-		return fmt.Errorf("mr: ProbationPeriod = %v, must be >= 0", c.ProbationPeriod)
-	case c.ReduceSlowstart < 0 || c.ReduceSlowstart > 1:
-		return fmt.Errorf("mr: ReduceSlowstart = %v, must be in [0,1]", c.ReduceSlowstart)
-	case c.Fetchers <= 0:
-		return fmt.Errorf("mr: Fetchers = %d, must be positive", c.Fetchers)
 	case c.PerFetchMBps <= 0:
 		return fmt.Errorf("mr: PerFetchMBps = %v, must be positive", c.PerFetchMBps)
-	case c.Jitter < 0 || c.Jitter >= 1:
-		return fmt.Errorf("mr: Jitter = %v, must be in [0,1)", c.Jitter)
-	case c.SlotChangePressure < 0:
-		return fmt.Errorf("mr: SlotChangePressure = %v, must be >= 0", c.SlotChangePressure)
-	case c.StabilizeTime < 0:
-		return fmt.Errorf("mr: StabilizeTime = %v, must be >= 0", c.StabilizeTime)
-	case c.Policy == YARN && (c.MapContainerMB <= 0 || c.ReduceContainerMB <= 0):
-		return fmt.Errorf("mr: YARN policy requires positive container sizes")
-	case c.OutputReplication < 0 || c.OutputReplication > c.Workers:
-		return fmt.Errorf("mr: OutputReplication = %d, must be in [0, Workers]", c.OutputReplication)
-	case c.CompressShuffle && (c.CompressionRatio <= 0 || c.CompressionRatio > 1):
-		return fmt.Errorf("mr: CompressionRatio = %v, must be in (0,1]", c.CompressionRatio)
-	case c.CompressShuffle && (c.CompressCPUPerMB < 0 || c.DecompressCPUPerMB < 0):
-		return fmt.Errorf("mr: compression CPU costs must be >= 0")
-	case c.Speculation && (c.SpeculationGap <= 0 || c.SpeculationGap >= 1):
-		return fmt.Errorf("mr: SpeculationGap = %v, must be in (0,1)", c.SpeculationGap)
 	case c.Speculation && c.SpeculationMinRuntime < 0:
 		return fmt.Errorf("mr: SpeculationMinRuntime = %v, must be >= 0", c.SpeculationMinRuntime)
 	}

@@ -244,24 +244,6 @@ func (c *Cluster) abortReduce(r *reduceTask) {
 	c.dropOp(r.redOp)
 	c.dropOp(r.writeOp)
 	r.sortOp, r.mergeOp, r.redOp, r.writeOp = nil, nil, nil, nil
-	// Pipeline pieces retire individually (completions nil their own
-	// slots), so teardown skips the already-gone entries. Ops drop
-	// before flows release: dropping unbinds Flow.Userdata (and takes
-	// the remote disk writes off their nodes).
-	for _, f := range r.pipeFlows {
-		if f != nil {
-			c.fabric.Remove(f)
-		}
-	}
-	for _, op := range r.pipeOps {
-		c.dropOp(op)
-	}
-	for _, f := range r.pipeFlows {
-		if f != nil {
-			c.releaseFlow(f)
-		}
-	}
-	r.pipeFlows, r.pipeOps = nil, nil
 	removeRunning(&tt.runningReduces, r)
 	c.tenantTaskStopped(r.job, false)
 	c.traceReduceEnd(r, "aborted")

@@ -193,9 +193,9 @@ func TestQuickSpeculationInvariant(t *testing.T) {
 }
 
 // TestQuickKitchenSink turns every runtime feature on at once —
-// compression, 3x output replication, speculation, partition skew,
-// fair scheduling, a heterogeneous cluster, a mid-run failure and a
-// transient slowdown — and asserts the invariants still hold.
+// speculation, partition skew, fair scheduling, a heterogeneous
+// cluster, a mid-run failure and a transient slowdown — and asserts
+// the invariants still hold.
 func TestQuickKitchenSink(t *testing.T) {
 	f := func(seed uint64) bool {
 		cfg := DefaultConfig()
@@ -205,8 +205,6 @@ func TestQuickKitchenSink(t *testing.T) {
 		cfg.Scheduler = Fair
 		cfg.Speculation = true
 		cfg.SpeculationMinRuntime = 3
-		cfg.CompressShuffle = true
-		cfg.OutputReplication = 3
 		specs := make([]resource.Spec, cfg.Workers)
 		for i := range specs {
 			specs[i] = resource.DefaultSpec()

@@ -397,7 +397,7 @@ type reduceTask struct {
 
 	// Shuffle bookkeeping: srcs[src] is the fetch state for source
 	// node src, sized to the cluster once per job (nflows counts the
-	// live flows, kept ≤ Fetchers). got marks map outputs fully
+	// live flows, kept ≤ fetchers). got marks map outputs fully
 	// received, by logical map id (durable at the reducer — fetched
 	// segments survive the source tracker's death, so only un-received
 	// outputs force map re-execution). Dense slices rather than maps:
@@ -417,11 +417,6 @@ type reduceTask struct {
 	writeOp *fluidOp
 
 	runSlot int // position in tracker.runningReduces while running
-
-	// Output replication pipelines (flows to replica nodes and their
-	// remote disk writes), tracked for teardown on failure.
-	pipeFlows []*netsim.Flow
-	pipeOps   []*fluidOp
 
 	started  float64 // launch time of the surviving attempt
 	finished float64 // completion time (0 until finished)

@@ -285,10 +285,10 @@ func (jt *JobTracker) nextReduce(tt *TaskTracker) *reduceTask {
 		if jt.c.tenantReduceBlocked(j) {
 			continue
 		}
-		if j.mapsDone < int(jt.c.cfg.ReduceSlowstart*float64(len(j.maps))) {
+		if j.mapsDone < int(reduceSlowstart*float64(len(j.maps))) {
 			continue
 		}
-		if len(j.maps) > 0 && j.mapsDone == 0 && jt.c.cfg.ReduceSlowstart > 0 {
+		if len(j.maps) > 0 && j.mapsDone == 0 {
 			continue
 		}
 		for _, r := range j.reduces {
@@ -305,10 +305,10 @@ func (jt *JobTracker) nextReduce(tt *TaskTracker) *reduceTask {
 // under which YARN nodes reserve reduce-container memory.
 func (jt *JobTracker) reduceDemandExists() bool {
 	for _, j := range jt.queue {
-		if len(j.maps) > 0 && j.mapsDone < int(jt.c.cfg.ReduceSlowstart*float64(len(j.maps))) {
+		if len(j.maps) > 0 && j.mapsDone < int(reduceSlowstart*float64(len(j.maps))) {
 			continue
 		}
-		if len(j.maps) > 0 && j.mapsDone == 0 && jt.c.cfg.ReduceSlowstart > 0 {
+		if len(j.maps) > 0 && j.mapsDone == 0 {
 			continue
 		}
 		for _, r := range j.reduces {

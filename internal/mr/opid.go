@@ -8,33 +8,29 @@ import "strconv"
 type opKind uint8
 
 const (
-	opLoose    opKind = iota // rate from a closure, no task (tests)
-	opMap                    // map function CPU
-	opRead                   // remote split read (flow)
-	opSort                   // map-side sort and combine CPU
-	opSpill                  // map-side spill write
-	opShuffle                // shuffle fetch from one source (flow)
-	opRSort                  // reduce-side merge CPU
-	opRMerge                 // reduce-side merge disk
-	opReduce                 // reduce function CPU
-	opROut                   // reduce output write
-	opRepl                   // output replication transfer (flow)
-	opReplDisk               // replica write on the remote disk
+	opLoose   opKind = iota // rate from a closure, no task (tests)
+	opMap                   // map function CPU
+	opRead                  // remote split read (flow)
+	opSort                  // map-side sort and combine CPU
+	opSpill                 // map-side spill write
+	opShuffle               // shuffle fetch from one source (flow)
+	opRSort                 // reduce-side merge CPU
+	opRMerge                // reduce-side merge disk
+	opReduce                // reduce function CPU
+	opROut                  // reduce output write
 )
 
 var opKindNames = [...]string{
-	opLoose:    "op",
-	opMap:      "map",
-	opRead:     "read",
-	opSort:     "sort",
-	opSpill:    "spill",
-	opShuffle:  "shuffle",
-	opRSort:    "rsort",
-	opRMerge:   "rmerge",
-	opReduce:   "reduce",
-	opROut:     "rout",
-	opRepl:     "repl",
-	opReplDisk: "repl-disk",
+	opLoose:   "op",
+	opMap:     "map",
+	opRead:    "read",
+	opSort:    "sort",
+	opSpill:   "spill",
+	opShuffle: "shuffle",
+	opRSort:   "rsort",
+	opRMerge:  "rmerge",
+	opReduce:  "reduce",
+	opROut:    "rout",
 }
 
 func (k opKind) String() string { return opKindNames[k] }
@@ -48,25 +44,20 @@ type opID struct {
 	kind opKind
 	m    *mapTask    // attempt served by map-side kinds
 	r    *reduceTask // attempt served by reduce-side kinds
-	peer int         // shuffle source or replication target node
+	peer int         // shuffle source node
 }
 
 // String formats the identity as "kind job/task", with reduce tasks
-// written rN and transfers naming their peer: "shuffle job/rN<-src",
-// "repl job/rN->dst", "repl-disk job/rN@dst".
+// written rN and shuffle transfers naming their source:
+// "shuffle job/rN<-src".
 func (id opID) String() string {
 	switch {
 	case id.m != nil:
 		return id.kind.String() + " " + id.m.job.Spec.Name + "/" + strconv.Itoa(id.m.id)
 	case id.r != nil:
 		s := id.kind.String() + " " + id.r.job.Spec.Name + "/r" + strconv.Itoa(id.r.partition)
-		switch id.kind {
-		case opShuffle:
+		if id.kind == opShuffle {
 			s += "<-" + strconv.Itoa(id.peer)
-		case opRepl:
-			s += "->" + strconv.Itoa(id.peer)
-		case opReplDisk:
-			s += "@" + strconv.Itoa(id.peer)
 		}
 		return s
 	}

@@ -12,7 +12,7 @@ import (
 func TestHeartbeatZeroAlloc(t *testing.T) {
 	c := MustNewCluster(DefaultConfig())
 	tt := c.trackers[0]
-	c.clock.SchedulePeriodic(0, c.cfg.HeartbeatPeriod, tt.hbLabel, tt.hbFn)
+	c.clock.SchedulePeriodic(0, heartbeatPeriod, tt.hbLabel, tt.hbFn)
 	// Warm up: grow the clock arena and EWMA state to steady shape.
 	for i := 0; i < 64; i++ {
 		c.clock.Step()

@@ -111,16 +111,16 @@ func (c *Cluster) recoverTracker(tt *TaskTracker) {
 	// Heartbeats resume on the tracker's own cadence, first beat now —
 	// unless the simulation already shut down.
 	if !c.stopped {
-		tt.hbEvent = c.clock.SchedulePeriodic(now, c.cfg.HeartbeatPeriod, tt.hbLabel, tt.hbFn)
+		tt.hbEvent = c.clock.SchedulePeriodic(now, heartbeatPeriod, tt.hbLabel, tt.hbFn)
 	}
 }
 
 // BeginHeartbeatLoss silences tracker id for duration seconds: its
 // heartbeats stop arriving at the job tracker while its running tasks
 // keep executing (the daemon is alive, only the control channel is
-// out). If the silence outlasts Config.BlacklistTimeout the job tracker
+// out). If the silence outlasts blacklistTimeout (3 s) the job tracker
 // blacklists the node; when heartbeats resume, a blacklisted tracker
-// serves a probation of Config.ProbationPeriod doubled per accumulated
+// serves a probation of probationPeriod (5 s) doubled per accumulated
 // incident before it receives new work again.
 func (c *Cluster) BeginHeartbeatLoss(id int, duration float64) error {
 	if id < 0 || id >= len(c.trackers) {
@@ -157,8 +157,8 @@ func (c *Cluster) beginHeartbeatLoss(tt *TaskTracker, duration float64) {
 
 	// The job tracker's side: silence beyond the timeout blacklists the
 	// node. The check fires only if the loss window is still open then.
-	if duration > c.cfg.BlacklistTimeout {
-		tt.blacklistCheck = c.clock.After(c.cfg.BlacklistTimeout, lazyLabel(&tt.blacklistLabel, "blacklist tt%d", tt.id), func() {
+	if duration > blacklistTimeout {
+		tt.blacklistCheck = c.clock.After(blacklistTimeout, lazyLabel(&tt.blacklistLabel, "blacklist tt%d", tt.id), func() {
 			c.Mutate(func() {
 				tt.blacklistCheck = 0
 				if tt.failed || !tt.hbLost || tt.blacklisted {
@@ -200,7 +200,7 @@ func (c *Cluster) endHeartbeatLoss(tt *TaskTracker) {
 	if tt.blacklisted {
 		tt.blacklisted = false
 		tt.probation = true
-		backoff := c.cfg.ProbationPeriod * math.Pow(2, float64(tt.blacklistCount-1))
+		backoff := probationPeriod * math.Pow(2, float64(tt.blacklistCount-1))
 		c.note(transition{kind: EvTrackerProbation, tracker: tt.id, x: backoff})
 		tt.probationEnd = c.clock.After(backoff, lazyLabel(&tt.probationLabel, "probation-end tt%d", tt.id), func() {
 			c.Mutate(func() {
@@ -216,7 +216,7 @@ func (c *Cluster) endHeartbeatLoss(tt *TaskTracker) {
 	}
 
 	if !c.stopped {
-		tt.hbEvent = c.clock.SchedulePeriodic(now, c.cfg.HeartbeatPeriod, tt.hbLabel, tt.hbFn)
+		tt.hbEvent = c.clock.SchedulePeriodic(now, heartbeatPeriod, tt.hbLabel, tt.hbFn)
 	}
 }
 

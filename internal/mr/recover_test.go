@@ -206,13 +206,12 @@ func findEvent(t *testing.T, events []Event, kind EventKind, tracker int, from f
 }
 
 // TestHeartbeatLossLifecycle drives the full state machine twice on
-// one tracker: loss → blacklist (after BlacklistTimeout) → restore →
+// one tracker: loss → blacklist (after blacklistTimeout) → restore →
 // probation → cleared, with the probation backoff doubling on the
-// second incident. Default config: BlacklistTimeout 3, ProbationPeriod 5.
+// second incident: blacklistTimeout 3, probationPeriod 5.
 func TestHeartbeatLossLifecycle(t *testing.T) {
 	spec := JobSpec{Name: "ts", Profile: puma.MustGet("terasort"), InputMB: 2048, Reduces: 8}
 	c := MustNewCluster(failureConfig())
-	cfg := c.Config()
 	log := c.EnableEventLog(0)
 	c.ScheduleHeartbeatLoss(2, 5, 6)  // blacklists at 8, restores at 11, probation to 16
 	c.ScheduleHeartbeatLoss(2, 20, 6) // second incident: probation doubles to 10s, 26..36
@@ -231,8 +230,8 @@ func TestHeartbeatLossLifecycle(t *testing.T) {
 			t.Fatalf("incident %d: hb-lost at %v, want %v", incident, lost.At, at)
 		}
 		black := findEvent(t, events, EvTrackerBlacklisted, 2, at)
-		if black.At != at+cfg.BlacklistTimeout {
-			t.Fatalf("incident %d: blacklisted at %v, want %v", incident, black.At, at+cfg.BlacklistTimeout)
+		if black.At != at+blacklistTimeout {
+			t.Fatalf("incident %d: blacklisted at %v, want %v", incident, black.At, at+blacklistTimeout)
 		}
 		restored := findEvent(t, events, EvTrackerHBRestored, 2, at)
 		if restored.At != at+6 {
@@ -242,7 +241,7 @@ func TestHeartbeatLossLifecycle(t *testing.T) {
 		if probation.At != restored.At {
 			t.Fatalf("incident %d: probation at %v, want %v", incident, probation.At, restored.At)
 		}
-		backoff := cfg.ProbationPeriod * math.Pow(2, float64(incident-1))
+		backoff := probationPeriod * math.Pow(2, float64(incident-1))
 		cleared := findEvent(t, events, EvTrackerCleared, 2, at)
 		if cleared.At != restored.At+backoff {
 			t.Fatalf("incident %d: cleared at %v, want %v (backoff %v)",
@@ -268,7 +267,7 @@ func TestHeartbeatLossBelowTimeoutNoBlacklist(t *testing.T) {
 	spec := JobSpec{Name: "ts", Profile: puma.MustGet("terasort"), InputMB: 2048, Reduces: 8}
 	c := MustNewCluster(failureConfig())
 	log := c.EnableEventLog(0)
-	c.ScheduleHeartbeatLoss(6, 5, 2) // 2s < BlacklistTimeout 3s
+	c.ScheduleHeartbeatLoss(6, 5, 2) // 2s < blacklistTimeout 3s
 	if _, err := c.Run(spec); err != nil {
 		t.Fatal(err)
 	}

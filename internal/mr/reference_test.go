@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"smapreduce/internal/puma"
+	"smapreduce/internal/trace"
 )
 
 // diffRun is what a differential compares: job milestones, final
@@ -20,7 +21,7 @@ type diffRun struct {
 // optimised path: stragglers trigger speculation (killAttempt), the
 // mid-run failure aborts maps and shuffling reducers (abortMap,
 // abortReduce, the reducer-flow purge) and re-queues committed maps,
-// output replication exercises the write-pipeline flows, and the
+// remote split reads put non-shuffle flows on the fabric, and the
 // heartbeat, probation and controller chains cross the timing wheel's
 // bucket and level boundaries. noPool turns off op and flow pooling
 // alone, leaving the clock, resolver and substrate in the mode cfg
@@ -29,13 +30,14 @@ func referenceWorkload(t *testing.T, reference, noPool bool) diffRun {
 	t.Helper()
 	cfg := stragglerConfig(true)
 	cfg.Seed = 7
-	cfg.OutputReplication = 2
 	cfg.Reference = reference
 	c := MustNewCluster(cfg)
 	if noPool {
 		c.noPool = true
 	}
 	log := c.EnableEventLog(0)
+	tr := trace.New(trace.Options{Verbosity: trace.VerbosityAllFlows})
+	c.EnableTracing(tr)
 	c.ScheduleFailure(5, 6.0)
 	specs := []JobSpec{
 		{Name: "ts", Profile: puma.MustGet("terasort"), InputMB: 2048, Reduces: 6},
@@ -44,6 +46,16 @@ func referenceWorkload(t *testing.T, reference, noPool bool) diffRun {
 	jobs, err := c.Run(specs...)
 	if err != nil {
 		t.Fatalf("Run (reference=%v noPool=%v): %v", reference, noPool, err)
+	}
+	// The full-resolve verifier must see more than shuffle fetches.
+	reads := 0
+	for _, sp := range flowSpans(t, tr) {
+		if sp.Cat == "read" {
+			reads++
+		}
+	}
+	if reads == 0 {
+		t.Fatalf("reference=%v noPool=%v: no remote DFS read flow, only shuffles reach the verifier", reference, noPool)
 	}
 	return diffRun{jobs, c.Snapshot(), log.Events()}
 }

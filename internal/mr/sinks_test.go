@@ -31,12 +31,9 @@ func runCell(t *testing.T, cfg Config, spec JobSpec, attach, prepare func(c *Clu
 }
 
 // figure3Cell runs one Figure-3 cell — a 100 GB terasort under Hadoop
-// V1's static slots on the paper's 16-tracker cluster, with output
-// replication on so every flow kind occurs.
+// V1's static slots on the paper's 16-tracker cluster.
 func figure3Cell(t *testing.T, attach func(c *Cluster)) (*Job, Stats) {
-	cfg := DefaultConfig()
-	cfg.OutputReplication = 2
-	return runCell(t, cfg, JobSpec{Name: "terasort", Profile: puma.MustGet("terasort"), InputMB: 100 * 1024, Reduces: 30},
+	return runCell(t, DefaultConfig(), JobSpec{Name: "terasort", Profile: puma.MustGet("terasort"), InputMB: 100 * 1024, Reduces: 30},
 		attach, func(*Cluster) {})
 }
 
@@ -45,7 +42,6 @@ func figure3Cell(t *testing.T, attach func(c *Cluster)) (*Job, Stats) {
 // and a contention slowdown, so every fault transition is noted.
 func chaosCell(t *testing.T, attach func(c *Cluster)) (*Job, Stats) {
 	cfg := DefaultConfig()
-	cfg.OutputReplication = 2
 	cfg.Speculation = true
 	return runCell(t, cfg, JobSpec{Name: "terasort", Profile: puma.MustGet("terasort"), InputMB: 20 * 1024, Reduces: 30},
 		attach, func(c *Cluster) {
@@ -98,8 +94,8 @@ func flowSpans(t *testing.T, tr *trace.Tracer) []flowSpan {
 // an OnProgress hook, and with flow tracing at both flow verbosities,
 // yield identical milestones and Stats. The traced runs' flow spans
 // keep the runtime's label format — "shuffle job/rN<-src", "read
-// job/id", "repl job/rN->dst" — with the peer in the name matching the
-// span's endpoints.
+// job/id" — with the source in a shuffle's name matching the span's
+// endpoints.
 func TestSinksDoNotPerturbSimulation(t *testing.T) {
 	for name, cell := range map[string]sinkCell{"figure-3": figure3Cell, "speculative chaos": chaosCell} {
 		t.Run(name, func(t *testing.T) { checkSinks(t, cell) })
@@ -160,7 +156,6 @@ func checkSinks(t *testing.T, cell sinkCell) {
 	formats := map[string]*regexp.Regexp{
 		"shuffle": regexp.MustCompile(`^shuffle terasort/r\d+<-(\d+)$`),
 		"read":    regexp.MustCompile(`^read terasort/\d+()$`),
-		"repl":    regexp.MustCompile(`^repl terasort/r\d+->(\d+)$`),
 	}
 	check := func(spans []flowSpan) map[string]int {
 		n := map[string]int{}
@@ -173,8 +168,7 @@ func checkSinks(t *testing.T, cell sinkCell) {
 			if m == nil {
 				t.Fatalf("%s span named %q, want the %v format", sp.Cat, sp.Name, re)
 			}
-			peer := map[string]float64{"shuffle": sp.Args.Src, "repl": sp.Args.Dst}[sp.Cat]
-			if m[1] != "" && m[1] != strconv.Itoa(int(peer)) {
+			if m[1] != "" && m[1] != strconv.Itoa(int(sp.Args.Src)) {
 				t.Fatalf("span %q names peer %s, its endpoints are %v->%v", sp.Name, m[1], sp.Args.Src, sp.Args.Dst)
 			}
 			n[sp.Cat]++
@@ -183,10 +177,10 @@ func checkSinks(t *testing.T, cell sinkCell) {
 	}
 	flows := check(flowSpans(t, flowsTr))
 	all := check(flowSpans(t, allTr))
-	if flows["shuffle"] == 0 || flows["read"]+flows["repl"] != 0 {
+	if flows["shuffle"] == 0 || flows["read"] != 0 {
 		t.Errorf("VerbosityFlows spans by category = %v, want shuffle fetches only", flows)
 	}
-	if all["shuffle"] != flows["shuffle"] || all["read"] == 0 || all["repl"] == 0 {
-		t.Errorf("VerbosityAllFlows spans by category = %v, want %d shuffle plus read and repl", all, flows["shuffle"])
+	if all["shuffle"] != flows["shuffle"] || all["read"] == 0 {
+		t.Errorf("VerbosityAllFlows spans by category = %v, want %d shuffle plus read", all, flows["shuffle"])
 	}
 }

@@ -20,7 +20,7 @@ import (
 // progress *rates*, not absolute progress — late in a job every
 // remaining task started recently, so absolute gaps never open, but a
 // straggler's rate is low from its first second. A task qualifies when
-// its rate falls below (1 − SpeculationGap) of its running peers' mean
+// its rate falls below (1 − speculationGap) of its running peers' mean
 // rate; among qualifiers the one with the longest estimated time to
 // completion is cloned first. Caller must hold a mutation scope.
 func (jt *JobTracker) pickSpeculative(tt *TaskTracker) *mapTask {
@@ -62,7 +62,7 @@ func (jt *JobTracker) pickSpeculative(tt *TaskTracker) *mapTask {
 				continue
 			}
 			rate := m.progressFraction() / elapsed
-			if rate >= (1-cfg.SpeculationGap)*meanRate {
+			if rate >= (1-speculationGap)*meanRate {
 				continue
 			}
 			eta := math.Inf(1)

@@ -14,16 +14,12 @@ func (c *Cluster) launchMap(tt *TaskTracker, m *mapTask) {
 		panic(fmt.Sprintf("mr: launching map %s/%d in state %v", m.job.Spec.Name, m.id, m.state))
 	}
 	prof := m.job.Spec.Profile
-	jit := c.rng.Jitter(c.cfg.Jitter)
+	jit := c.rng.Jitter(jitter)
 	m.state = TaskRunning
 	m.tracker = tt
 	m.started = c.clock.Now()
 	m.preCombineMB = m.split.SizeMB * prof.MapOutputRatio * jit
 	m.shuffleMB = m.preCombineMB * prof.CombineRatio
-	if c.cfg.CompressShuffle {
-		// shuffleMB is what crosses disk and network: compressed bytes.
-		m.shuffleMB *= c.cfg.CompressionRatio
-	}
 	addRunning(&tt.runningMaps, m)
 	c.tenantTaskStarted(m.job, true)
 	if c.inv != nil && c.cfg.Policy != YARN {
@@ -41,7 +37,7 @@ func (c *Cluster) launchMap(tt *TaskTracker, m *mapTask) {
 	// the map function. The phase completes when both finish.
 	m.phase = 0
 	m.pendingOps = 1
-	work := m.split.SizeMB * prof.MapCPUPerMB * c.rng.Jitter(c.cfg.Jitter)
+	work := m.split.SizeMB * prof.MapCPUPerMB * c.rng.Jitter(jitter)
 	m.computeOp = c.addNodeOp(tt.id, opID{kind: opMap, m: m}, work, resource.Activity{
 		Kind:        resource.CPU,
 		Remaining:   1, // work is tracked by the op; the activity provides the rate
@@ -131,9 +127,6 @@ func (c *Cluster) startMapSpill(m *mapTask) {
 	m.pendingOps = 0
 
 	sortWork := m.preCombineMB * prof.SortCPUPerMB
-	if c.cfg.CompressShuffle {
-		sortWork += m.preCombineMB * prof.CombineRatio * c.cfg.CompressCPUPerMB
-	}
 	if sortWork > 0 {
 		m.pendingOps++
 		m.sortOp = c.addNodeOp(tt.id, opID{kind: opSort, m: m}, sortWork, resource.Activity{
@@ -252,7 +245,7 @@ func (c *Cluster) deliverShare(r *reduceTask, src int, mb float64, m *mapTask) {
 // activateFetches starts transfers from pending sources until the
 // reducer's fetcher threads are all busy.
 func (c *Cluster) activateFetches(r *reduceTask) {
-	for src := 0; r.nflows < c.cfg.Fetchers; src++ {
+	for src := 0; r.nflows < fetchers; src++ {
 		if src >= c.cfg.Workers {
 			return
 		}
@@ -325,7 +318,7 @@ func (c *Cluster) launchReduce(tt *TaskTracker, r *reduceTask) {
 	// merge buffers, modelled as a phantom activity.
 	r.phantom = resource.Activity{
 		Kind:        resource.Phantom,
-		Weight:      prof.FetcherWeight * float64(c.cfg.Fetchers),
+		Weight:      prof.FetcherWeight * float64(fetchers),
 		Pressure:    prof.FetcherPressure,
 		FootprintMB: prof.ReduceFootprint,
 	}
@@ -365,16 +358,7 @@ func (c *Cluster) startReduceSort(r *reduceTask) {
 	r.phase = 1
 	r.pendingOps = 0
 
-	// With compression, fetchedMB is compressed bytes; merge and the
-	// reduce function operate on the uncompressed volume.
-	uncompressed := r.fetchedMB
-	if c.cfg.CompressShuffle {
-		uncompressed = r.fetchedMB / c.cfg.CompressionRatio
-	}
-	mergeWork := uncompressed * prof.MergeCPUPerMB
-	if c.cfg.CompressShuffle {
-		mergeWork += uncompressed * c.cfg.DecompressCPUPerMB
-	}
+	mergeWork := r.fetchedMB * prof.MergeCPUPerMB
 	if mergeWork > 0 {
 		r.pendingOps++
 		r.sortOp = c.addNodeOp(tt.id, opID{kind: opRSort, r: r}, mergeWork, resource.Activity{
@@ -400,7 +384,7 @@ func (c *Cluster) startReduceSort(r *reduceTask) {
 
 // reduceOpDone is the completion handler of the reducer's sort and
 // reduce phase ops: it clears the task's reference to the op, then
-// advances the phase. Replication pipelines carry their own handlers.
+// advances the phase.
 func (c *Cluster) reduceOpDone(op *fluidOp) {
 	r := op.id.r
 	switch op.id.kind {
@@ -441,11 +425,7 @@ func (c *Cluster) startReduceCompute(r *reduceTask) {
 	r.phase = 2
 	r.pendingOps = 0
 
-	redVolume := r.fetchedMB
-	if c.cfg.CompressShuffle {
-		redVolume = r.fetchedMB / c.cfg.CompressionRatio
-	}
-	redWork := redVolume * prof.ReduceCPUPerMB * c.rng.Jitter(c.cfg.Jitter)
+	redWork := r.fetchedMB * prof.ReduceCPUPerMB * c.rng.Jitter(jitter)
 	if redWork > 0 {
 		r.pendingOps++
 		r.redOp = c.addNodeOp(tt.id, opID{kind: opReduce, r: r}, redWork, resource.Activity{
@@ -456,82 +436,17 @@ func (c *Cluster) startReduceCompute(r *reduceTask) {
 			FootprintMB: prof.ReduceFootprint,
 		}, c.reduceOpDoneFn)
 	}
-	outMB := redVolume * prof.OutputRatio
-	if outMB > 0 {
+	if outMB := r.fetchedMB * prof.OutputRatio; outMB > 0 {
 		r.pendingOps++
 		r.writeOp = c.addNodeOp(tt.id, opID{kind: opROut, r: r}, outMB, resource.Activity{
 			Kind:      resource.Disk,
 			Remaining: 1,
 			Weight:    0.2,
 		}, c.reduceOpDoneFn)
-		// HDFS write pipeline: each extra replica streams the output
-		// over the fabric to another live node and lands on its disk.
-		// The pipeline is fluid (not store-and-forward), so each hop is
-		// an independent flow+disk pair gating task completion.
-		for extra := 1; extra < c.cfg.OutputReplication; extra++ {
-			target := c.pickReplicaTarget(tt.id, extra)
-			if target < 0 {
-				break // not enough live nodes; degrade like HDFS does
-			}
-			r.pendingOps++
-			// The effective pipeline rate is min(network, remote disk);
-			// model it as the flow gated by the remote disk via a cap
-			// refresh is overkill — run the two ops in series-free
-			// parallel and require both, which matches a fluid pipe
-			// whose slower stage dominates.
-			//
-			// Each completion clears its own entry in the parallel pipe
-			// slices (slot indices captured here), so teardown after a
-			// failure only sees the pieces that are still live.
-			flowSlot := len(r.pipeFlows)
-			opSlot := len(r.pipeOps)
-			flowDone := false
-			diskDone := false
-			finish := func() {
-				if flowDone && diskDone {
-					c.reducePhaseOpDone(r)
-				}
-			}
-			fOp := c.startFlow(opID{kind: opRepl, r: r, peer: target}, tt.id, target, outMB, 0, func(*fluidOp) {
-				flow := r.pipeFlows[flowSlot]
-				c.fabric.Remove(flow)
-				r.pipeFlows[flowSlot] = nil
-				r.pipeOps[opSlot] = nil
-				c.releaseFlow(flow)
-				flowDone = true
-				finish()
-			})
-			remoteDisk := resource.Activity{Kind: resource.Disk, Remaining: 1, Weight: 0.2}
-			dOp := c.addNodeOp(target, opID{kind: opReplDisk, r: r, peer: target}, outMB, remoteDisk, func(*fluidOp) {
-				r.pipeOps[opSlot+1] = nil
-				diskDone = true
-				finish()
-			})
-			// Both ops gate completion but count as ONE pendingOp: the
-			// pipeline finishes when its slower stage drains. Track the
-			// pieces so a writer-side failure can tear them down (the
-			// remote disk write leaves its node with its op).
-			r.pipeFlows = append(r.pipeFlows, fOp.flow)
-			r.pipeOps = append(r.pipeOps, fOp, dOp)
-		}
 	}
 	if r.pendingOps == 0 {
 		c.finishReduce(r)
 	}
-}
-
-// pickReplicaTarget chooses the extra-th replica node for an output
-// written at node src: the HDFS policy's spirit — first extra replica
-// off-node (and off-rack when possible), deterministic per (src, extra).
-func (c *Cluster) pickReplicaTarget(src, extra int) int {
-	n := c.cfg.Workers
-	for probe := 1; probe < n; probe++ {
-		cand := (src + extra*7 + probe - 1) % n
-		if cand != src && !c.trackers[cand].failed {
-			return cand
-		}
-	}
-	return -1
 }
 
 // finishReduce retires the task and checks the job for completion.

@@ -26,7 +26,7 @@ import (
 // EnableTracing attaches a tracer and names the runtime's tracks. Call
 // before Run. At VerbosityFlows and above, fabric flows get lifecycle
 // spans on the network track (shuffle fetches at level 1; DFS reads
-// and output replication too at level 2).
+// too at level 2).
 func (c *Cluster) EnableTracing(tr *trace.Tracer) {
 	if !tr.Enabled() {
 		return
@@ -56,8 +56,6 @@ func flowCategory(kind opKind) (cat string, minVerbosity int) {
 		return "shuffle", trace.VerbosityFlows
 	case opRead:
 		return "read", trace.VerbosityAllFlows
-	case opRepl:
-		return "repl", trace.VerbosityAllFlows
 	}
 	return "flow", trace.VerbosityAllFlows
 }

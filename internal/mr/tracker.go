@@ -45,7 +45,7 @@ type TaskTracker struct {
 	draining bool
 
 	// Heartbeat-loss fault state (internal/chaos): a silent tracker is
-	// blacklisted after BlacklistTimeout and serves an exponentially
+	// blacklisted after blacklistTimeout and serves an exponentially
 	// backed-off probation once its heartbeats resume. Running tasks
 	// keep executing throughout — only new assignment is gated.
 	hbLost         bool
@@ -199,12 +199,12 @@ func (tt *TaskTracker) freeMapSlots() int {
 	if tt.c.cfg.Policy == YARN {
 		mem := tt.freeMemMB()
 		if tt.c.jt.reduceDemandExists() {
-			reserve := float64(tt.c.cfg.ReduceSlots-len(tt.runningReduces)) * tt.c.cfg.ReduceContainerMB
+			reserve := float64(tt.c.cfg.ReduceSlots-len(tt.runningReduces)) * reduceContainerMB
 			if reserve > 0 {
 				mem -= reserve
 			}
 		}
-		free := int(mem / tt.c.cfg.MapContainerMB)
+		free := int(mem / mapContainerMB)
 		if free < 0 {
 			return 0
 		}
@@ -222,7 +222,7 @@ func (tt *TaskTracker) freeMapSlots() int {
 // keep their priority claim on the memory pool.
 func (tt *TaskTracker) freeReduceSlots() int {
 	if tt.c.cfg.Policy == YARN {
-		free := int(tt.freeMemMB() / tt.c.cfg.ReduceContainerMB)
+		free := int(tt.freeMemMB() / reduceContainerMB)
 		if free < 0 {
 			return 0
 		}
@@ -237,10 +237,10 @@ func (tt *TaskTracker) freeReduceSlots() int {
 
 // freeMemMB is the YARN policy's unallocated container memory.
 func (tt *TaskTracker) freeMemMB() float64 {
-	capMB := float64(tt.c.cfg.MapSlots)*tt.c.cfg.MapContainerMB +
-		float64(tt.c.cfg.ReduceSlots)*tt.c.cfg.ReduceContainerMB
-	used := float64(len(tt.runningMaps))*tt.c.cfg.MapContainerMB +
-		float64(len(tt.runningReduces))*tt.c.cfg.ReduceContainerMB
+	capMB := float64(tt.c.cfg.MapSlots)*mapContainerMB +
+		float64(tt.c.cfg.ReduceSlots)*reduceContainerMB
+	used := float64(len(tt.runningMaps))*mapContainerMB +
+		float64(len(tt.runningReduces))*reduceContainerMB
 	return capMB - used
 }
 
@@ -291,24 +291,21 @@ func (tt *TaskTracker) killSurplusMaps() {
 	}
 }
 
-// applyDisturbance injects StabilizeTime seconds of extra pressure.
+// applyDisturbance injects stabilizeTime seconds of extra pressure.
 func (tt *TaskTracker) applyDisturbance() {
 	c := tt.c
-	if c.cfg.SlotChangePressure <= 0 || c.cfg.StabilizeTime <= 0 {
-		return
-	}
 	if tt.disturbance != nil {
 		// Already perturbed: extend the window.
 		c.clock.Cancel(tt.disturbanceExpiry)
 	} else {
 		if tt.stabilizeFn == nil {
-			tt.disturbAct = resource.Activity{Kind: resource.Phantom, Pressure: c.cfg.SlotChangePressure}
+			tt.disturbAct = resource.Activity{Kind: resource.Phantom, Pressure: slotChangePressure}
 			tt.stabilizeFn = func() { c.Mutate(tt.endDisturbance) }
 		}
 		tt.disturbance = &tt.disturbAct
 		tt.node.Add(tt.disturbance)
 	}
-	tt.disturbanceExpiry = c.clock.After(c.cfg.StabilizeTime, "stabilize", tt.stabilizeFn)
+	tt.disturbanceExpiry = c.clock.After(stabilizeTime, "stabilize", tt.stabilizeFn)
 }
 
 // endDisturbance lifts the slot-change pressure, if any.

@@ -92,7 +92,6 @@ func TestYARNMemoryMath(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Policy = YARN
 	cfg.MapSlots, cfg.ReduceSlots = 3, 2
-	cfg.MapContainerMB, cfg.ReduceContainerMB = 2048, 3072
 	c := MustNewCluster(cfg)
 	tt := c.trackers[0]
 

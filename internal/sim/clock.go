@@ -178,7 +178,7 @@ func (c *Clock) Pending() int { return len(c.heap) + c.wheelCount + len(c.lane) 
 // makeRef packs a slot index and its generation into a handle. The +1
 // keeps the zero EventRef invalid.
 func makeRef(gen, idx int32) EventRef {
-	return EventRef(int64(gen)<<32 | int64(idx)+1)
+	return EventRef((int64(gen)<<32 | int64(idx)) + 1)
 }
 
 // slot resolves a ref to its arena slot, or nil when the ref is zero,
