@@ -20,9 +20,8 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // fair-share caps, speculation and eager slot change, with every fault
 // the runtime models armed on it: a crash, a crash of the already-dead
 // tracker (a fault error), a rejoin, a heartbeat loss long enough to
-// blacklist, a node and a link degradation, a contention slowdown and
-// a decommission. It returns the event log as JSONL and the Chrome
-// trace at VerbosityFlows.
+// blacklist, and a node and a link degradation. It returns the event
+// log as JSONL and the Chrome trace at VerbosityFlows.
 func faultCoverageRun(t *testing.T) (events, chrome []byte) {
 	t.Helper()
 	cfg := mr.DefaultConfig()
@@ -47,8 +46,6 @@ func faultCoverageRun(t *testing.T) (events, chrome []byte) {
 			c.ScheduleHeartbeatLoss(2, 15, 8)
 			c.ScheduleNodeDegrade(3, 10, 20, 0.5, 0.5)
 			c.ScheduleLinkDegrade(4, 12, 15, 0.3, 0)
-			c.ScheduleSlowdown(5, 1, 5, 30)
-			c.ScheduleDecommission(0, 90)
 			return nil
 		},
 	},
@@ -81,7 +78,7 @@ func TestFaultCoverageGolden(t *testing.T) {
 	events, chrome := faultCoverageRun(t)
 	for _, kind := range []mr.EventKind{
 		mr.EvJobSubmitted, mr.EvTaskStarted, mr.EvTaskDone, mr.EvBarrier, mr.EvJobFinished,
-		mr.EvSlotChange, mr.EvTrackerDown, mr.EvSpeculative, mr.EvRequeued, mr.EvTrackerDrain,
+		mr.EvSlotChange, mr.EvTrackerDown, mr.EvSpeculative, mr.EvRequeued,
 		mr.EvTrackerRejoin, mr.EvTrackerHBLost, mr.EvTrackerHBRestored, mr.EvTrackerBlacklisted,
 		mr.EvTrackerProbation, mr.EvTrackerCleared, mr.EvTenantCap,
 		mr.EvNodeDegraded, mr.EvNodeRestored, mr.EvLinkDegraded, mr.EvLinkRestored, mr.EvFaultError,
@@ -98,7 +95,7 @@ func TestFaultCoverageGolden(t *testing.T) {
 	for _, name := range []string{
 		"tracker-down", "tracker-rejoin", "hb-lost", "blacklisted", "hb-restored", "probation",
 		"probation-cleared", "node-degraded", "node-restored", "link-degraded", "link-restored",
-		"tracker-drain", "fault-error", "slot-change", "speculative-backup", "tenant-cap",
+		"fault-error", "slot-change", "speculative-backup", "tenant-cap",
 		"barrier ", "job-submitted ", "barrier-crossed ", "job-finished ",
 	} {
 		if !bytes.Contains(chrome, []byte(`"ph":"i"`)) || !strings.Contains(string(chrome), `"name":"`+name) {
