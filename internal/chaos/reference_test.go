@@ -55,8 +55,7 @@ func referenceSeed(t *testing.T, seed uint64) {
 const idleGapStart, idleGapEnd = 200.0, 300.0
 
 // idleGapFaults land while every tracker is parked: a heartbeat loss
-// long enough to blacklist, a crash and its rejoin. A decommission
-// follows (the schedule language has no decommission fault).
+// long enough to blacklist, a crash and its rejoin.
 const idleGapFaults = `
 slow node5 @20 for 40 cpu 0.5 disk 0.6
 hbloss tt2 @210.5 for 20
@@ -66,7 +65,7 @@ rejoin tt3 @240
 
 // runIdleGapSoak runs the soak's Dynamic stack on open arrivals with
 // idle gaps between jobs, so the trackers park their heartbeats, with
-// idleGapFaults and a decommission landing in the first gap.
+// idleGapFaults landing in the first gap.
 func runIdleGapSoak(t *testing.T, seed uint64) (soakRun, uint64) {
 	t.Helper()
 	sched, err := ParseSchedule(idleGapFaults)
@@ -80,7 +79,6 @@ func runIdleGapSoak(t *testing.T, seed uint64) (soakRun, uint64) {
 	}
 	var parked uint64
 	run := runSoakWith(t, seed, &sched, func(c *mr.Cluster) ([]*mr.Job, error) {
-		c.ScheduleDecommission(6, 250.75)
 		jobs, err := c.RunArrivals(arrival.FromSpecs(specs))
 		parked = c.ParkedBeats()
 		return jobs, err

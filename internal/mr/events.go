@@ -23,7 +23,6 @@ const (
 	EvTrackerDown  EventKind = "tracker-failed"
 	EvSpeculative  EventKind = "speculative-launch"
 	EvRequeued     EventKind = "task-requeued"
-	EvTrackerDrain EventKind = "tracker-draining"
 
 	// Fault-injection vocabulary (internal/chaos). Degradations carry
 	// their parameters in Detail; EvFaultError records a fault that

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-
-	"smapreduce/internal/resource"
 )
 
 // FailTracker kills task tracker id at the current virtual time,
@@ -296,63 +294,4 @@ func (c *Cluster) requeueCommittedMap(j *Job, m *mapTask) {
 	}
 	c.jt.requeueMap(j, m)
 	c.note(transition{kind: EvRequeued, job: j, task: "map", id: m.id, tracker: -1, text: "output lost"})
-}
-
-// DecommissionTracker drains tracker id gracefully: it stops receiving
-// new tasks immediately, its running tasks finish in place, and its
-// committed map outputs remain servable until the draining jobs
-// complete. This is the administrative counterpart to FailTracker —
-// Hadoop's "exclude file" / graceful decommission — and loses no work.
-//
-// The tracker is marked draining; once its last task finishes it is
-// marked failed-equivalent for scheduling purposes but its outputs are
-// still fetched (the node is up, only the tracker daemon is retiring).
-func (c *Cluster) DecommissionTracker(id int) error {
-	if id < 0 || id >= len(c.trackers) {
-		return fmt.Errorf("mr: DecommissionTracker(%d): no such tracker", id)
-	}
-	tt := c.trackers[id]
-	if tt.failed {
-		return fmt.Errorf("mr: tracker %d already failed", id)
-	}
-	if tt.draining {
-		return fmt.Errorf("mr: tracker %d already draining", id)
-	}
-	tt.draining = true
-	c.note(transition{kind: EvTrackerDrain, tracker: id})
-	return nil
-}
-
-// ScheduleDecommission arranges DecommissionTracker(id) at virtual time
-// at. Call before Run. Like ScheduleFailure, an inapplicable
-// decommission is logged as a fault error rather than panicking.
-func (c *Cluster) ScheduleDecommission(id int, at float64) {
-	c.clock.Schedule(at, fmt.Sprintf("drain tt%d", id), func() {
-		c.faultErr(id, "decommission", c.DecommissionTracker(id))
-	})
-}
-
-// ScheduleSlowdown injects a transient degradation on node id: extra
-// contention pressure (a noisy neighbour, a failing disk, a background
-// scrub) during [at, at+duration). Unlike a heterogeneous NodeSpec this
-// is temporary, which is exactly the situation speculative execution
-// exists for. Call before Run.
-func (c *Cluster) ScheduleSlowdown(id int, pressure, at, duration float64) {
-	if id < 0 || id >= len(c.trackers) {
-		panic(fmt.Sprintf("mr: ScheduleSlowdown(%d): no such tracker", id))
-	}
-	if pressure <= 0 || duration <= 0 {
-		panic(fmt.Sprintf("mr: ScheduleSlowdown pressure %v duration %v must be positive", pressure, duration))
-	}
-	c.clock.Schedule(at, fmt.Sprintf("slowdown tt%d", id), func() {
-		act := &resource.Activity{
-			Kind:     resource.Phantom,
-			Pressure: pressure,
-			Label:    fmt.Sprintf("slowdown tt%d", id),
-		}
-		c.Mutate(func() { c.nodes[id].Add(act) })
-		c.clock.After(duration, lazyLabel(&c.trackers[id].slowdownEndLabel, "slowdown-end tt%d", id), func() {
-			c.Mutate(func() { c.nodes[id].Remove(act) })
-		})
-	})
 }

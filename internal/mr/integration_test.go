@@ -194,7 +194,7 @@ func TestQuickSpeculationInvariant(t *testing.T) {
 
 // TestQuickKitchenSink turns every runtime feature on at once —
 // speculation, partition skew, fair scheduling, a heterogeneous
-// cluster, a mid-run failure and a transient slowdown — and asserts
+// cluster, a mid-run failure and a transient slow node — and asserts
 // the invariants still hold.
 func TestQuickKitchenSink(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -217,7 +217,7 @@ func TestQuickKitchenSink(t *testing.T) {
 
 		c := MustNewCluster(cfg)
 		c.ScheduleFailure(1, 25)
-		c.ScheduleSlowdown(2, 2.0, 10, 30)
+		c.ScheduleNodeDegrade(2, 10, 30, 0.5, 0.5)
 		log := c.EnableEventLog(0)
 		jobs, err := c.Run(
 			JobSpec{Name: "ts", Profile: puma.MustGet("terasort"), InputMB: 1536, Reduces: 6, PartitionSkew: 0.5},

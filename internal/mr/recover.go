@@ -22,7 +22,7 @@ import (
 //     initial values;
 //   - heartbeats resume immediately on the tracker's own cadence.
 //
-// Recovering an unknown, live, or draining tracker returns an error.
+// Recovering an unknown or live tracker returns an error.
 func (c *Cluster) RecoverTracker(id int) error {
 	if id < 0 || id >= len(c.trackers) {
 		return fmt.Errorf("mr: RecoverTracker(%d): no such tracker", id)
@@ -30,9 +30,6 @@ func (c *Cluster) RecoverTracker(id int) error {
 	tt := c.trackers[id]
 	if !tt.failed {
 		return fmt.Errorf("mr: tracker %d is not failed", id)
-	}
-	if tt.draining {
-		return fmt.Errorf("mr: tracker %d is draining", id)
 	}
 	c.Mutate(func() { c.recoverTracker(tt) })
 	return nil
@@ -223,10 +220,8 @@ func (c *Cluster) endHeartbeatLoss(tt *TaskTracker) {
 // ScheduleNodeDegrade scales node id's CPU and disk service rates by
 // the given factors in (0, 1] during [at, at+duration) — a slow node:
 // failing disk, thermal throttling, a noisy co-tenant stealing cycles.
-// Unlike ScheduleSlowdown (which injects contention pressure and so
-// also bends the thrashing curve), this scales the delivered service
-// rates directly. Call before Run; invalid arguments panic immediately
-// (static schedule errors, like ScheduleSlowdown).
+// It scales the delivered service rates directly. Call before Run;
+// invalid arguments panic immediately (static schedule errors).
 func (c *Cluster) ScheduleNodeDegrade(id int, at, duration, cpuScale, diskScale float64) {
 	if id < 0 || id >= len(c.nodes) {
 		panic(fmt.Sprintf("mr: ScheduleNodeDegrade(%d): no such node", id))

@@ -68,8 +68,8 @@ const idleGapStart, idleGapEnd = 90.0, 150.0
 // between jobs, in which every tracker parks its heartbeat chain. Each
 // job has more reduces than the trackers running its maps can hold, so
 // trackers parked at its admission pick reduces up on their beats. A
-// heartbeat loss (long enough to blacklist), a crash and its recovery,
-// and a decommission all land in the first gap, on parked trackers.
+// heartbeat loss (long enough to blacklist) and a crash and its
+// recovery all land in the first gap, on parked trackers.
 // Under the Dynamic policy a controller moves every tracker's slot
 // targets each tick, so SetDesiredSlots wakes parked trackers. It
 // returns the run and its parked-beat count.
@@ -91,7 +91,6 @@ func idleGapWorkload(t *testing.T, policy Policy, reference bool) (diffRun, uint
 	c.ScheduleHeartbeatLoss(2, 100.5, 20)
 	c.ScheduleFailure(3, 105.25)
 	c.ScheduleRecovery(3, 125)
-	c.ScheduleDecommission(5, 130.75)
 	mk := func(name, bench string, at float64) JobSpec {
 		return JobSpec{Name: name, Profile: puma.MustGet(bench), InputMB: 768, Reduces: 6, SubmitAt: at}
 	}
@@ -181,7 +180,7 @@ func idleGapDifferential(t *testing.T, policy Policy) {
 			kinds[e.Kind]++
 		}
 	}
-	want := []EventKind{EvTrackerHBLost, EvTrackerBlacklisted, EvTrackerDown, EvTrackerRejoin, EvTrackerDrain}
+	want := []EventKind{EvTrackerHBLost, EvTrackerBlacklisted, EvTrackerDown, EvTrackerRejoin}
 	if policy == Dynamic {
 		want = append(want, EvSlotChange)
 	}

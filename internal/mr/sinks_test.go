@@ -38,8 +38,8 @@ func figure3Cell(t *testing.T, attach func(c *Cluster)) (*Job, Stats) {
 }
 
 // chaosCell runs a 20 GB terasort with speculation on under a crash, a
-// rejoin, a blacklisting heartbeat loss, a node and a link degradation
-// and a contention slowdown, so every fault transition is noted.
+// rejoin, a blacklisting heartbeat loss, and a node and a link
+// degradation, so every fault transition is noted.
 func chaosCell(t *testing.T, attach func(c *Cluster)) (*Job, Stats) {
 	cfg := DefaultConfig()
 	cfg.Speculation = true
@@ -50,7 +50,6 @@ func chaosCell(t *testing.T, attach func(c *Cluster)) (*Job, Stats) {
 			c.ScheduleHeartbeatLoss(2, 15, 30)
 			c.ScheduleNodeDegrade(5, 10, 20, 0.5, 0.5)
 			c.ScheduleLinkDegrade(7, 12, 10, 0.3, 0)
-			c.ScheduleSlowdown(6, 1, 5, 30)
 		})
 }
 

@@ -26,7 +26,7 @@ func (c *Cluster) launchMap(tt *TaskTracker, m *mapTask) {
 		// Under YARN the memory pool, not mapTarget, bounds occupancy.
 		c.inv.CheckMapLaunch(tt.id, len(tt.runningMaps), tt.mapTarget)
 	}
-	c.inv.CheckLaunchTracker(tt.id, tt.failed, tt.draining, tt.hbLost, tt.blacklisted, tt.probation)
+	c.inv.CheckLaunchTracker(tt.id, tt.failed, tt.hbLost, tt.blacklisted, tt.probation)
 	c.note(transition{kind: EvTaskStarted, job: m.job, task: "map", id: m.id, tracker: tt.id})
 	c.traceMapBegin(tt, m)
 	if m.job.Started < 0 {
@@ -307,7 +307,7 @@ func (c *Cluster) launchReduce(tt *TaskTracker, r *reduceTask) {
 	if c.inv != nil && c.cfg.Policy != YARN {
 		c.inv.CheckReduceLaunch(tt.id, len(tt.runningReduces), tt.reduceTarget)
 	}
-	c.inv.CheckLaunchTracker(tt.id, tt.failed, tt.draining, tt.hbLost, tt.blacklisted, tt.probation)
+	c.inv.CheckLaunchTracker(tt.id, tt.failed, tt.hbLost, tt.blacklisted, tt.probation)
 	c.note(transition{kind: EvTaskStarted, job: r.job, task: "reduce", id: r.partition, tracker: tt.id})
 	c.traceReduceBegin(tt, r)
 	if r.job.Started < 0 {

@@ -115,7 +115,6 @@ var instants = map[EventKind]struct {
 	EvSpeculative:        {0, "speculation", "speculative-backup"},
 	EvTenantCap:          {trace.PIDController, "capacity", "tenant-cap"},
 	EvTrackerDown:        {0, "failure", "tracker-down"},
-	EvTrackerDrain:       {0, "failure", "tracker-drain"},
 	EvTrackerRejoin:      {0, "failure", "tracker-rejoin"},
 	EvTrackerHBLost:      {0, "failure", "hb-lost"},
 	EvTrackerHBRestored:  {0, "failure", "hb-restored"},

@@ -41,8 +41,7 @@ type TaskTracker struct {
 	mapOutputRate *stats.EWMA // MB/s of shuffle-bound map output produced
 	shuffleRate   *stats.EWMA // MB/s of shuffle bytes received
 
-	failed   bool
-	draining bool
+	failed bool
 
 	// Heartbeat-loss fault state (internal/chaos): a silent tracker is
 	// blacklisted after blacklistTimeout and serves an exponentially
@@ -80,10 +79,9 @@ type TaskTracker struct {
 
 	// Fault-event labels, formatted lazily on the first incident and
 	// cached, so mid-run fault scheduling never pays fmt.Sprintf.
-	blacklistLabel   string
-	hbResumeLabel    string
-	probationLabel   string
-	slowdownEndLabel string
+	blacklistLabel string
+	hbResumeLabel  string
+	probationLabel string
 
 	// scratch backs the inFlight* summations between heartbeats.
 	scratch []float64
@@ -167,9 +165,6 @@ func (tt *TaskTracker) RunningReduces() int { return len(tt.runningReduces) }
 // Failed reports whether the tracker has been killed by fault injection.
 func (tt *TaskTracker) Failed() bool { return tt.failed }
 
-// Draining reports whether the tracker is being decommissioned.
-func (tt *TaskTracker) Draining() bool { return tt.draining }
-
 // HeartbeatLost reports whether the tracker is inside an injected
 // heartbeat-loss window.
 func (tt *TaskTracker) HeartbeatLost() bool { return tt.hbLost }
@@ -183,10 +178,9 @@ func (tt *TaskTracker) Blacklisted() bool { return tt.blacklisted }
 func (tt *TaskTracker) OnProbation() bool { return tt.probation }
 
 // schedulable reports whether the job tracker may hand this tracker new
-// work. Failed, draining, silent, blacklisted and probation trackers
-// all keep running what they have but receive nothing new.
+// work. Failed, silent, blacklisted and probation trackers all keep running what they have but receive nothing new.
 func (tt *TaskTracker) schedulable() bool {
-	return !tt.failed && !tt.draining && !tt.hbLost && !tt.blacklisted && !tt.probation
+	return !tt.failed && !tt.hbLost && !tt.blacklisted && !tt.probation
 }
 
 // freeMapSlots reports launchable map slots under the active policy.

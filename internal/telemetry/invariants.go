@@ -97,15 +97,15 @@ func (v *Invariants) CheckReduceLaunch(tracker, running, target int) {
 }
 
 // CheckLaunchTracker validates that the tracker receiving a task launch
-// is actually eligible for work: not failed, not draining, not inside a
-// heartbeat-loss window, not blacklisted, not on probation.
-func (v *Invariants) CheckLaunchTracker(tracker int, failed, draining, hbLost, blacklisted, probation bool) {
+// is actually eligible for work: not failed, not inside a heartbeat-loss
+// window, not blacklisted, not on probation.
+func (v *Invariants) CheckLaunchTracker(tracker int, failed, hbLost, blacklisted, probation bool) {
 	if v == nil {
 		return
 	}
-	if failed || draining || hbLost || blacklisted || probation {
-		panic(fmt.Sprintf("telemetry: invariant violated: task launched on ineligible tracker %d (failed=%v draining=%v hbLost=%v blacklisted=%v probation=%v)",
-			tracker, failed, draining, hbLost, blacklisted, probation))
+	if failed || hbLost || blacklisted || probation {
+		panic(fmt.Sprintf("telemetry: invariant violated: task launched on ineligible tracker %d (failed=%v hbLost=%v blacklisted=%v probation=%v)",
+			tracker, failed, hbLost, blacklisted, probation))
 	}
 }
 
