@@ -2,7 +2,6 @@ package localmr_test
 
 import (
 	"fmt"
-	"strings"
 
 	"smapreduce/internal/localmr"
 )
@@ -23,54 +22,4 @@ func ExampleRun() {
 	fmt.Println()
 	// Output:
 	// be=2 not=1 or=1 to=2
-}
-
-// ExampleChain runs PUMA's two-stage ranked inverted index.
-func ExampleChain() {
-	docs := map[string]string{"a": "go go rust", "b": "go"}
-	res, err := localmr.RankedInvertedIndex(localmr.Config{
-		MapWorkers: 1, ReduceWorkers: 1, MaxWorkers: 2, Partitions: 2,
-	}, docs)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	for _, kv := range res.Pairs {
-		fmt.Printf("%s -> %s\n", kv.Key, kv.Value)
-	}
-	// Output:
-	// go -> a:2 b:1
-	// rust -> a:1
-}
-
-// ExampleJob_secondarySort delivers each group's values pre-sorted by a
-// secondary key using a composite key and GroupBy.
-func ExampleJob_secondarySort() {
-	sep := "\x1f"
-	job := localmr.Job{
-		Name: "per-user-events",
-		Input: []localmr.KV{
-			{Key: "0", Value: "alice" + sep + "2:login"},
-			{Key: "1", Value: "alice" + sep + "1:signup"},
-			{Key: "2", Value: "bob" + sep + "1:signup"},
-		},
-		Map: func(_, v string, emit func(k, v string)) {
-			emit(v, v[strings.Index(v, sep)+1:])
-		},
-		GroupBy: func(key string) string { return key[:strings.Index(key, sep)] },
-		Reduce: func(user string, events []string, emit func(k, v string)) {
-			emit(user, strings.Join(events, ", "))
-		},
-	}
-	res, err := localmr.Run(localmr.Config{MapWorkers: 1, ReduceWorkers: 1, MaxWorkers: 1, Partitions: 1}, job)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	for _, kv := range res.Pairs {
-		fmt.Printf("%s: %s\n", kv.Key, kv.Value)
-	}
-	// Output:
-	// alice: 1:signup, 2:login
-	// bob: 1:signup
 }

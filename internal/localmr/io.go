@@ -4,30 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 )
-
-// LinesFromReader streams line records from r, keyed by line number —
-// the io.Reader twin of LinesInput for file and pipe inputs. Empty
-// lines are skipped. Lines are capped at 1 MiB, matching the typical
-// record-size guard of a text input format.
-func LinesFromReader(r io.Reader) ([]KV, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var kvs []KV
-	n := 0
-	for sc.Scan() {
-		line := sc.Text()
-		if line != "" {
-			kvs = append(kvs, KV{Key: strconv.Itoa(n), Value: line})
-		}
-		n++
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("localmr: reading input: %w", err)
-	}
-	return kvs, nil
-}
 
 // WriteOutput writes pairs as tab-separated "key<TAB>value" lines —
 // the on-disk format of Hadoop's TextOutputFormat.
@@ -39,35 +16,4 @@ func WriteOutput(w io.Writer, pairs []KV) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadOutput parses pairs written by WriteOutput, for chaining runs
-// across process boundaries.
-func ReadOutput(r io.Reader) ([]KV, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var kvs []KV
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		tab := -1
-		for i := 0; i < len(line); i++ {
-			if line[i] == '\t' {
-				tab = i
-				break
-			}
-		}
-		if tab < 0 {
-			return nil, fmt.Errorf("localmr: line %d has no tab separator", lineNo)
-		}
-		kvs = append(kvs, KV{Key: line[:tab], Value: line[tab+1:]})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("localmr: reading pairs: %w", err)
-	}
-	return kvs, nil
 }

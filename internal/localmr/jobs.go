@@ -2,6 +2,7 @@ package localmr
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -21,7 +22,7 @@ func LinesInput(text string) []KV {
 }
 
 // DocsInput keys each document by its name, for jobs that need document
-// identity (inverted index, term vector).
+// identity (inverted index).
 func DocsInput(docs map[string]string) []KV {
 	kvs := make([]KV, 0, len(docs))
 	for name, body := range docs {
@@ -112,7 +113,7 @@ func InvertedIndex(docs map[string]string) Job {
 					list = append(list, d)
 				}
 			}
-			sortStrings(list)
+			sort.Strings(list)
 			emit(word, strings.Join(list, ","))
 		},
 	}
@@ -136,12 +137,48 @@ func HistogramRatings(lines string) Job {
 	}
 }
 
-// sortStrings is a tiny local sort to avoid importing sort twice in
-// docs examples.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+// SequenceCount counts distinct word trigrams per document corpus —
+// PUMA's sequence-count.
+func SequenceCount(docs map[string]string) Job {
+	return Job{
+		Name:  "sequence-count",
+		Input: DocsInput(docs),
+		Map: func(_, body string, emit func(k, v string)) {
+			words := Tokenize(body)
+			for i := 0; i+2 < len(words); i++ {
+				emit(words[i]+" "+words[i+1]+" "+words[i+2], "1")
+			}
+		},
+		Combine: sumReducer,
+		Reduce:  sumReducer,
+	}
+}
+
+// AdjacencyList turns directed edges ("src dst" lines) into each
+// vertex's sorted, de-duplicated out-neighbour list — PUMA's
+// adjacency-list.
+func AdjacencyList(edges string) Job {
+	return Job{
+		Name:  "adjacency-list",
+		Input: LinesInput(edges),
+		Map: func(_, line string, emit func(k, v string)) {
+			fields := strings.Fields(line)
+			if len(fields) != 2 {
+				return
+			}
+			emit(fields[0], fields[1])
+		},
+		Reduce: func(src string, dsts []string, emit func(k, v string)) {
+			uniq := make(map[string]bool)
+			var out []string
+			for _, d := range dsts {
+				if !uniq[d] {
+					uniq[d] = true
+					out = append(out, d)
+				}
+			}
+			sort.Strings(out)
+			emit(src, strings.Join(out, ","))
+		},
 	}
 }

@@ -38,41 +38,6 @@ type Job struct {
 	Map     Mapper
 	Reduce  Reducer
 	Combine Reducer // optional map-side pre-aggregation
-
-	// Partition overrides the default FNV hash partitioner. It must
-	// return a value in [0, partitions) for every key; out-of-range
-	// values fail the run. Range partitioners (sampled, as in TeraSort)
-	// make the concatenation of per-partition outputs globally sorted.
-	Partition func(key string, partitions int) int
-
-	// GroupBy enables secondary sort: partitioning and reduce grouping
-	// use GroupBy(key) while records inside a group are delivered in
-	// full-key order. The canonical pattern is a composite key
-	// "primary\x1Fsecondary" with GroupBy returning the primary part;
-	// the reducer then sees each primary key once, with values ordered
-	// by the secondary component. Nil means ordinary grouping by the
-	// full key.
-	GroupBy func(key string) string
-}
-
-// groupOf applies GroupBy or the identity.
-func (j Job) groupOf(key string) string {
-	if j.GroupBy == nil {
-		return key
-	}
-	return j.GroupBy(key)
-}
-
-// partition routes a key through the job's partitioner.
-func (j Job) partition(key string, partitions int) (int, error) {
-	if j.Partition == nil {
-		return partitionOf(key, partitions), nil
-	}
-	p := j.Partition(key, partitions)
-	if p < 0 || p >= partitions {
-		return 0, fmt.Errorf("localmr: partitioner returned %d for %q with %d partitions", p, key, partitions)
-	}
-	return p, nil
 }
 
 // Config tunes the engine.
@@ -136,14 +101,11 @@ type Stats struct {
 	PoolDecisions  []PoolDecision
 }
 
-// Result is the job output: pairs sorted by key (then value), plus the
-// per-partition outputs (each sorted within itself — with a range
-// partitioner their concatenation is the total order) and execution
-// statistics.
+// Result is the job output: pairs sorted by key (then value), plus
+// execution statistics.
 type Result struct {
-	Pairs       []KV
-	ByPartition [][]KV
-	Stats       Stats
+	Pairs []KV
+	Stats Stats
 }
 
 // Run executes the job. The result is deterministic for a given job:
@@ -197,10 +159,7 @@ func Run(cfg Config, job Job) (*Result, error) {
 		}()
 		local := make([][]KV, cfg.Partitions)
 		emit := func(k, v string) {
-			p, err := job.partition(job.groupOf(k), cfg.Partitions)
-			if err != nil {
-				panic(err)
-			}
+			p := partitionOf(k, cfg.Partitions)
 			local[p] = append(local[p], KV{k, v})
 		}
 		for _, kv := range chunks[i] {
@@ -246,7 +205,7 @@ func Run(cfg Config, job Job) (*Result, error) {
 				fail(fmt.Errorf("localmr: reduce partition %d panicked: %v", p, r))
 			}
 		}()
-		outs[p] = reducePartition(parts[p], job.Reduce, job.groupOf)
+		outs[p] = reducePartition(parts[p], job.Reduce)
 		return 0, 0
 	})
 	if runErr != nil {
@@ -254,7 +213,6 @@ func Run(cfg Config, job Job) (*Result, error) {
 	}
 	res.Stats.ReducePoolPeak = reducePool.peakSeen
 
-	res.ByPartition = outs
 	for _, out := range outs {
 		res.Pairs = append(res.Pairs, out...)
 	}
@@ -302,11 +260,8 @@ func combineBucket(kvs []KV, combine Reducer) []KV {
 	return out
 }
 
-// reducePartition sorts a partition by full key, groups by groupOf and
-// reduces. With the identity group function this is ordinary MapReduce
-// grouping; with a GroupBy it is Hadoop's secondary sort: values of a
-// group arrive ordered by the full composite key.
-func reducePartition(kvs []KV, reduce Reducer, groupOf func(string) string) []KV {
+// reducePartition sorts a partition by key, groups by key and reduces.
+func reducePartition(kvs []KV, reduce Reducer) []KV {
 	if len(kvs) == 0 {
 		return nil
 	}
@@ -314,21 +269,13 @@ func reducePartition(kvs []KV, reduce Reducer, groupOf func(string) string) []KV
 	sortKVs(sorted)
 	var out []KV
 	emit := func(k, v string) { out = append(out, KV{k, v}) }
-	for i := 0; i < len(sorted); {
-		group := groupOf(sorted[i].Key)
-		j := i
-		var values []string
-		for j < len(sorted) && groupOf(sorted[j].Key) == group {
-			values = append(values, sorted[j].Value)
-			j++
-		}
-		reduce(group, values, emit)
-		i = j
-	}
+	forEachGroup(sorted, func(key string, values []string) {
+		reduce(key, values, emit)
+	})
 	return out
 }
 
-// forEachGroup walks full-key groups of a sorted slice (combiner path).
+// forEachGroup walks the key groups of a sorted slice.
 func forEachGroup(sorted []KV, fn func(key string, values []string)) {
 	for i := 0; i < len(sorted); {
 		j := i

@@ -75,18 +75,3 @@ func BenchmarkInvertedIndex(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkRankedInvertedIndex measures the two-stage chain.
-func BenchmarkRankedInvertedIndex(b *testing.B) {
-	docs := make(map[string]string, 32)
-	for i := 0; i < 32; i++ {
-		docs[fmt.Sprintf("doc-%02d", i)] = benchCorpus(1_000)
-	}
-	cfg := DefaultConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RankedInvertedIndex(cfg, docs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -382,57 +382,25 @@ func TestQuickPartitionStable(t *testing.T) {
 	}
 }
 
-func TestLinesFromReader(t *testing.T) {
-	kvs, err := LinesFromReader(strings.NewReader("a\n\nb\nc"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kvs) != 3 || kvs[0].Value != "a" || kvs[2].Value != "c" {
-		t.Fatalf("kvs = %v", kvs)
-	}
-	// Line numbers count skipped empties.
-	if kvs[1].Key != "2" {
-		t.Fatalf("line numbering = %v", kvs)
-	}
-}
-
-func TestWriteReadOutputRoundTrip(t *testing.T) {
+func TestWriteOutputLines(t *testing.T) {
 	pairs := []KV{{"a", "1"}, {"key with space", "v\twith tab? no: value"}, {"z", ""}}
 	var buf strings.Builder
 	if err := WriteOutput(&buf, pairs); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadOutput(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(pairs) {
-		t.Fatalf("round trip lost pairs: %v", back)
-	}
-	if back[0] != pairs[0] || back[2] != pairs[2] {
-		t.Fatalf("round trip mangled: %v", back)
-	}
-	// Values containing tabs split at the FIRST tab; keys survive.
-	if back[1].Key != "key with space" {
-		t.Fatalf("tabbed value broke key: %v", back[1])
-	}
-}
-
-func TestReadOutputRejectsMalformed(t *testing.T) {
-	if _, err := ReadOutput(strings.NewReader("no-tab-here\n")); err == nil {
-		t.Fatal("malformed line accepted")
+	// One "key<TAB>value" line per pair, in order; a value's own tabs
+	// and an empty value are written as they are.
+	want := "a\t1\nkey with space\tv\twith tab? no: value\nz\t\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("WriteOutput wrote %q, want %q", got, want)
 	}
 }
 
 func TestReaderPipelineEndToEnd(t *testing.T) {
-	// Reader input → engine → writer output → reader again.
-	kvs, err := LinesFromReader(strings.NewReader("x y\ny z\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Line input → engine → writer output.
 	job := Job{
 		Name:  "wc",
-		Input: kvs,
+		Input: LinesInput("x y\ny z\n"),
 		Map: func(_, line string, emit func(k, v string)) {
 			for _, w := range Tokenize(line) {
 				emit(w, "1")
@@ -445,12 +413,55 @@ func TestReaderPipelineEndToEnd(t *testing.T) {
 	if err := WriteOutput(&buf, res.Pairs); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadOutput(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
+	if got, want := buf.String(), "x\t1\ny\t2\nz\t1\n"; got != want {
+		t.Fatalf("pipeline output = %q, want %q", got, want)
 	}
-	m := pairsToMap(t, back)
-	if m["y"] != "2" || m["x"] != "1" || m["z"] != "1" {
-		t.Fatalf("pipeline result = %v", m)
+}
+
+func TestSequenceCount(t *testing.T) {
+	docs := map[string]string{"d": "a b c a b c a"}
+	// Trigrams: abc bca cab abc bca → "a b c":2, "b c a":2, "c a b":1.
+	res := mustRun(t, staticConfig(), SequenceCount(docs))
+	got := pairsToMap(t, res.Pairs)
+	if got["a b c"] != "2" || got["b c a"] != "2" || got["c a b"] != "1" {
+		t.Fatalf("trigram counts wrong: %v", got)
+	}
+}
+
+func TestAdjacencyList(t *testing.T) {
+	edges := "1 2\n1 3\n2 3\n1 2\nmalformed-line"
+	res := mustRun(t, staticConfig(), AdjacencyList(edges))
+	got := pairsToMap(t, res.Pairs)
+	if got["1"] != "2,3" || got["2"] != "3" {
+		t.Fatalf("adjacency = %v", got)
+	}
+}
+
+func TestMapperPanicSurfacesAsError(t *testing.T) {
+	job := Job{
+		Name:  "boom",
+		Input: LinesInput("a\nb"),
+		Map: func(_, v string, emit func(k, v string)) {
+			if v == "b" {
+				panic("map exploded")
+			}
+			emit(v, "1")
+		},
+		Reduce: sumReducer,
+	}
+	_, err := Run(staticConfig(), job)
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("mapper panic not surfaced: %v", err)
+	}
+}
+
+func TestReducerPanicSurfacesAsError(t *testing.T) {
+	job := WordCount("a b c")
+	job.Reduce = func(key string, _ []string, _ func(k, v string)) {
+		panic("reduce exploded: " + key)
+	}
+	_, err := Run(staticConfig(), job)
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("reducer panic not surfaced: %v", err)
 	}
 }

@@ -29,14 +29,14 @@ import (
 type Class int
 
 const (
-	// MapHeavy jobs shuffle a tiny fraction of their input (Grep, the
+	// MapHeavy jobs shuffle a tiny fraction of their input (grep, the
 	// histogram jobs): the shuffle trivially keeps up with the maps.
 	MapHeavy Class = iota
-	// Medium jobs shuffle a moderate fraction (InvertedIndex,
-	// TermVector): balance depends on the slot configuration.
+	// Medium jobs shuffle a moderate fraction (inverted-index,
+	// term-vector): balance depends on the slot configuration.
 	Medium
-	// ReduceHeavy jobs shuffle roughly their whole input (Terasort,
-	// RankedInvertedIndex): the shuffle lags the maps.
+	// ReduceHeavy jobs shuffle roughly their whole input (terasort,
+	// ranked-inverted-index): the shuffle lags the maps.
 	ReduceHeavy
 )
 
