@@ -218,7 +218,6 @@ func newCluster(cfg Config, st *SimState) (*Cluster, error) {
 	// The runtime batches flow changes per mutation scope and resolves
 	// perturbed components once in refreshDirty. The rate listener
 	// marks the ops of flows whose allocation actually moved.
-	c.fabric.SetAutoRecompute(false)
 	c.fabric.SetRateListener(func(f *netsim.Flow) {
 		if op, ok := f.Userdata.(*fluidOp); ok {
 			c.markOpDirty(op)

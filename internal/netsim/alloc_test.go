@@ -11,7 +11,6 @@ import "testing"
 // layer must not regress this: when disabled it adds no work here.
 func TestChurnResolveDirtyAllocFree(t *testing.T) {
 	fb := NewFabric(DefaultConfig(128))
-	fb.SetAutoRecompute(false)
 	var live []*Flow
 	for g := 0; g < 32; g++ {
 		dst := 4 * g

@@ -6,7 +6,6 @@ import "testing"
 // population: 30 reducers × 5 fetchers on a 16-node fabric.
 func BenchmarkRecompute(b *testing.B) {
 	fb := NewFabric(DefaultConfig(16))
-	fb.SetAutoRecompute(false)
 	for r := 0; r < 30; r++ {
 		for f := 0; f < 5; f++ {
 			src := (r*5 + f) % 16
@@ -27,7 +26,6 @@ func BenchmarkRecompute(b *testing.B) {
 // BenchmarkAddRemove measures flow churn with batched recompute.
 func BenchmarkAddRemove(b *testing.B) {
 	fb := NewFabric(DefaultConfig(16))
-	fb.SetAutoRecompute(false)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f := &Flow{Src: i % 16, Dst: (i + 1) % 16}
@@ -42,7 +40,6 @@ func BenchmarkRecomputeRacked(b *testing.B) {
 	cfg.NodesPerRack = 8
 	cfg.RackUplinkMBps = 468
 	fb := NewFabric(cfg)
-	fb.SetAutoRecompute(false)
 	for i := 0; i < 100; i++ {
 		fb.Add(&Flow{Src: i % 16, Dst: (i + 7) % 16, CapMBps: 10})
 	}

@@ -22,16 +22,22 @@ func driveFabric(fb *Fabric) []float64 {
 	c := fb.AcquireFlow()
 	*c = Flow{Src: 0, Dst: 3, RemainingMB: 100, CapMBps: 5, Label: "c"}
 	fb.Add(a)
+	fb.ResolveDirty()
 	snap(a)
 	fb.Add(b)
+	fb.ResolveDirty()
 	snap(a, b)
 	fb.Add(c)
+	fb.ResolveDirty()
 	snap(a, b, c)
 	fb.SetNodeLinkScale(1, 1, 0.5)
+	fb.ResolveDirty()
 	snap(a, b, c)
 	fb.Remove(b)
+	fb.ResolveDirty()
 	snap(a, c)
 	fb.SetNodeLinkScale(1, 1, 1)
+	fb.ResolveDirty()
 	snap(a, c)
 	fb.Remove(a)
 	fb.Remove(c)
@@ -62,7 +68,6 @@ func TestFabricResetMatchesFresh(t *testing.T) {
 
 func TestFabricResetClearsState(t *testing.T) {
 	fb := NewFabric(DefaultConfig(4))
-	fb.SetAutoRecompute(false)
 	fb.SetFullResolve(true)
 	rateCalls := 0
 	fb.SetRateListener(func(*Flow) { rateCalls++ })
@@ -82,16 +87,17 @@ func TestFabricResetClearsState(t *testing.T) {
 	if eg, in := fb.NodeLinkScale(2); eg != 1 || in != 1 {
 		t.Fatalf("link scale (%v,%v) after Reset, want (1,1)", eg, in)
 	}
-	// Listeners must be gone and auto-recompute restored: a new add
-	// resolves immediately without invoking the old callbacks.
+	// Listeners must be gone: a new add and its resolve invoke none
+	// of the old callbacks.
 	rateCalls, adds = 0, 0
 	g := &Flow{Src: 0, Dst: 1, RemainingMB: 10}
 	fb.Add(g)
+	fb.ResolveDirty()
 	if rateCalls != 0 || adds != 0 {
 		t.Fatalf("old listeners fired after Reset (rate=%d add=%d)", rateCalls, adds)
 	}
 	if g.Rate() <= 0 {
-		t.Fatalf("auto-recompute not restored: rate %v", g.Rate())
+		t.Fatalf("flow unresolved after Reset: rate %v", g.Rate())
 	}
 }
 
@@ -108,6 +114,8 @@ func TestFabricResetChangesGeometry(t *testing.T) {
 	gf := &Flow{Src: 0, Dst: 5, RemainingMB: 10}
 	want.Add(wf)
 	fb.Add(gf)
+	want.ResolveDirty()
+	fb.ResolveDirty()
 	if math.Float64bits(wf.Rate()) != math.Float64bits(gf.Rate()) {
 		t.Fatalf("cross-rack rate differs after growth: fresh %v, reused %v", wf.Rate(), gf.Rate())
 	}
@@ -115,6 +123,7 @@ func TestFabricResetChangesGeometry(t *testing.T) {
 	fb.Reset(DefaultConfig(2))
 	h := &Flow{Src: 0, Dst: 1, RemainingMB: 10}
 	fb.Add(h)
+	fb.ResolveDirty()
 	if h.Rate() <= 0 {
 		t.Fatalf("rate %v after shrink", h.Rate())
 	}

@@ -36,6 +36,7 @@ func TestSingleFlowGetsNICRate(t *testing.T) {
 	fb := NewFabric(cfg(4))
 	f := &Flow{Src: 0, Dst: 1, RemainingMB: 100}
 	fb.Add(f)
+	fb.ResolveDirty()
 	if math.Abs(f.Rate()-117) > 1e-9 {
 		t.Fatalf("rate = %v, want 117", f.Rate())
 	}
@@ -51,6 +52,7 @@ func TestEgressSharing(t *testing.T) {
 	f2 := &Flow{Src: 0, Dst: 2}
 	fb.Add(f1)
 	fb.Add(f2)
+	fb.ResolveDirty()
 	if math.Abs(f1.Rate()-58.5) > 1e-9 || math.Abs(f2.Rate()-58.5) > 1e-9 {
 		t.Fatalf("egress shares = %v/%v, want 58.5 each", f1.Rate(), f2.Rate())
 	}
@@ -62,6 +64,7 @@ func TestIngressSharing(t *testing.T) {
 	f2 := &Flow{Src: 1, Dst: 2}
 	fb.Add(f1)
 	fb.Add(f2)
+	fb.ResolveDirty()
 	if math.Abs(f1.Rate()-58.5) > 1e-9 || math.Abs(f2.Rate()-58.5) > 1e-9 {
 		t.Fatalf("ingress shares = %v/%v, want 58.5 each", f1.Rate(), f2.Rate())
 	}
@@ -81,6 +84,7 @@ func TestMaxMinBottleneckShift(t *testing.T) {
 	fb.Add(a)
 	fb.Add(b)
 	fb.Add(c)
+	fb.ResolveDirty()
 	if math.Abs(a.Rate()-58.5) > 1e-6 || math.Abs(b.Rate()-58.5) > 1e-6 {
 		t.Fatalf("a=%v b=%v, want 58.5", a.Rate(), b.Rate())
 	}
@@ -101,6 +105,7 @@ func TestMaxMinAsymmetric(t *testing.T) {
 	for _, f := range flows {
 		fb.Add(f)
 	}
+	fb.ResolveDirty()
 	for i := 0; i < 3; i++ {
 		if math.Abs(flows[i].Rate()-39) > 1e-6 {
 			t.Fatalf("flow %d rate = %v, want 39", i, flows[i].Rate())
@@ -122,6 +127,7 @@ func TestIncastPenalty(t *testing.T) {
 		fb.Add(f)
 		flows = append(flows, f)
 	}
+	fb.ResolveDirty()
 	// 8 flows, threshold 4: cap = 117/(1+0.5*4) = 39 → 4.875 each.
 	want := 117.0 / 3 / 8
 	if math.Abs(flows[0].Rate()-want) > 1e-6 {
@@ -141,6 +147,7 @@ func TestIncastBelowThresholdUnaffected(t *testing.T) {
 	for s := 1; s <= 4; s++ {
 		fb.Add(&Flow{Src: s, Dst: 0})
 	}
+	fb.ResolveDirty()
 	if math.Abs(fb.TotalIngress(0)-117) > 1e-6 {
 		t.Fatalf("ingress = %v, want full 117 at threshold", fb.TotalIngress(0))
 	}
@@ -152,6 +159,7 @@ func TestLoopbackUnconstrained(t *testing.T) {
 	g := &Flow{Src: 0, Dst: 2}
 	fb.Add(f)
 	fb.Add(g)
+	fb.ResolveDirty()
 	if !math.IsInf(f.Rate(), 1) {
 		t.Fatalf("loopback rate = %v, want +Inf", f.Rate())
 	}
@@ -192,6 +200,7 @@ func TestRemoveForeignNoop(t *testing.T) {
 	fb2 := NewFabric(cfg(2))
 	f := &Flow{Src: 0, Dst: 1}
 	fb1.Add(f)
+	fb1.ResolveDirty()
 	fb2.Remove(f)
 	if f.Rate() == 0 {
 		t.Fatal("foreign Remove detached flow")
@@ -205,6 +214,7 @@ func TestRemoveRestoresRates(t *testing.T) {
 	fb.Add(f1)
 	fb.Add(f2)
 	fb.Remove(f2)
+	fb.ResolveDirty()
 	if math.Abs(f1.Rate()-117) > 1e-9 {
 		t.Fatalf("rate after Remove = %v, want 117", f1.Rate())
 	}
@@ -229,6 +239,7 @@ func TestQuickFeasibility(t *testing.T) {
 			fb.Add(fl)
 			flows = append(flows, fl)
 		}
+		fb.ResolveDirty()
 		out := make([]float64, n)
 		in := make([]float64, n)
 		for _, fl := range flows {
@@ -271,6 +282,7 @@ func TestQuickMaxMinProperty(t *testing.T) {
 			fb.Add(fl)
 			flows = append(flows, fl)
 		}
+		fb.ResolveDirty()
 		if len(flows) == 0 {
 			return true
 		}
@@ -315,6 +327,7 @@ func TestCapBoundsFlow(t *testing.T) {
 	fb := NewFabric(cfg(4))
 	f := &Flow{Src: 0, Dst: 1, CapMBps: 10}
 	fb.Add(f)
+	fb.ResolveDirty()
 	if math.Abs(f.Rate()-10) > 1e-9 {
 		t.Fatalf("capped rate = %v, want 10", f.Rate())
 	}
@@ -326,6 +339,7 @@ func TestCapLeavesHeadroomForOthers(t *testing.T) {
 	free := &Flow{Src: 1, Dst: 2}
 	fb.Add(capped)
 	fb.Add(free)
+	fb.ResolveDirty()
 	// Receiver 2 has 117; capped takes 10, free water-fills 107.
 	if math.Abs(capped.Rate()-10) > 1e-6 || math.Abs(free.Rate()-107) > 1e-6 {
 		t.Fatalf("rates = %v/%v, want 10/107", capped.Rate(), free.Rate())
@@ -338,6 +352,7 @@ func TestCapAboveShareIsInert(t *testing.T) {
 	b := &Flow{Src: 1, Dst: 2, CapMBps: 1000}
 	fb.Add(a)
 	fb.Add(b)
+	fb.ResolveDirty()
 	if math.Abs(a.Rate()-58.5) > 1e-6 || math.Abs(b.Rate()-58.5) > 1e-6 {
 		t.Fatalf("rates = %v/%v, want 58.5 each", a.Rate(), b.Rate())
 	}
@@ -353,6 +368,7 @@ func TestManyCappedFlowsAggregate(t *testing.T) {
 		fb.Add(f)
 		flows = append(flows, f)
 	}
+	fb.ResolveDirty()
 	for _, f := range flows {
 		if math.Abs(f.Rate()-10) > 1e-6 {
 			t.Fatalf("rate = %v, want 10", f.Rate())
@@ -362,6 +378,7 @@ func TestManyCappedFlowsAggregate(t *testing.T) {
 	for s := 1; s <= 8; s++ {
 		fb.Add(&Flow{Src: s, Dst: 0, CapMBps: 10})
 	}
+	fb.ResolveDirty()
 	if fb.TotalIngress(0) > 117+1e-6 {
 		t.Fatalf("ingress exceeded NIC: %v", fb.TotalIngress(0))
 	}
@@ -420,6 +437,7 @@ func TestQuickCapFeasibility(t *testing.T) {
 			fb.Add(fl)
 			flows = append(flows, fl)
 		}
+		fb.ResolveDirty()
 		out := make([]float64, n)
 		in := make([]float64, n)
 		for _, fl := range flows {

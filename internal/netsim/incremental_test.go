@@ -84,8 +84,6 @@ func runChurnDifferential(t *testing.T, cc churnConfig, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	fbInc := NewFabric(cc.cfg)
 	fbFull := NewFabric(cc.cfg)
-	fbInc.SetAutoRecompute(false)
-	fbFull.SetAutoRecompute(false)
 	var live []mirrored
 
 	const batches = 120
@@ -192,7 +190,6 @@ func TestFullResolveVerifierRuns(t *testing.T) {
 	cfg.IncastThreshold = 3
 	cfg.IncastSeverity = 0.2
 	fb := NewFabric(cfg)
-	fb.SetAutoRecompute(false)
 	fb.SetFullResolve(true)
 	rng := rand.New(rand.NewSource(7))
 	var live []*Flow
@@ -221,6 +218,7 @@ func TestTopUpDoesNotDirty(t *testing.T) {
 	fb := NewFabric(cfg(4))
 	f := &Flow{Src: 0, Dst: 1, RemainingMB: 10}
 	fb.Add(f)
+	fb.ResolveDirty()
 	if fb.DirtyLinks() != 0 {
 		t.Fatalf("dirty links after resolved Add: %d", fb.DirtyLinks())
 	}
@@ -249,6 +247,7 @@ func TestRecomputeGuardRatesUnchanged(t *testing.T) {
 		fb.Add(f)
 		flows = append(flows, f)
 	}
+	fb.ResolveDirty()
 	for i := 0; i < 4; i++ {
 		if got := flows[i].Rate(); math.Abs(got-29.25) > 1e-12 {
 			t.Fatalf("egress share = %v, want 29.25 exactly", got)
@@ -280,7 +279,6 @@ func BenchmarkChurnFull(b *testing.B) {
 func benchmarkChurn(b *testing.B, full bool) {
 	cfg := DefaultConfig(128)
 	fb := NewFabric(cfg)
-	fb.SetAutoRecompute(false)
 	// Steady state: 32 reducers, each fetching from 3 dedicated senders
 	// in its own 4-node group, so the flow graph splits into 32
 	// link-disjoint components. One churn event (a fetch finishing and

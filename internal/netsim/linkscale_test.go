@@ -13,10 +13,12 @@ func TestLinkScaleThrottlesEgress(t *testing.T) {
 	fb := NewFabric(cfg(4))
 	f := &Flow{Src: 0, Dst: 1}
 	fb.Add(f)
+	fb.ResolveDirty()
 	if math.Abs(f.Rate()-117) > 1e-9 {
 		t.Fatalf("baseline rate = %v, want 117", f.Rate())
 	}
 	fb.SetNodeLinkScale(0, 0.5, 1)
+	fb.ResolveDirty()
 	if math.Abs(f.Rate()-58.5) > 1e-9 {
 		t.Fatalf("half egress: rate = %v, want 58.5", f.Rate())
 	}
@@ -25,6 +27,7 @@ func TestLinkScaleThrottlesEgress(t *testing.T) {
 		t.Fatalf("NodeLinkScale = %v/%v, want 0.5/1", eg, in)
 	}
 	fb.SetNodeLinkScale(0, 1, 1)
+	fb.ResolveDirty()
 	if math.Abs(f.Rate()-117) > 1e-9 {
 		t.Fatalf("restored rate = %v, want 117", f.Rate())
 	}
@@ -35,6 +38,7 @@ func TestLinkScaleThrottlesIngress(t *testing.T) {
 	f := &Flow{Src: 0, Dst: 2}
 	fb.Add(f)
 	fb.SetNodeLinkScale(2, 1, 0.25)
+	fb.ResolveDirty()
 	if math.Abs(f.Rate()-117*0.25) > 1e-9 {
 		t.Fatalf("quarter ingress: rate = %v, want %v", f.Rate(), 117*0.25)
 	}
@@ -47,6 +51,7 @@ func TestLinkScaleSeverStallsOnlyAffectedFlows(t *testing.T) {
 	fb.Add(severed)
 	fb.Add(bystander)
 	fb.SetNodeLinkScale(0, 0, 0)
+	fb.ResolveDirty()
 	if severed.Rate() != 0 {
 		t.Fatalf("severed flow still runs at %v", severed.Rate())
 	}
@@ -55,6 +60,7 @@ func TestLinkScaleSeverStallsOnlyAffectedFlows(t *testing.T) {
 	}
 	// Healing the partition re-enters the water-filling resolver.
 	fb.SetNodeLinkScale(0, 1, 1)
+	fb.ResolveDirty()
 	if math.Abs(severed.Rate()-117) > 1e-9 {
 		t.Fatalf("healed flow rate = %v, want 117", severed.Rate())
 	}
@@ -67,6 +73,7 @@ func TestLinkScaleSeveredIngressBlocksAllSenders(t *testing.T) {
 	fb.Add(f1)
 	fb.Add(f2)
 	fb.SetNodeLinkScale(3, 1, 0)
+	fb.ResolveDirty()
 	if f1.Rate() != 0 || f2.Rate() != 0 {
 		t.Fatalf("flows into partitioned node run at %v/%v", f1.Rate(), f2.Rate())
 	}

@@ -36,6 +36,7 @@ func TestIntraRackUnaffectedByUplink(t *testing.T) {
 	fb := NewFabric(rackCfg(10)) // tiny uplink
 	f := &Flow{Src: 0, Dst: 1}   // same rack
 	fb.Add(f)
+	fb.ResolveDirty()
 	if math.Abs(f.Rate()-117) > 1e-9 {
 		t.Fatalf("intra-rack rate = %v, want full NIC 117", f.Rate())
 	}
@@ -45,6 +46,7 @@ func TestInterRackBoundByUplink(t *testing.T) {
 	fb := NewFabric(rackCfg(50))
 	f := &Flow{Src: 0, Dst: 5} // rack 0 → rack 1
 	fb.Add(f)
+	fb.ResolveDirty()
 	if math.Abs(f.Rate()-50) > 1e-9 {
 		t.Fatalf("inter-rack rate = %v, want uplink 50", f.Rate())
 	}
@@ -56,6 +58,7 @@ func TestUplinkSharedAcrossFlows(t *testing.T) {
 	b := &Flow{Src: 1, Dst: 6}
 	fb.Add(a)
 	fb.Add(b)
+	fb.ResolveDirty()
 	// Both cross rack 0's uplink: 30 each.
 	if math.Abs(a.Rate()-30) > 1e-6 || math.Abs(b.Rate()-30) > 1e-6 {
 		t.Fatalf("uplink shares = %v/%v, want 30 each", a.Rate(), b.Rate())
@@ -63,6 +66,7 @@ func TestUplinkSharedAcrossFlows(t *testing.T) {
 	// An intra-rack flow still gets full NIC headroom minus its node's use.
 	c := &Flow{Src: 2, Dst: 3}
 	fb.Add(c)
+	fb.ResolveDirty()
 	if math.Abs(c.Rate()-117) > 1e-6 {
 		t.Fatalf("intra-rack flow rate = %v", c.Rate())
 	}
@@ -78,6 +82,7 @@ func TestDownlinkBindsToo(t *testing.T) {
 	b := &Flow{Src: 8, Dst: 5} // rack2 → rack1
 	fb.Add(a)
 	fb.Add(b)
+	fb.ResolveDirty()
 	if math.Abs(a.Rate()-40) > 1e-6 || math.Abs(b.Rate()-40) > 1e-6 {
 		t.Fatalf("downlink shares = %v/%v, want 40 each", a.Rate(), b.Rate())
 	}
@@ -87,6 +92,7 @@ func TestNonBlockingWhenDisabled(t *testing.T) {
 	fb := NewFabric(cfg(8)) // RackUplinkMBps = 0 → single switch
 	f := &Flow{Src: 0, Dst: 7}
 	fb.Add(f)
+	fb.ResolveDirty()
 	if math.Abs(f.Rate()-117) > 1e-9 {
 		t.Fatalf("rate = %v with racks off", f.Rate())
 	}
@@ -115,6 +121,7 @@ func TestQuickRackFeasibility(t *testing.T) {
 			fb.Add(fl)
 			flows = append(flows, fl)
 		}
+		fb.ResolveDirty()
 		out := make([]float64, n)
 		in := make([]float64, n)
 		up := make([]float64, 2)
