@@ -18,11 +18,6 @@ import (
 // cannot absorb, inflating the post-barrier tail that SMapReduce's
 // balance factor exists to avoid.
 type HillClimber struct {
-	// Interval between decisions, seconds (default 5).
-	Period float64
-	// Window over which throughput is measured (default 24 s).
-	Window float64
-
 	target       int
 	maxMaps      int
 	reduceTarget int
@@ -32,15 +27,20 @@ type HillClimber struct {
 	decisions    []Decision
 }
 
+// The hill climber decides every hcPeriod seconds on the map
+// throughput measured over the last hcWindow seconds.
+const (
+	hcPeriod float64 = 5
+	hcWindow float64 = 24
+)
+
 type hcSample struct{ t, inMB float64 }
 
-// NewHillClimber returns a hill climber with default tuning.
-func NewHillClimber() *HillClimber {
-	return &HillClimber{Period: 5, Window: 24}
-}
+// NewHillClimber returns a hill climber.
+func NewHillClimber() *HillClimber { return &HillClimber{} }
 
 // Interval implements mr.Controller.
-func (h *HillClimber) Interval() float64 { return h.Period }
+func (h *HillClimber) Interval() float64 { return hcPeriod }
 
 // Decisions returns the decision log.
 func (h *HillClimber) Decisions() []Decision { return h.decisions }
@@ -59,7 +59,7 @@ func (h *HillClimber) Tick(c *mr.Cluster) {
 	}
 
 	h.samples = append(h.samples, hcSample{t: s.Now, inMB: s.MapInputProcessedMB})
-	cut := s.Now - h.Window
+	cut := s.Now - hcWindow
 	for len(h.samples) > 2 && h.samples[1].t <= cut {
 		h.samples = h.samples[1:]
 	}

@@ -176,15 +176,6 @@ func (fs *FS) Open(name string) (*File, error) {
 	return f, nil
 }
 
-// Delete removes a file; deleting an absent name is an error.
-func (fs *FS) Delete(name string) error {
-	if _, ok := fs.files[name]; !ok {
-		return fmt.Errorf("dfs: file %q does not exist", name)
-	}
-	delete(fs.files, name)
-	return nil
-}
-
 // Files returns the stored file names in sorted order.
 func (fs *FS) Files() []string {
 	names := make([]string, 0, len(fs.files))

@@ -77,7 +77,7 @@ func TestCreateErrors(t *testing.T) {
 	}
 }
 
-func TestOpenDelete(t *testing.T) {
+func TestOpen(t *testing.T) {
 	fs := newFS(t, 4)
 	fs.MustCreate("x", 10)
 	if _, err := fs.Open("x"); err != nil {
@@ -85,12 +85,6 @@ func TestOpenDelete(t *testing.T) {
 	}
 	if _, err := fs.Open("y"); err == nil {
 		t.Fatal("open of missing file succeeded")
-	}
-	if err := fs.Delete("x"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Delete("x"); err == nil {
-		t.Fatal("double delete succeeded")
 	}
 }
 
@@ -302,19 +296,5 @@ func TestBlockReport(t *testing.T) {
 	}
 	if math.Abs(fs.TotalStoredMB()-3000) > 1e-9 {
 		t.Fatalf("TotalStoredMB = %v", fs.TotalStoredMB())
-	}
-}
-
-func TestBlockReportAfterDelete(t *testing.T) {
-	fs := newFS(t, 4)
-	fs.MustCreate("a", 512)
-	fs.MustCreate("b", 512)
-	before := fs.TotalStoredMB()
-	if err := fs.Delete("a"); err != nil {
-		t.Fatal(err)
-	}
-	after := fs.TotalStoredMB()
-	if math.Abs(after-before/2) > 1e-9 {
-		t.Fatalf("delete did not halve storage: %v -> %v", before, after)
 	}
 }

@@ -34,16 +34,6 @@ func csvEscape(s string) string {
 	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 }
 
-// CSV renders the series as two-column CSV (t, value).
-func (s *Series) CSV() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "t,%s\n", csvEscape(s.Name))
-	for _, p := range s.points {
-		fmt.Fprintf(&b, "%g,%g\n", p.T, p.V)
-	}
-	return b.String()
-}
-
 // Bars renders a horizontal ASCII bar chart: one row per label, bars
 // scaled to the maximum value, annotated with the numeric value. It is
 // the quick-look rendering smrbench prints next to each figure table.

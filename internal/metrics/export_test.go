@@ -47,22 +47,6 @@ func TestCSVEscape(t *testing.T) {
 	}
 }
 
-// TestSeriesCSVRoundTrip covers the series exporter, including a name
-// that needs escaping in the header.
-func TestSeriesCSVRoundTrip(t *testing.T) {
-	s := NewSeries(`rate,"shuffle"`)
-	s.Add(0, 1.5)
-	s.Add(2, 3)
-	recs, err := csv.NewReader(strings.NewReader(s.CSV())).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]string{{"t", `rate,"shuffle"`}, {"0", "1.5"}, {"2", "3"}}
-	if !reflect.DeepEqual(recs, want) {
-		t.Fatalf("got %q, want %q", recs, want)
-	}
-}
-
 // TestSparklineNonFinite pins the fix for int(NaN): non-finite samples
 // must render at the bottom of the ramp instead of panicking or
 // poisoning the scale.

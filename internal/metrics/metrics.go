@@ -64,20 +64,6 @@ func (s *Series) At(t Time) float64 {
 	return s.points[i-1].V
 }
 
-// MaxV returns the maximum sampled value, or 0 if empty.
-func (s *Series) MaxV() float64 {
-	m := math.Inf(-1)
-	for _, p := range s.points {
-		if p.V > m {
-			m = p.V
-		}
-	}
-	if math.IsInf(m, -1) {
-		return 0
-	}
-	return m
-}
-
 // CrossingTime returns the earliest sample time whose value is >= v, or
 // NaN if the series never reaches v. Used to read "time to X% progress"
 // off progress curves.

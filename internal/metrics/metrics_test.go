@@ -53,18 +53,6 @@ func TestSeriesAtStepInterpolation(t *testing.T) {
 	}
 }
 
-func TestSeriesMaxV(t *testing.T) {
-	s := NewSeries("x")
-	if s.MaxV() != 0 {
-		t.Fatal("empty MaxV != 0")
-	}
-	s.Add(1, -5)
-	s.Add(2, -1)
-	if s.MaxV() != -1 {
-		t.Fatalf("MaxV = %v, want -1", s.MaxV())
-	}
-}
-
 func TestCrossingTime(t *testing.T) {
 	s := NewSeries("x")
 	s.Add(1, 10)
@@ -158,16 +146,6 @@ func TestTableCSV(t *testing.T) {
 	}
 	if lines[2] != `"quo""te","2,5"` {
 		t.Fatalf("escaped row = %q", lines[2])
-	}
-}
-
-func TestSeriesCSV(t *testing.T) {
-	s := NewSeries("thr")
-	s.Add(0, 1.5)
-	s.Add(2, 3)
-	csv := s.CSV()
-	if !strings.Contains(csv, "t,thr\n0,1.5\n2,3\n") {
-		t.Fatalf("series csv = %q", csv)
 	}
 }
 

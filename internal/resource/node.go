@@ -195,9 +195,6 @@ func (n *Node) Spec() Spec { return n.spec }
 // Len reports how many activities are registered.
 func (n *Node) Len() int { return len(n.acts) }
 
-// ActiveCPU reports how many CPU activities are registered.
-func (n *Node) ActiveCPU() int { return n.nCPU }
-
 // Threads returns the current multiprogramming level (sum of weights).
 func (n *Node) Threads() float64 { return n.weight }
 

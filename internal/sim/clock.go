@@ -463,21 +463,6 @@ func (c *Clock) RunUntilIdle(maxEvents uint64) uint64 {
 	return c.fired - start
 }
 
-// Advance moves the clock forward by d without firing anything, used by
-// tests that need to position the clock. It panics on a negative or
-// non-finite d, like After and Schedule, and if events are pending
-// before now+d, because skipping them would corrupt causality.
-func (c *Clock) Advance(d Time) {
-	if d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
-		panic(fmt.Sprintf("sim: Advance(%v) needs a non-negative finite delay", d))
-	}
-	target := c.now + d
-	if s := c.peek(); s != nil && s.at <= target {
-		panic(fmt.Sprintf("sim: Advance(%v) would skip event %q at %v", d, s.label, s.at))
-	}
-	c.now = target
-}
-
 // peek stages the wheel and returns the slot of the earliest pending
 // event — the heap root or the lane head — or nil when none is pending.
 func (c *Clock) peek() *eventSlot {

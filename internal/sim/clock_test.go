@@ -165,42 +165,6 @@ func TestRunUntilIdleGuard(t *testing.T) {
 	c.RunUntilIdle(50)
 }
 
-func TestAdvance(t *testing.T) {
-	c := NewClock()
-	c.Advance(5)
-	if c.Now() != 5 {
-		t.Fatalf("Now() = %v, want 5", c.Now())
-	}
-	c.Schedule(7, "x", func() {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Advance over a pending event did not panic")
-		}
-	}()
-	c.Advance(10)
-}
-
-// TestAdvanceRejectsBadDelays pins that Advance never moves time
-// backwards or off the number line: a negative or non-finite delay
-// panics, as it does for After and Schedule, and leaves Now alone.
-func TestAdvanceRejectsBadDelays(t *testing.T) {
-	for _, d := range []Time{-5, math.Inf(-1), math.Inf(1), math.NaN()} {
-		c := NewClock()
-		c.Advance(10)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Advance(%v) did not panic", d)
-				}
-			}()
-			c.Advance(d)
-		}()
-		if c.Now() != 10 {
-			t.Errorf("after Advance(%v), Now() = %v, want 10", d, c.Now())
-		}
-	}
-}
-
 func TestNestedScheduling(t *testing.T) {
 	c := NewClock()
 	var got []Time

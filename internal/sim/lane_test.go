@@ -16,7 +16,7 @@ import (
 // the chain's re-arm (from inside its beat) and after it (from the
 // script, sometimes followed at once by a park or wake of the chain). The two clocks must agree at every step on the firing
 // sequence, Now, Pending, Fired and EventLive, under Step, Run(limit),
-// Advance, Reschedule, Cancel and Reset.
+// Reschedule, Cancel and Reset.
 func runParkDiff(t *testing.T, seed uint64, heapOnly bool) {
 	t.Helper()
 	const (
@@ -139,11 +139,6 @@ func runParkDiff(t *testing.T, seed uint64, heapOnly bool) {
 			}
 		}
 	}
-	tryAdvance := func(c *Clock, d Time) (panicked bool) {
-		defer func() { panicked = recover() != nil }()
-		c.Advance(d)
-		return false
-	}
 
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 64; i++ {
@@ -237,17 +232,11 @@ func runParkDiff(t *testing.T, seed uint64, heapOnly bool) {
 			case v < 91:
 				op = "chain"
 				addChain(clocks[parking].Now()+script.Float64()*2, 0.25+Time(script.Intn(8))*0.25)
-			case v < 96:
+			default:
 				op = "run"
 				limit := clocks[parking].Now() + script.Float64()*3
 				if na, nb := clocks[parking].Run(limit), clocks[twin].Run(limit); na != nb {
 					t.Fatalf("Run(%v) fired %d parked, %d always-beat", limit, na, nb)
-				}
-			default:
-				op = "advance"
-				d := script.Float64() * 0.05
-				if pa, pb := tryAdvance(clocks[parking], d), tryAdvance(clocks[twin], d); pa != pb {
-					t.Fatalf("Advance(%v) panicked=%v parked, %v always-beat", d, pa, pb)
 				}
 			}
 			check(fmt.Sprintf("round %d op %d (%s)", round, step, op))

@@ -205,8 +205,8 @@ func (c *Clock) dispatchThrough(target int64) {
 }
 
 // syncHeap stages wheel events into the heap until the heap root is
-// the global minimum (or the wheel is empty), so Step, Run and Advance
-// can treat the heap as the single source of earliest-event truth.
+// the global minimum (or the wheel is empty), so Step and Run can
+// treat the heap as the single source of earliest-event truth.
 // Remaining wheel events then have strictly greater ticks than the
 // root, hence strictly later times.
 func (c *Clock) syncHeap() {

@@ -106,7 +106,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h.n == 0 {
 		return 0
 	}
-	q = Clamp(q, 0, 1)
+	q = min(max(q, 0), 1)
 	target := q * float64(h.n)
 	acc := float64(h.under)
 	if target <= acc {
