@@ -52,13 +52,16 @@ cover:
 # fuzz-smoke runs each fuzz target for 10 s beyond its checked-in
 # seeds: the scenario, grid-spec and chaos-schedule parsers, the
 # clock's scheduling API and the slot manager's kernel. A smoke run,
-# not a campaign.
+# not a campaign. -fuzzminimizetime 100x caps the minimization of each
+# new interesting input at 100 runs: by default Go spends up to 60 s
+# minimizing each one, and those runs do not count as execs, so a
+# 10 s smoke could spend most of its time minimizing.
 fuzz-smoke:
-	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzParseScenario$$' -fuzztime 10s
-	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzParseGridSpec$$' -fuzztime 10s
-	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzParseSchedule$$' -fuzztime 10s
-	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzClockSchedule$$' -fuzztime 10s
-	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSlotKernel$$' -fuzztime 10s
+	$(GO) test ./internal/scenario -run '^$$' -fuzz '^FuzzParseScenario$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/grid -run '^$$' -fuzz '^FuzzParseGridSpec$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/chaos -run '^$$' -fuzz '^FuzzParseSchedule$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzClockSchedule$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzSlotKernel$$' -fuzztime 10s -fuzzminimizetime 100x
 
 # bench-smoke proves the benchmark harness still runs end to end
 # (single iteration of a mid-weight figure), not a measurement.
