@@ -69,16 +69,18 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'Experiments/fig4$$' -benchtime 1x .
 
 # perf-smoke gates on the steady benchmark's output check: smrperf's
-# own tests, then short fig3-matrix and tenant-fleet runs whose every
-# iteration must reproduce the golden digest (run.sh exits non-zero on
-# any mismatch): the Figure-3 milestones, and the fleet's merged
-# accumulators over admission, open arrivals and capacity ticks. Any
-# change that moves a simulated output fails here. 5 s runs, not
+# own tests, then short fig3-matrix, tenant-fleet and served-traced
+# runs whose every iteration must reproduce the golden digest (run.sh
+# exits non-zero on any mismatch): the Figure-3 milestones, the fleet's
+# merged accumulators over admission, open arrivals and capacity
+# ticks, and the served chaos run's Merkle root over its artifacts.
+# Any change that moves a simulated output fails here. 5 s runs, not
 # measurements.
 perf-smoke:
 	cd smrperf && $(GO) test ./...
 	bash smrperf/run.sh --workload fig3-matrix --seed 1 --seconds 5 --trace 0
 	bash smrperf/run.sh --workload tenant-fleet --seed 1 --seconds 5 --trace 0
+	bash smrperf/run.sh --workload served-traced --seed 1 --seconds 5 --trace 0
 
 # trace-smoke proves the observability pipeline end to end: a traced
 # default run must produce a valid Chrome trace (tracecheck) and a

@@ -17,7 +17,9 @@ import (
 
 func main() {
 	col := telemetry.NewCollector(0)
-	res, err := core.Run(core.EngineSMapReduce, core.Options{Telemetry: col, Events: true}, mr.JobSpec{
+	opts := core.Options{Telemetry: col, Events: true}
+	progress := core.RecordProgress(&opts)
+	res, err := core.Run(core.EngineSMapReduce, opts, mr.JobSpec{
 		Name:    "inverted-index",
 		Profile: puma.MustGet("inverted-index"),
 		InputMB: 60 << 10,
@@ -31,7 +33,7 @@ func main() {
 	const width = 48
 	fmt.Printf("inverted-index, 60 GB, 16 workers under SMapReduce — finished in %.0f s\n\n", j.ExecutionTime())
 
-	fmt.Printf("%-16s %s\n", "progress %", metrics.Sparkline(j.Progress.Total.Points(), width))
+	fmt.Printf("%-16s %s\n", "progress %", metrics.Sparkline(progress.Points(), width))
 	for _, row := range []struct{ label, series, unit string }{
 		{"running maps", "cluster/running-maps", ""},
 		{"running reduces", "cluster/running-reduces", ""},

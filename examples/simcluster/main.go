@@ -6,8 +6,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 
 	smapreduce "smapreduce"
+	"smapreduce/internal/mr"
 )
 
 func main() {
@@ -17,15 +19,25 @@ func main() {
 	type outcome struct {
 		engine smapreduce.Engine
 		result *smapreduce.Result
+		half   float64 // first sample with half the map work done
 	}
 	var outcomes []outcome
 	for _, engine := range []smapreduce.Engine{smapreduce.HadoopV1, smapreduce.YARN, smapreduce.SMapReduce} {
-		r, err := smapreduce.Run(engine, smapreduce.Options{},
-			smapreduce.Job("histogram-ratings", inputGB<<10, 30))
+		o := outcome{engine: engine, half: math.NaN()}
+		opts := smapreduce.Options{Prepare: func(c *mr.Cluster) error {
+			c.SetOnProgress(func(p mr.Progress) {
+				if p.Milestone == mr.MilestoneSample && p.MapPct >= 50 && math.IsNaN(o.half) {
+					o.half = p.At
+				}
+			})
+			return nil
+		}}
+		r, err := smapreduce.Run(engine, opts, smapreduce.Job("histogram-ratings", inputGB<<10, 30))
 		if err != nil {
 			log.Fatal(err)
 		}
-		outcomes = append(outcomes, outcome{engine, r})
+		o.result = r
+		outcomes = append(outcomes, o)
 	}
 
 	fmt.Printf("%-12s %10s %10s %10s %12s %14s\n",
@@ -34,7 +46,7 @@ func main() {
 		j := o.result.Jobs[0]
 		fmt.Printf("%-12v %10.1f %10.1f %10.1f %12.1f %14.1f\n",
 			o.engine, j.MapTime(), j.ReduceTime(), j.ExecutionTime(), j.ThroughputMBps(),
-			j.Progress.Map.CrossingTime(50))
+			o.half)
 	}
 
 	base := outcomes[0].result.Jobs[0].ThroughputMBps()

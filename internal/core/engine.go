@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"smapreduce/internal/metrics"
 	"smapreduce/internal/mr"
 	"smapreduce/internal/policy"
 	"smapreduce/internal/stats"
@@ -299,4 +300,28 @@ func (r *Result) SLOMisses() int {
 		}
 	}
 	return n
+}
+
+// RecordProgress wraps opts.Prepare so the run records its total
+// progress curve — map% + reduce%, 0–200, averaged over admitted jobs —
+// from the cluster's progress hook: one point per sample while a job
+// is active and one at each job's finish. The recorder takes the hook
+// after the wrapped Prepare runs, replacing any hook it set.
+func RecordProgress(opts *Options) *metrics.Series {
+	curve := metrics.NewSeries("total%")
+	prepare := opts.Prepare
+	opts.Prepare = func(c *mr.Cluster) error {
+		if prepare != nil {
+			if err := prepare(c); err != nil {
+				return err
+			}
+		}
+		c.SetOnProgress(func(p mr.Progress) {
+			if p.Milestone == mr.MilestoneSample && p.JobsActive > 0 || p.Milestone == string(mr.EvJobFinished) {
+				curve.Add(p.At, p.MapPct+p.ReducePct)
+			}
+		})
+		return nil
+	}
+	return curve
 }

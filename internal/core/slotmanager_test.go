@@ -445,17 +445,23 @@ func TestPerNodeScalingAppliesDistinctTargets(t *testing.T) {
 	if err := c.SetController(m); err != nil {
 		t.Fatal(err)
 	}
-	// Push one pair of uniform targets and inspect the per-tracker table.
+	// Push one pair of uniform targets and read the per-tracker slots at
+	// the first sample (t=2 s): every tracker has beaten and applied
+	// its target, and the manager's first tick (t=5 s) is still ahead.
 	m.push(c, 6, 2)
-	fastM, _ := c.JobTracker().SetDesiredSlotsProbe(0)
-	slowM, _ := c.JobTracker().SetDesiredSlotsProbe(2)
-	if fastM <= slowM {
-		t.Fatalf("fast node target (%d) not above slow node (%d)", fastM, slowM)
-	}
+	fastM, slowM := -1, -1
+	c.SetOnProgress(func(p mr.Progress) {
+		if p.Milestone == mr.MilestoneSample && fastM < 0 {
+			fastM, slowM = c.Trackers()[0].MapSlots(), c.Trackers()[2].MapSlots()
+		}
+	})
 	// The cluster still completes a job under distinct targets.
 	jobs, err := c.Run(job("grep", 8*1024, 8))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fastM <= slowM {
+		t.Fatalf("fast node target (%d) not above slow node (%d)", fastM, slowM)
 	}
 	if !jobs[0].Finished() {
 		t.Fatal("unfinished")

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"smapreduce/internal/sim"
 )
@@ -176,16 +175,6 @@ func (fs *FS) Open(name string) (*File, error) {
 	return f, nil
 }
 
-// Files returns the stored file names in sorted order.
-func (fs *FS) Files() []string {
-	names := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Splits returns the map input splits of a file, one per block. Each
 // split's Hosts is a copy of its block's replica list, never an alias;
 // the copies share one array per call.
@@ -275,16 +264,6 @@ func (fs *FS) BlockReport() []NodeReport {
 		}
 	}
 	return reports
-}
-
-// TotalStoredMB returns the cluster-wide stored volume including
-// replication.
-func (fs *FS) TotalStoredMB() float64 {
-	total := 0.0
-	for _, r := range fs.BlockReport() {
-		total += r.StoredMB
-	}
-	return total
 }
 
 // place appends up to repl replica nodes for one block to dst,

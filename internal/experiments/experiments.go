@@ -145,8 +145,9 @@ type Experiment struct {
 	// Arms lists the simulations of one trial; cfg carries the trial's
 	// seed.
 	Arms func(cfg Config) []Arm
-	// Curve, when set, keeps one series per arm from the first trial.
-	Curve func(*core.Result) *metrics.Series
+	// Curve, when set, records each arm's total progress curve in the
+	// first trial (core.RecordProgress; arms without a Controller).
+	Curve bool
 	// Table, when set, renders the result instead of one row per arm.
 	Table func(*Result) *metrics.Table
 	// Chart, when set, renders a quick-look ASCII chart of the result.
@@ -166,8 +167,8 @@ type Result struct {
 type Row struct {
 	Labels []string
 	Values []float64
-	// Curve is the arm's first-trial series when Experiment.Curve is
-	// set.
+	// Curve is the arm's first-trial progress curve when
+	// Experiment.Curve is set.
 	Curve *metrics.Series
 }
 
@@ -189,6 +190,11 @@ func (e *Experiment) Run(cfg Config) (*Result, error) {
 	arms := len(trials[0])
 	vals := make([][]float64, cfg.Trials*arms)
 	curves := make([]*metrics.Series, arms)
+	if e.Curve {
+		for a := range curves {
+			curves[a] = core.RecordProgress(&trials[0][a].Opts)
+		}
+	}
 	err := par.For(len(vals), func(i int) error {
 		t, a := i/arms, i%arms
 		arm := trials[t][a]
@@ -201,9 +207,6 @@ func (e *Experiment) Run(cfg Config) (*Result, error) {
 			v[m] = metric.Of(res)
 		}
 		vals[i] = v
-		if t == 0 && e.Curve != nil {
-			curves[a] = e.Curve(res)
-		}
 		return nil
 	})
 	if err != nil {

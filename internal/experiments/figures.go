@@ -206,7 +206,7 @@ var fig4 = &Experiment{
 	Arms: func(cfg Config) []Arm {
 		return engineArms(core.Engines(), cfg.cluster(), []mr.JobSpec{cfg.spec("histogram-movies", 100)})
 	},
-	Curve: func(r *core.Result) *metrics.Series { return r.Jobs[0].Progress.Total },
+	Curve: true,
 	// The curves resampled on a common grid up to the latest finish.
 	Table: func(r *Result) *metrics.Table {
 		title := r.Experiment.Title

@@ -1,6 +1,6 @@
-// Package metrics provides the time-series recorders used to plot the
-// paper's figures: sampled job progress (Fig. 4), rate series, and
-// labelled counters.
+// Package metrics provides the time series used to plot the paper's
+// figures (Figure 4's progress curves are recorded into one from the
+// mr progress hook), table rendering and ASCII sparklines.
 package metrics
 
 import (
@@ -74,31 +74,6 @@ func (s *Series) CrossingTime(v float64) Time {
 		}
 	}
 	return math.NaN()
-}
-
-// Progress records a job's progress curve. Following the paper, total
-// progress runs to 200%: 100 for the map tasks plus 100 for the
-// reduce tasks.
-type Progress struct {
-	Map    *Series // 0..100
-	Reduce *Series // 0..100
-	Total  *Series // 0..200
-}
-
-// NewProgress returns empty progress curves for the named job.
-func NewProgress(job string) *Progress {
-	return &Progress{
-		Map:    NewSeries(job + "/map%"),
-		Reduce: NewSeries(job + "/reduce%"),
-		Total:  NewSeries(job + "/total%"),
-	}
-}
-
-// Sample records the map and reduce completion percentages at t.
-func (p *Progress) Sample(t Time, mapPct, reducePct float64) {
-	p.Map.Add(t, mapPct)
-	p.Reduce.Add(t, reducePct)
-	p.Total.Add(t, mapPct+reducePct)
 }
 
 // Table renders aligned rows of named columns — the printer used by

@@ -66,18 +66,6 @@ func TestCrossingTime(t *testing.T) {
 	}
 }
 
-func TestProgressSample(t *testing.T) {
-	p := NewProgress("job")
-	p.Sample(1, 10, 0)
-	p.Sample(2, 50, 20)
-	if p.Total.Last().V != 70 {
-		t.Fatalf("total = %v, want 70", p.Total.Last().V)
-	}
-	if p.Map.Last().V != 50 || p.Reduce.Last().V != 20 {
-		t.Fatal("map/reduce curves wrong")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Fig X", "name", "value")
 	tb.AddRow("alpha", "1")

@@ -516,10 +516,11 @@ func (c *Cluster) drive() {
 	c.clock.RunUntilIdle(200_000_000)
 }
 
-// scheduleSampler records progress curves for all running jobs. One
-// periodic event drives the whole chain: the clock re-arms it in place
-// every sampleInterval, so steady-state sampling does not allocate and
-// shutdown's Cancel stops the chain wherever it is.
+// scheduleSampler arms the sampler: settle, invariant checks, the
+// telemetry tick and the sample milestone. One periodic event drives
+// the whole chain: the clock re-arms it in place every sampleInterval,
+// so steady-state sampling does not allocate and shutdown's Cancel
+// stops the chain wherever it is.
 func (c *Cluster) scheduleSampler() {
 	if c.sampleFn == nil {
 		c.sampleFn = c.sampleTick
@@ -529,13 +530,8 @@ func (c *Cluster) scheduleSampler() {
 }
 
 func (c *Cluster) sampleTick() {
-	// No settle pass needed: op fractions settle lazily on read.
 	now := c.clock.Now()
-	for _, j := range c.jt.jobs {
-		if j.Submitted >= 0 && !j.Finished() {
-			j.Progress.Sample(now, j.mapProgressPct(), j.reduceProgressPct())
-		}
-	}
+	c.settleRunning()
 	if c.inv != nil {
 		c.inv.CheckSample(now)
 		for _, tt := range c.trackers {
@@ -548,6 +544,20 @@ func (c *Cluster) sampleTick() {
 	c.progressMilestone(MilestoneSample, "")
 	// No explicit re-arm: the periodic event re-arms itself unless
 	// shutdown cancelled it (possibly from inside this very tick).
+}
+
+// settleRunning reads every running job's progress and discards it.
+// The reads settle each running op at this tick (op fractions settle
+// lazily on read), and those settle points are part of the arithmetic
+// the determinism goldens pin, so the reads stay although nothing
+// stores them.
+func (c *Cluster) settleRunning() {
+	for _, j := range c.jt.jobs {
+		if j.Submitted >= 0 && !j.Finished() {
+			j.mapProgressPct()
+			j.reduceProgressPct()
+		}
+	}
 }
 
 // scheduleController runs controller ticks on their interval (read

@@ -141,22 +141,33 @@ func TestSeedChangesOutcome(t *testing.T) {
 	}
 }
 
+// TestProgressCurvesMonotone reads one job's progress through the
+// OnProgress hook: the sampled totals (map% + reduce%) never decrease,
+// and the last snapshot is the job-finished milestone at 200.
 func TestProgressCurvesMonotone(t *testing.T) {
-	j := runOne(t, smallConfig(), grepJob(2048))
-	for _, s := range []interface {
-		Points() []struct{ T, V float64 }
-	}{} {
-		_ = s
+	c := MustNewCluster(smallConfig())
+	var snaps []Progress
+	c.SetOnProgress(func(p Progress) { snaps = append(snaps, p) })
+	if _, err := c.Run(grepJob(2048)); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	prev := -1.0
-	for _, p := range j.Progress.Total.Points() {
-		if p.V < prev-1e-6 {
-			t.Fatalf("total progress regressed to %v after %v", p.V, prev)
+	for _, p := range snaps {
+		if p.Milestone != MilestoneSample {
+			continue
 		}
-		prev = p.V
+		total := p.MapPct + p.ReducePct
+		if total < prev-1e-6 {
+			t.Fatalf("total progress regressed to %v after %v at t=%v", total, prev, p.At)
+		}
+		prev = total
 	}
-	if j.Progress.Total.Last().V != 200 {
-		t.Fatalf("final progress %v, want 200", j.Progress.Total.Last().V)
+	if prev < 0 {
+		t.Fatal("no sample snapshots")
+	}
+	last := snaps[len(snaps)-1]
+	if last.Milestone != string(EvJobFinished) || last.MapPct+last.ReducePct != 200 {
+		t.Fatalf("last snapshot %q at %v%%, want %q at 200", last.Milestone, last.MapPct+last.ReducePct, EvJobFinished)
 	}
 }
 

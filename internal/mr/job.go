@@ -3,10 +3,8 @@ package mr
 import (
 	"fmt"
 	"math"
-	"strconv"
 
 	"smapreduce/internal/dfs"
-	"smapreduce/internal/metrics"
 	"smapreduce/internal/netsim"
 	"smapreduce/internal/puma"
 	"smapreduce/internal/resource"
@@ -110,8 +108,6 @@ type Job struct {
 	SpeculativeLaunched int
 	SpeculativeWins     int
 
-	Progress *metrics.Progress
-
 	mapPressure float64   // derived from Profile.MapPeakSlots
 	partWeights []float64 // per-partition share of each map output, sums to 1
 
@@ -129,7 +125,6 @@ func newJob(id int, spec JobSpec, file *dfs.File, beta float64, workers int) *Jo
 		Started:     -1,
 		BarrierAt:   -1,
 		FinishedAt:  -1,
-		Progress:    metrics.NewProgress(spec.Name + "#" + strconv.Itoa(id)),
 		mapPressure: resource.PressureForPeak(spec.Profile.MapPeakSlots, beta),
 	}
 	// Tasks and their per-reducer bookkeeping are carved out of a few

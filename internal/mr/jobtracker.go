@@ -103,12 +103,6 @@ func (jt *JobTracker) desiredSlots(tracker int) (maps, reduces int) {
 	return jt.desiredMaps[tracker], jt.desiredReduces[tracker]
 }
 
-// SetDesiredSlotsProbe exposes the desired-slot table read-only, for
-// tests and diagnostics.
-func (jt *JobTracker) SetDesiredSlotsProbe(tracker int) (maps, reduces int) {
-	return jt.desiredSlots(tracker)
-}
-
 // SetDesiredSlots records slot targets for one tracker; they take
 // effect at that tracker's next heartbeat, mirroring the command-in-
 // heartbeat-response protocol of §III-C. Targets that differ from the

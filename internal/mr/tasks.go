@@ -470,7 +470,6 @@ func (c *Cluster) checkJobCompletion(j *Job) {
 		return
 	}
 	j.FinishedAt = c.clock.Now()
-	j.Progress.Sample(c.clock.Now(), 100, 100)
 	c.traceJobEnd(j)
 	c.note(transition{kind: EvJobFinished, job: j, tracker: -1})
 	c.jt.retire(j)

@@ -25,10 +25,16 @@ func (f jsonFloat) MarshalJSON() ([]byte, error) {
 	return json.Marshal(v)
 }
 
-func jsonFloats(vs []float64) []jsonFloat {
-	out := make([]jsonFloat, len(vs))
-	for i, v := range vs {
-		out[i] = jsonFloat(v)
+// jsonFloats renders a row of values for encoding/json as pointers
+// into vs, nil (null) for the non-finite ones. It encodes exactly as
+// a []jsonFloat would, without a MarshalJSON call per value: telemetry
+// rows are marshalled on the simulation goroutine at every sample.
+func jsonFloats(vs []float64) []*float64 {
+	out := make([]*float64, len(vs))
+	for i := range vs {
+		if !math.IsNaN(vs[i]) && !math.IsInf(vs[i], 0) {
+			out[i] = &vs[i]
+		}
 	}
 	return out
 }
@@ -45,10 +51,10 @@ type startedEvent struct {
 }
 
 type telemetryEvent struct {
-	Seq    int         `json:"seq"`
-	T      float64     `json:"t"`
-	Names  []string    `json:"names"`
-	Values []jsonFloat `json:"values"`
+	Seq    int        `json:"seq"`
+	T      float64    `json:"t"`
+	Names  []string   `json:"names"`
+	Values []*float64 `json:"values"`
 }
 
 type progressEvent struct {

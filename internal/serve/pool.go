@@ -170,24 +170,6 @@ func (p *pool) runScenario(w *worker, r *Run) (map[string][]byte, error) {
 		Jobs:    len(plan.Specs),
 	})
 
-	// Stream telemetry ticks into the hub while the run executes. The
-	// forwarder drains the subscription so the collector's publish path
-	// stays non-blocking; Cancel closes sub.C and joins it.
-	sub := w.col.Subscribe(0)
-	var fwd sync.WaitGroup
-	fwd.Add(1)
-	go func() {
-		defer fwd.Done()
-		for s := range sub.C {
-			r.hub.publish("telemetry", telemetryEvent{
-				Seq:    s.Seq,
-				T:      s.T,
-				Names:  s.Names,
-				Values: jsonFloats(s.Values),
-			})
-		}
-	}()
-
 	plan.Options.Telemetry = w.col
 	plan.Options.Tracer = w.tracer
 	plan.Options.Sim = w.sim
@@ -200,6 +182,18 @@ func (p *pool) runScenario(w *worker, r *Run) (map[string][]byte, error) {
 			}
 		}
 		c.SetOnProgress(func(pr mr.Progress) {
+			// The sampler ticks the collector just before its sample
+			// milestone, so each telemetry row goes out ahead of the
+			// progress frame at the same t.
+			if pr.Milestone == mr.MilestoneSample {
+				row := w.col.Latest()
+				r.hub.publish("telemetry", telemetryEvent{
+					Seq:    row.Seq,
+					T:      row.T,
+					Names:  row.Names,
+					Values: jsonFloats(row.Values),
+				})
+			}
 			r.hub.publish("progress", progressEvent{
 				T:             pr.At,
 				Milestone:     pr.Milestone,
@@ -213,11 +207,9 @@ func (p *pool) runScenario(w *worker, r *Run) (map[string][]byte, error) {
 		})
 		return nil
 	}
-	res, runErr := core.Run(plan.Engine, plan.Options, plan.Specs...)
-	sub.Cancel()
-	fwd.Wait()
-	if runErr != nil {
-		return nil, runErr
+	res, err := core.Run(plan.Engine, plan.Options, plan.Specs...)
+	if err != nil {
+		return nil, err
 	}
 	return assembleArtifacts(r, res, w.col, w.tracer)
 }

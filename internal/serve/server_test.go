@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"smapreduce/internal/mr"
 	"smapreduce/internal/serve/ledger"
 )
 
@@ -227,7 +228,8 @@ func TestRunLifecycle(t *testing.T) {
 
 // TestSSEStream checks the stream shape: ids monotone from 0, started
 // first, exactly one terminal done, progress counters monotone, and
-// telemetry ticks present and row-aligned.
+// telemetry ticks present, row-aligned, numbered 1..N with no gaps,
+// each followed at once by the sample progress frame at the same t.
 func TestSSEStream(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
 	info := submitRun(t, ts, smallScenario)
@@ -250,7 +252,7 @@ func TestSSEStream(t *testing.T) {
 	if last := events[len(events)-1]; last.name != "done" {
 		t.Errorf("last event %q", last.name)
 	}
-	var telemetrySeen, progressSeen int
+	var telemetrySeen, progressSeen, samplesSeen int
 	lastFinished := 0
 	for i, ev := range events {
 		if ev.id != i {
@@ -267,6 +269,9 @@ func TestSSEStream(t *testing.T) {
 			}
 			lastFinished = p.JobsFinished
 			progressSeen++
+			if p.Milestone == mr.MilestoneSample {
+				samplesSeen++
+			}
 		case "telemetry":
 			var te telemetryEvent
 			if err := json.Unmarshal(ev.data, &te); err != nil {
@@ -276,6 +281,19 @@ func TestSSEStream(t *testing.T) {
 				t.Errorf("telemetry tick %d: %d names, %d values", te.Seq, len(te.Names), len(te.Values))
 			}
 			telemetrySeen++
+			if te.Seq != telemetrySeen {
+				t.Errorf("telemetry seq %d, want %d", te.Seq, telemetrySeen)
+			}
+			var next progressEvent
+			if i+1 == len(events) || events[i+1].name != "progress" {
+				t.Fatalf("telemetry tick %d not followed by a progress frame", te.Seq)
+			}
+			if err := json.Unmarshal(events[i+1].data, &next); err != nil {
+				t.Fatal(err)
+			}
+			if next.Milestone != mr.MilestoneSample || next.T != te.T {
+				t.Errorf("telemetry tick %d at t=%v followed by %q at t=%v", te.Seq, te.T, next.Milestone, next.T)
+			}
 		case "done":
 			var d doneEvent
 			json.Unmarshal(ev.data, &d)
@@ -284,8 +302,8 @@ func TestSSEStream(t *testing.T) {
 			}
 		}
 	}
-	if telemetrySeen == 0 || progressSeen == 0 {
-		t.Errorf("stream had %d telemetry, %d progress events", telemetrySeen, progressSeen)
+	if telemetrySeen == 0 || progressSeen == 0 || samplesSeen != telemetrySeen {
+		t.Errorf("stream had %d telemetry, %d progress events (%d samples)", telemetrySeen, progressSeen, samplesSeen)
 	}
 	if lastFinished != 1 {
 		t.Errorf("final jobs_finished = %d", lastFinished)

@@ -120,3 +120,31 @@ func TestCollectorConcurrentTickAndExport(t *testing.T) {
 	}
 	<-done
 }
+
+// TestWritePrometheusBuildInfo pins the smr_build_info metric and the
+// HELP/TYPE metadata lines the satellite adds.
+func TestWritePrometheusBuildInfo(t *testing.T) {
+	col := NewCollector(8)
+	col.Register("v", func() float64 { return 7 })
+	col.Tick(1)
+	var b strings.Builder
+	if err := col.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		"# HELP smr_build_info ",
+		"# TYPE smr_build_info gauge\n",
+		"smr_build_info{version=",
+		"goos=",
+		"# HELP smr_v ",
+		"# TYPE smr_v gauge\nsmr_v 7\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("prometheus output missing %q:\n%s", want, out)
+		}
+	}
+	if BuildVersion() == "" {
+		t.Error("BuildVersion is empty")
+	}
+}

@@ -137,7 +137,6 @@ type Collector struct {
 	times    *Series // tick instants, for late-registration backfill
 	ticks    int
 	free     []*Series // retired rings recycled by Register after Reset
-	subs     []*Subscription
 }
 
 // NewCollector returns an empty collector whose series each retain up
@@ -197,7 +196,6 @@ func (c *Collector) Reset() {
 	clear(c.byName)
 	c.times.reset("t")
 	c.ticks = 0
-	c.closeSubsLocked()
 }
 
 // Tick samples every registered probe at virtual time now.
@@ -209,7 +207,6 @@ func (c *Collector) Tick(now float64) {
 	for _, p := range c.probes {
 		p.s.Append(now, p.fn())
 	}
-	c.publishLocked(now)
 }
 
 // Ticks returns how many times Tick has run.
@@ -217,6 +214,35 @@ func (c *Collector) Ticks() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ticks
+}
+
+// TickSample is one Tick's snapshot across all registered series,
+// row-aligned like every other collector export: Names[i] sampled
+// Values[i] at virtual time T. Both slices are private copies the
+// receiver may retain.
+type TickSample struct {
+	Seq    int // tick ordinal: 1 for the first Tick after NewCollector or Reset
+	T      float64
+	Names  []string
+	Values []float64
+}
+
+// Latest returns the most recent Tick's row, names in registration
+// order; its Seq is 0 before the first Tick.
+func (c *Collector) Latest() TickSample {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := TickSample{
+		Seq:    c.ticks,
+		T:      c.times.Last().T,
+		Names:  make([]string, len(c.probes)),
+		Values: make([]float64, len(c.probes)),
+	}
+	for i, p := range c.probes {
+		s.Names[i] = p.s.name
+		s.Values[i] = p.s.Last().V
+	}
+	return s
 }
 
 // Names returns the series names in registration order.

@@ -268,3 +268,44 @@ func TestInvariantViolationsPanic(t *testing.T) {
 	v.CheckEventAppend(1, 1, 8)
 	v.CheckEventAppend(1, 2, 8)
 }
+
+// TestLatestRowAligned pins the live row the serve stream publishes:
+// the last Tick's values, names in registration order, the tick
+// ordinal restarting after Reset, and slices the caller owns.
+func TestLatestRowAligned(t *testing.T) {
+	col := NewCollector(16)
+	if s := col.Latest(); s.Seq != 0 || len(s.Names) != 0 {
+		t.Fatalf("empty collector: %+v", s)
+	}
+	v := 1.0
+	col.Register("a", func() float64 { return v })
+	col.Register("b", func() float64 { return 2 * v })
+	col.Tick(1)
+	first := col.Latest()
+	v = 5
+	col.Tick(2)
+	second := col.Latest()
+	if first.Seq != 1 || first.T != 1 || second.Seq != 2 || second.T != 2 {
+		t.Errorf("seq/t wrong: %+v then %+v", first, second)
+	}
+	for i, s := range []TickSample{first, second} {
+		if len(s.Names) != 2 || s.Names[0] != "a" || s.Names[1] != "b" || len(s.Values) != 2 {
+			t.Fatalf("sample %d not row-aligned: %+v", i, s)
+		}
+	}
+	if first.Values[0] != 1 || first.Values[1] != 2 {
+		t.Errorf("first row values = %v, want [1 2]", first.Values)
+	}
+	if second.Values[0] != 5 || second.Values[1] != 10 {
+		t.Errorf("second row values = %v, want [5 10]", second.Values)
+	}
+	col.Reset()
+	col.Register("c", func() float64 { return 7 })
+	col.Tick(3)
+	if s := col.Latest(); s.Seq != 1 || s.T != 3 || len(s.Names) != 1 || s.Names[0] != "c" || s.Values[0] != 7 {
+		t.Errorf("after Reset: %+v", s)
+	}
+	if first.Values[0] != 1 || first.Names[0] != "a" {
+		t.Errorf("an earlier row changed under later ticks: %+v", first)
+	}
+}
