@@ -25,9 +25,10 @@ check: fmt build vet test
 
 # race runs the runtime-heavy internal packages under the race
 # detector; the figure matrices are too slow for -race, the internals
-# are where the concurrency lives.
+# are where the concurrency lives, and -short skips the full-scale
+# figure reproductions that are too slow under it.
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race -short ./internal/...
 
 # invariants runs the tier-1 suite with runtime invariant checking
 # forced on. Test binaries already self-enable it; the env var also

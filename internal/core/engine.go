@@ -31,6 +31,10 @@ const (
 	// EngineGameTheoretic is HadoopV1 slots plus the per-control-period
 	// proportional-fairness (Nash bargaining) allocator.
 	EngineGameTheoretic
+	// EngineHillClimber is the Dynamic policy driven by the model-free
+	// HillClimber instead of the slot manager: the baseline of the
+	// controllers experiment. ParseEngine does not accept it.
+	EngineHillClimber
 )
 
 func (e Engine) String() string {
@@ -47,6 +51,8 @@ func (e Engine) String() string {
 		return "CapacityQueue"
 	case EngineGameTheoretic:
 		return "GameTheoretic"
+	case EngineHillClimber:
+		return "HillClimber"
 	}
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
@@ -146,7 +152,8 @@ type Options struct {
 type Result struct {
 	Engine Engine
 	Jobs   []*mr.Job
-	// Decisions is the slot manager's log (SMapReduce only).
+	// Decisions is the slot controller's log (SMapReduce and
+	// HillClimber only).
 	Decisions []Decision
 	// Audits carries the full-input audit record behind each decision,
 	// index-aligned with Decisions (SMapReduce only).
@@ -177,7 +184,7 @@ func Run(engine Engine, opts Options, specs ...mr.JobSpec) (*Result, error) {
 		cfg.Policy = mr.HadoopV1
 	case EngineYARN:
 		cfg.Policy = mr.YARN
-	case EngineSMapReduce:
+	case EngineSMapReduce, EngineHillClimber:
 		cfg.Policy = mr.Dynamic
 	case EngineFairShare, EngineCapacityQueue, EngineGameTheoretic:
 		// Capacity engines divide tenant caps on top of static slots, so
@@ -204,19 +211,21 @@ func Run(engine Engine, opts Options, specs ...mr.JobSpec) (*Result, error) {
 		res.Events = c.EnableEventLog(0)
 	}
 	if capacity != nil {
-		if err := c.SetCapacityPolicy(capacity); err != nil {
-			return nil, err
-		}
+		c.SetCapacityPolicy(capacity)
 	}
 	var mgr *SlotManager
-	if engine == EngineSMapReduce {
-		mgr, err = NewSlotManager(opts.SlotManager)
-		if err != nil {
-			return nil, err
+	var hc *HillClimber
+	switch engine {
+	case EngineSMapReduce:
+		if mgr, err = NewSlotManager(opts.SlotManager); err == nil {
+			err = c.SetController(mgr)
 		}
-		if err := c.SetController(mgr); err != nil {
-			return nil, err
-		}
+	case EngineHillClimber:
+		hc = &HillClimber{}
+		err = c.SetController(hc)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if opts.Telemetry != nil {
 		c.EnableTelemetry(opts.Telemetry)
@@ -253,6 +262,9 @@ func Run(engine Engine, opts Options, specs ...mr.JobSpec) (*Result, error) {
 	if mgr != nil {
 		res.Decisions = mgr.Decisions()
 		res.Audits = mgr.Explain()
+	}
+	if hc != nil {
+		res.Decisions = hc.Decisions()
 	}
 	if capacity != nil {
 		res.Capacity = c.CapacityDecisions()

@@ -10,7 +10,10 @@ import (
 // paper's balance factor and the map/reduce barrier entirely and
 // simply hill-climbs the map slot count on measured aggregate map
 // throughput — additive increase while throughput rises, step back
-// when it falls.
+// when it falls. Run builds it for EngineHillClimber the way it builds
+// the slot manager for EngineSMapReduce: Dynamic policy, controller
+// attached, one tick per runtime control period. The zero value is
+// ready to use.
 //
 // It exists to quantify what the paper's model buys: on map-heavy jobs
 // pure hill climbing finds the same thrashing point, but on
@@ -27,20 +30,11 @@ type HillClimber struct {
 	decisions    []Decision
 }
 
-// The hill climber decides every hcPeriod seconds on the map
-// throughput measured over the last hcWindow seconds.
-const (
-	hcPeriod float64 = 5
-	hcWindow float64 = 24
-)
+// hcWindow is the span, in seconds, over which the hill climber
+// measures map throughput.
+const hcWindow float64 = 24
 
 type hcSample struct{ t, inMB float64 }
-
-// NewHillClimber returns a hill climber.
-func NewHillClimber() *HillClimber { return &HillClimber{} }
-
-// Interval implements mr.Controller.
-func (h *HillClimber) Interval() float64 { return hcPeriod }
 
 // Decisions returns the decision log.
 func (h *HillClimber) Decisions() []Decision { return h.decisions }
@@ -112,19 +106,4 @@ func (h *HillClimber) set(c *mr.Cluster, s mr.Stats, target int, reason string) 
 		At: s.Now, MapTarget: target, ReduceTarget: h.reduceTarget,
 		Reason: fmt.Sprintf("hill-climb: %s", reason),
 	})
-}
-
-// RunWithController executes jobs under the Dynamic policy with an
-// arbitrary controller — the harness used to compare SMapReduce's slot
-// manager against alternative control laws.
-func RunWithController(ctrl mr.Controller, cluster mr.Config, specs ...mr.JobSpec) ([]*mr.Job, error) {
-	cluster.Policy = mr.Dynamic
-	c, err := mr.NewCluster(cluster)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.SetController(ctrl); err != nil {
-		return nil, err
-	}
-	return c.Run(specs...)
 }

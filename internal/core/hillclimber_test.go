@@ -7,25 +7,24 @@ import (
 	"smapreduce/internal/mr"
 )
 
-func runHC(t *testing.T, spec mr.JobSpec) (*mr.Job, *HillClimber) {
+func runHC(t *testing.T, spec mr.JobSpec) (*mr.Job, []Decision) {
 	t.Helper()
-	hc := NewHillClimber()
-	jobs, err := RunWithController(hc, smallCluster(), spec)
+	res, err := Run(EngineHillClimber, Options{Cluster: smallCluster()}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return jobs[0], hc
+	return res.Jobs[0], res.Decisions
 }
 
 func TestHillClimberCompletesAndDecides(t *testing.T) {
-	j, hc := runHC(t, job("grep", 16*1024, 8))
+	j, decisions := runHC(t, job("grep", 16*1024, 8))
 	if !j.Finished() {
 		t.Fatal("unfinished")
 	}
-	if len(hc.Decisions()) == 0 {
+	if len(decisions) == 0 {
 		t.Fatal("hill climber never moved")
 	}
-	for _, d := range hc.Decisions() {
+	for _, d := range decisions {
 		if !strings.HasPrefix(d.Reason, "hill-climb") {
 			t.Fatalf("foreign decision: %+v", d)
 		}
@@ -58,13 +57,16 @@ func TestHillClimberLosesOnReduceHeavy(t *testing.T) {
 	}
 }
 
-func TestRunWithControllerValidates(t *testing.T) {
-	if _, err := RunWithController(NewHillClimber(), smallCluster()); err == nil {
+func TestHillClimberEngineValidates(t *testing.T) {
+	if _, err := Run(EngineHillClimber, Options{Cluster: smallCluster()}); err == nil {
 		t.Fatal("no jobs accepted")
 	}
 	bad := smallCluster()
 	bad.Workers = -1
-	if _, err := RunWithController(NewHillClimber(), bad, job("grep", 1024, 4)); err == nil {
+	if _, err := Run(EngineHillClimber, Options{Cluster: bad}, job("grep", 1024, 4)); err == nil {
 		t.Fatal("bad cluster accepted")
+	}
+	if _, err := ParseEngine(EngineHillClimber.String()); err == nil {
+		t.Fatal("ParseEngine accepted the hill climber")
 	}
 }

@@ -40,11 +40,6 @@ import (
 	"smapreduce/internal/trace"
 )
 
-// interval is the period between decisions, seconds. The paper's
-// manager runs "after every time period" long enough for all trackers
-// to have heartbeated; with 1 s heartbeats 5 s is comfortable.
-const interval float64 = 5
-
 // tailShufflePerReduceMB is the "small shuffle" threshold under which
 // the tail stretch may add reduce slots (§III-B3).
 const tailShufflePerReduceMB float64 = 256
@@ -191,9 +186,6 @@ func MustNewSlotManager(cfg SlotManagerConfig) *SlotManager {
 	return m
 }
 
-// Interval implements mr.Controller.
-func (m *SlotManager) Interval() float64 { return interval }
-
 // Decisions returns the decision log (for traces, tests and examples):
 // the audit trail projected through AuditRecord.Decision.
 func (m *SlotManager) Decisions() []Decision {
@@ -259,29 +251,40 @@ func (m *SlotManager) tick(c *mr.Cluster, s mr.Stats) {
 // tracker's desired-slot table, scaled per node when configured.
 func (m *SlotManager) push(c *mr.Cluster, maps, reduces int) {
 	jt := c.JobTracker()
+	scaling := m.k.cfg.PerNodeScaling
+	var mean float64
+	if scaling {
+		mean = meanCapacity(c)
+	}
 	for _, tt := range c.Trackers() {
 		tm, tr := maps, reduces
-		if m.k.cfg.PerNodeScaling {
-			tm, tr = m.scaleForNode(c, tt.ID(), maps, reduces)
+		if scaling {
+			tm, tr = scaleForNode(nodeCapacity(c, tt.ID())/mean, maps, reduces)
 		}
 		jt.SetDesiredSlots(tt.ID(), tm, tr)
 	}
 }
 
-// scaleForNode adjusts uniform targets by the node's compute capacity
-// relative to the cluster mean, rounding half-up and never below 1.
-func (m *SlotManager) scaleForNode(c *mr.Cluster, node, maps, reduces int) (int, int) {
-	capacity := func(i int) float64 {
-		spec := c.NodeSpecOf(i)
-		return float64(spec.Cores) * spec.CoreSpeed
-	}
-	mean := 0.0
+// nodeCapacity is one worker's compute capacity: cores × core speed.
+func nodeCapacity(c *mr.Cluster, node int) float64 {
+	spec := c.NodeSpecOf(node)
+	return float64(spec.Cores) * spec.CoreSpeed
+}
+
+// meanCapacity is the cluster's mean node capacity, summed in tracker
+// order.
+func meanCapacity(c *mr.Cluster) float64 {
 	n := len(c.Trackers())
+	mean := 0.0
 	for i := 0; i < n; i++ {
-		mean += capacity(i)
+		mean += nodeCapacity(c, i)
 	}
-	mean /= float64(n)
-	factor := capacity(node) / mean
+	return mean / float64(n)
+}
+
+// scaleForNode adjusts uniform targets by factor, a node's capacity
+// relative to the cluster mean, rounding half-up and never below 1.
+func scaleForNode(factor float64, maps, reduces int) (int, int) {
 	scale := func(v int) int {
 		s := int(float64(v)*factor + 0.5)
 		if s < 1 {

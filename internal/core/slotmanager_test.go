@@ -411,19 +411,22 @@ func TestScaleForNode(t *testing.T) {
 	specs[3].Cores = 8  // 0.5x
 	cfg.NodeSpecs = specs
 	c := mr.MustNewCluster(cfg)
-	m := MustNewSlotManager(SlotManagerConfig{PerNodeScaling: true})
 
 	// Mean capacity = (32+16+16+8)/4 = 18.
-	maps, reduces := m.scaleForNode(c, 0, 6, 2)
+	mean := meanCapacity(c)
+	if mean != 18 {
+		t.Fatalf("mean capacity = %v", mean)
+	}
+	maps, reduces := scaleForNode(nodeCapacity(c, 0)/mean, 6, 2)
 	if maps != 11 || reduces != 4 { // 6*32/18=10.67→11, 2*32/18=3.56→4
 		t.Fatalf("big node scaled to %d/%d", maps, reduces)
 	}
-	maps, reduces = m.scaleForNode(c, 3, 6, 2)
+	maps, reduces = scaleForNode(nodeCapacity(c, 3)/mean, 6, 2)
 	if maps != 3 || reduces != 1 { // 6*8/18=2.67→3, 2*8/18=0.89→1
 		t.Fatalf("small node scaled to %d/%d", maps, reduces)
 	}
 	// Scaling never drops below one slot.
-	maps, reduces = m.scaleForNode(c, 3, 1, 1)
+	maps, reduces = scaleForNode(nodeCapacity(c, 3)/mean, 1, 1)
 	if maps < 1 || reduces < 1 {
 		t.Fatalf("scaled below 1: %d/%d", maps, reduces)
 	}

@@ -60,8 +60,6 @@ func frontStats(now, outRate, potential float64, runningReduces int) mr.Stats {
 		FrontTotalReduces:    8,
 		FrontRunningReduces:  runningReduces,
 		TotalReduces:         8,
-		RunningReduces:       runningReduces,
-		MapInputMBps:         outRate,
 		MapInputProcessedMB:  outRate * now,
 		MapOutputProducedMB:  outRate * now,
 		PotentialShuffleMBps: potential,

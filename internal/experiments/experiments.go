@@ -117,20 +117,6 @@ type Arm struct {
 	Engine core.Engine
 	Opts   core.Options
 	Jobs   []mr.JobSpec
-	// Controller, when set, replaces the engine's slot policy through
-	// core.RunWithController on Opts.Cluster.
-	Controller mr.Controller
-}
-
-func (a Arm) run() (*core.Result, error) {
-	if a.Controller == nil {
-		return core.Run(a.Engine, a.Opts, a.Jobs...)
-	}
-	jobs, err := core.RunWithController(a.Controller, a.Opts.Cluster, a.Jobs...)
-	if err != nil {
-		return nil, err
-	}
-	return &core.Result{Engine: a.Engine, Jobs: jobs}, nil
 }
 
 // Experiment declares one figure or extra.
@@ -146,7 +132,7 @@ type Experiment struct {
 	// seed.
 	Arms func(cfg Config) []Arm
 	// Curve, when set, records each arm's total progress curve in the
-	// first trial (core.RecordProgress; arms without a Controller).
+	// first trial (core.RecordProgress).
 	Curve bool
 	// Table, when set, renders the result instead of one row per arm.
 	Table func(*Result) *metrics.Table
@@ -198,7 +184,7 @@ func (e *Experiment) Run(cfg Config) (*Result, error) {
 	err := par.For(len(vals), func(i int) error {
 		t, a := i/arms, i%arms
 		arm := trials[t][a]
-		res, err := arm.run()
+		res, err := core.Run(arm.Engine, arm.Opts, arm.Jobs...)
 		if err != nil {
 			return fmt.Errorf("%s %s: %w", e.Slug, strings.Join(arm.Labels, "/"), err)
 		}

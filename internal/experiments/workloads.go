@@ -24,12 +24,11 @@ var controllers = &Experiment{
 	Arms: func(cfg Config) []Arm {
 		var arms []Arm
 		for _, bench := range []string{"histogram-ratings", "terasort"} {
-			a := engineArms([]core.Engine{core.EngineHadoopV1, core.EngineSMapReduce, core.EngineSMapReduce},
+			a := engineArms([]core.Engine{core.EngineHadoopV1, core.EngineSMapReduce, core.EngineHillClimber},
 				cfg.cluster(), []mr.JobSpec{cfg.spec(bench, 60)}, bench)
 			a[0].Labels[1] = "static (HadoopV1)"
 			a[1].Labels[1] = "slot manager (paper)"
 			a[2].Labels[1] = "hill climber (model-free)"
-			a[2].Controller = core.NewHillClimber()
 			arms = append(arms, a...)
 		}
 		return arms

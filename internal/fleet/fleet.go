@@ -193,13 +193,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Clusters <= 0 {
 		return nil, fmt.Errorf("fleet: Clusters = %d, must be positive", cfg.Clusters)
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = par.Workers()
-	}
-	if workers > cfg.Clusters {
-		workers = cfg.Clusters
-	}
+	workers := par.Width(cfg.Clusters, cfg.Workers)
 	base := cfg.Cluster
 	if base.Workers == 0 {
 		base = DefaultClusterConfig()

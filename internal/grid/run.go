@@ -133,13 +133,7 @@ func Run(opts RunOptions) (*Result, error) {
 	}
 	defer jf.Close()
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = par.Workers()
-	}
-	if workers > len(pending) && len(pending) > 0 {
-		workers = len(pending)
-	}
+	workers := par.Width(len(pending), opts.Workers)
 	subs := make([]*mr.SimState, workers)
 	for w := range subs {
 		subs[w] = mr.NewSimState()

@@ -110,8 +110,7 @@ func TestStageJobAllocs(t *testing.T) {
 // tick over unchanged tenants allocates only what the cluster does.
 type fixedCaps struct{}
 
-func (fixedCaps) Name() string      { return "fixed" }
-func (fixedCaps) Interval() float64 { return 5 }
+func (fixedCaps) Name() string { return "fixed" }
 func (fixedCaps) Allocate(now float64, total int, tenants []TenantSnapshot, dst []TenantAllocation) []TenantAllocation {
 	for _, t := range tenants {
 		dst = append(dst, TenantAllocation{Tenant: t.Tenant, TaskCap: 2, Share: 2 / float64(total), Reason: "fixed"})
@@ -125,9 +124,7 @@ func (fixedCaps) Allocate(now float64, total int, tenants []TenantSnapshot, dst 
 // over unchanged tenant state add only the log's amortised growth.
 func TestCapacityTickAllocs(t *testing.T) {
 	c := MustNewCluster(smallConfig())
-	if err := c.SetCapacityPolicy(fixedCaps{}); err != nil {
-		t.Fatal(err)
-	}
+	c.SetCapacityPolicy(fixedCaps{})
 	for _, tenant := range []string{"analytics", "etl", "service"} {
 		if _, err := c.Submit(tenantJob(tenant+"-job", tenant, 2048)); err != nil {
 			t.Fatal(err)
@@ -173,5 +170,44 @@ func TestSlotChangeAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { c.Mutate(flip) }); n != 0 {
 		t.Fatalf("a slot change without sinks allocates %v objects, want 0", n)
+	}
+}
+
+// snapshotAllocs is a controller that measures, inside every tick,
+// how many objects one Snapshot allocates.
+type snapshotAllocs struct {
+	ticks, busy int
+	worst       float64
+}
+
+func (p *snapshotAllocs) Tick(c *Cluster) {
+	p.ticks++
+	var s Stats
+	p.worst = max(p.worst, testing.AllocsPerRun(20, func() { s = c.Snapshot() }))
+	if s.RunningMaps > 0 && s.FrontRunningReduces > 0 {
+		p.busy++
+	}
+}
+
+// TestSnapshotAllocFree pins that a controller's inputs cost no
+// allocation: Stats is a flat value and the in-flight sums reuse the
+// trackers' scratch, so Snapshot allocates nothing on a running
+// cluster.
+func TestSnapshotAllocFree(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Policy = Dynamic
+	c := MustNewCluster(cfg)
+	probe := &snapshotAllocs{}
+	if err := c.SetController(probe); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(terasortJob(2048)); err != nil {
+		t.Fatal(err)
+	}
+	if probe.busy == 0 {
+		t.Fatalf("none of %d ticks saw running maps and reduces", probe.ticks)
+	}
+	if probe.worst != 0 {
+		t.Fatalf("Snapshot allocates %v objects inside a controller tick, want 0", probe.worst)
 	}
 }

@@ -79,8 +79,6 @@ func (d CapacityDecision) String() string {
 type CapacityPolicy interface {
 	// Name identifies the policy in logs and experiment tables.
 	Name() string
-	// Interval is the rebalance period in virtual seconds.
-	Interval() float64
 	// Allocate divides total task capacity among the given tenants
 	// (sorted by name), appends one allocation per tenant to dst and
 	// returns the extended slice. It must leave dst's existing elements
@@ -88,14 +86,11 @@ type CapacityPolicy interface {
 	Allocate(now float64, total int, tenants []TenantSnapshot, dst []TenantAllocation) []TenantAllocation
 }
 
-// SetCapacityPolicy attaches a capacity policy to the cluster. Unlike
-// SetController it composes with every slot Policy. Call before Run.
-func (c *Cluster) SetCapacityPolicy(p CapacityPolicy) error {
-	if p.Interval() <= 0 {
-		return fmt.Errorf("mr: capacity policy %s interval %v must be positive", p.Name(), p.Interval())
-	}
+// SetCapacityPolicy attaches a capacity policy to the cluster, which
+// rebalances every controlPeriod. Unlike SetController it composes with
+// every slot Policy. Call before Run.
+func (c *Cluster) SetCapacityPolicy(p CapacityPolicy) {
 	c.capacity = p
-	return nil
 }
 
 // CapacityDecisions returns a copy of the applied capacity decisions in
@@ -325,15 +320,14 @@ func sameAllocation(a, b TenantAllocation) bool {
 }
 
 // scheduleCapacity arms the periodic capacity tick; like the sampler
-// and controller it is one self-re-arming periodic event (the policy
-// interval is read once here), so steady-state rebalancing allocates
-// nothing and shutdown's Cancel stops the chain.
+// and controller it is one self-re-arming periodic event, so
+// steady-state rebalancing allocates nothing and shutdown's Cancel
+// stops the chain.
 func (c *Cluster) scheduleCapacity() {
 	if c.capFn == nil {
 		c.capFn = c.capTick
 	}
-	iv := c.capacity.Interval()
-	c.capEvent = c.clock.SchedulePeriodic(c.clock.Now()+iv, iv, "capacity", c.capFn)
+	c.capEvent = c.clock.SchedulePeriodic(c.clock.Now()+controlPeriod, controlPeriod, "capacity", c.capFn)
 }
 
 func (c *Cluster) capTick() {

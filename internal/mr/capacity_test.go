@@ -11,12 +11,10 @@ import (
 
 // stubPolicy is a test capacity policy driven by a closure.
 type stubPolicy struct {
-	interval float64
-	alloc    func(now float64, total int, tenants []TenantSnapshot) []TenantAllocation
+	alloc func(now float64, total int, tenants []TenantSnapshot) []TenantAllocation
 }
 
-func (p *stubPolicy) Name() string      { return "stub" }
-func (p *stubPolicy) Interval() float64 { return p.interval }
+func (p *stubPolicy) Name() string { return "stub" }
 func (p *stubPolicy) Allocate(now float64, total int, tenants []TenantSnapshot, dst []TenantAllocation) []TenantAllocation {
 	return append(dst, p.alloc(now, total, tenants)...)
 }
@@ -61,22 +59,13 @@ func TestTenantDefaultNormalization(t *testing.T) {
 	}
 }
 
-func TestSetCapacityPolicyValidation(t *testing.T) {
-	c := MustNewCluster(smallConfig())
-	bad := &stubPolicy{interval: 0}
-	if err := c.SetCapacityPolicy(bad); err == nil {
-		t.Fatal("zero-interval policy accepted")
-	}
-}
-
 func TestCapacityCapsEnforced(t *testing.T) {
 	// Cap tenant "a" at 2 concurrent attempts, leave "b" uncapped, and
 	// replay the event log checking that no task for "a" ever starts
 	// while 2 attempts are already running after the cap lands.
 	c := MustNewCluster(smallConfig())
 	log := c.EnableEventLog(0)
-	err := c.SetCapacityPolicy(&stubPolicy{
-		interval: 1,
+	c.SetCapacityPolicy(&stubPolicy{
 		alloc: func(now float64, total int, tenants []TenantSnapshot) []TenantAllocation {
 			out := make([]TenantAllocation, len(tenants))
 			for i, ts := range tenants {
@@ -89,9 +78,6 @@ func TestCapacityCapsEnforced(t *testing.T) {
 			return out
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	jobs, err := c.Run(
 		tenantJob("a1", "a", 2048),
 		tenantJob("b1", "b", 2048),
@@ -189,8 +175,7 @@ func TestCapacityCapDeadlockBroken(t *testing.T) {
 	// rule (reduces may not take the last unit while maps are pending)
 	// plus the single-map overshoot must let this run terminate.
 	c := MustNewCluster(smallConfig())
-	err := c.SetCapacityPolicy(&stubPolicy{
-		interval: 1,
+	c.SetCapacityPolicy(&stubPolicy{
 		alloc: func(now float64, total int, tenants []TenantSnapshot) []TenantAllocation {
 			out := make([]TenantAllocation, len(tenants))
 			for i, ts := range tenants {
@@ -199,9 +184,6 @@ func TestCapacityCapDeadlockBroken(t *testing.T) {
 			return out
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := tenantJob("a1", "a", 2048)
 	spec.Reduces = 8 // more reduces than the cap of 3
 	jobs, err := c.Run(spec)
@@ -222,13 +204,12 @@ func TestCapacityEventsOnlyOnChange(t *testing.T) {
 	c := MustNewCluster(smallConfig())
 	log := c.EnableEventLog(0)
 	calls := 0
-	err := c.SetCapacityPolicy(&stubPolicy{
-		interval: 2,
+	c.SetCapacityPolicy(&stubPolicy{
 		alloc: func(now float64, total int, tenants []TenantSnapshot) []TenantAllocation {
 			calls++
 			cap := 3
-			if calls > 3 {
-				cap = -1 // lift after the third tick
+			if calls > 2 {
+				cap = -1 // lift after the second tick
 			}
 			out := make([]TenantAllocation, len(tenants))
 			for i, ts := range tenants {
@@ -237,13 +218,10 @@ func TestCapacityEventsOnlyOnChange(t *testing.T) {
 			return out
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := c.Run(tenantJob("a1", "a", 2048)); err != nil {
 		t.Fatal(err)
 	}
-	if calls < 4 {
+	if calls < 3 {
 		t.Fatalf("only %d capacity ticks fired", calls)
 	}
 	evs := log.Filter(EvTenantCap)
@@ -329,8 +307,7 @@ func TestRunArrivalsDeterministicEventLog(t *testing.T) {
 	run := func() []byte {
 		c := MustNewCluster(smallConfig())
 		log := c.EnableEventLog(0)
-		err := c.SetCapacityPolicy(&stubPolicy{
-			interval: 3,
+		c.SetCapacityPolicy(&stubPolicy{
 			alloc: func(now float64, total int, tenants []TenantSnapshot) []TenantAllocation {
 				out := make([]TenantAllocation, len(tenants))
 				for i, ts := range tenants {
@@ -339,9 +316,6 @@ func TestRunArrivalsDeterministicEventLog(t *testing.T) {
 				return out
 			},
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		src := &specList{specs: []JobSpec{
 			tenantJob("a1", "a", 1024),
 			withSubmitAt(tenantJob("b1", "b", 1024), 5),

@@ -15,12 +15,10 @@ import (
 )
 
 // Controller retunes slot targets at runtime; SMapReduce's slot manager
-// (internal/core) implements it. Tick runs on the job tracker under a
-// mutation scope, so it may inspect Stats and call SetDesiredSlots but
-// must not block.
+// (internal/core) implements it. Tick runs on the job tracker every
+// controlPeriod virtual seconds under a mutation scope, so it may
+// inspect Stats and call SetDesiredSlots but must not block.
 type Controller interface {
-	// Interval is the period between Tick calls, in virtual seconds.
-	Interval() float64
 	// Tick observes the cluster and may adjust per-tracker slot targets.
 	Tick(c *Cluster)
 }
@@ -310,9 +308,6 @@ func (c *Cluster) SetController(ctrl Controller) error {
 	if c.cfg.Policy != Dynamic {
 		return fmt.Errorf("mr: controller requires the Dynamic policy, have %v", c.cfg.Policy)
 	}
-	if ctrl.Interval() <= 0 {
-		return fmt.Errorf("mr: controller interval %v must be positive", ctrl.Interval())
-	}
 	c.controller = ctrl
 	return nil
 }
@@ -560,8 +555,7 @@ func (c *Cluster) settleRunning() {
 	}
 }
 
-// scheduleController runs controller ticks on their interval (read
-// once here: a periodic event's cadence is fixed at arm time). Each
+// scheduleController runs controller ticks every controlPeriod. Each
 // tick gets a span on the controller track; Tick consumes no virtual
 // time, so the spans render as zero-width markers whose args carry the
 // tick ordinal — the decision instants between them are the payload.
@@ -569,8 +563,7 @@ func (c *Cluster) scheduleController() {
 	if c.ctrlFn == nil {
 		c.ctrlFn = c.ctrlTick
 	}
-	iv := c.controller.Interval()
-	c.ctrlEvent = c.clock.SchedulePeriodic(c.clock.Now()+iv, iv, "controller", c.ctrlFn)
+	c.ctrlEvent = c.clock.SchedulePeriodic(c.clock.Now()+controlPeriod, controlPeriod, "controller", c.ctrlFn)
 }
 
 func (c *Cluster) ctrlTick() {
@@ -603,25 +596,18 @@ func (c *Cluster) shutdown() {
 type Stats struct {
 	Now float64
 
-	RunningMaps    int
-	RunningReduces int
-	PendingMaps    int
-	PendingReduces int
-	TotalMaps      int
-	DoneMaps       int
-	TotalReduces   int
-	DoneReduces    int
+	RunningMaps  int
+	PendingMaps  int
+	TotalMaps    int
+	DoneMaps     int
+	TotalReduces int
 
-	// Shuffling reducers (still in the copy phase).
-	ShufflingReduces int
-
-	// Rates aggregated over trackers (heartbeat EWMA), MB/s. These are
-	// 1 s-window estimates and oscillate with task waves; controllers
-	// needing stable rates should difference the cumulative counters
-	// below over their own longer windows.
-	MapInputMBps  float64
-	MapOutputMBps float64
-	ShuffleMBps   float64
+	// ShuffleMBps is the shuffle rate aggregated over trackers
+	// (heartbeat EWMA), MB/s. It is a 1 s-window estimate and
+	// oscillates with task waves; controllers needing stable rates
+	// should difference the cumulative counters below over their own
+	// longer windows.
+	ShuffleMBps float64
 
 	// Cumulative work counters (committed plus in-flight estimates),
 	// MB. Monotone non-decreasing while a single workload runs.
@@ -646,30 +632,15 @@ type Stats struct {
 	// Front-stretch view: the first queued job whose maps have not all
 	// committed is the one whose map/shuffle balance the slot manager
 	// steers. With a single job these equal the cluster-wide counts.
-	FrontJobID           int    // -1 when every queued job is past its barrier
-	FrontJobName         string // profile name, keys per-workload learning
-	FrontRunningReduces  int
-	FrontTotalReduces    int
-	FrontShuffleReduces  int
-	FrontShufflePerRedMB float64
-
-	// Per-tracker views.
-	Trackers []TrackerStats
-}
-
-// TrackerStats is one tracker's heartbeat-reported state.
-type TrackerStats struct {
-	ID             int
-	MapTarget      int
-	ReduceTarget   int
-	RunningMaps    int
-	RunningReduces int
-	MapInputMBps   float64
+	FrontJobID          int    // -1 when every queued job is past its barrier
+	FrontJobName        string // profile name, keys per-workload learning
+	FrontRunningReduces int
+	FrontTotalReduces   int
 }
 
 // Snapshot gathers Stats. Safe to call from controller Tick.
 func (c *Cluster) Snapshot() Stats {
-	s := Stats{Now: c.clock.Now(), HeadJobID: -1, FrontJobID: -1, Trackers: make([]TrackerStats, 0, len(c.trackers))}
+	s := Stats{Now: c.clock.Now(), HeadJobID: -1, FrontJobID: -1}
 	for _, j := range c.jt.jobs {
 		if j.Submitted < 0 {
 			continue
@@ -677,7 +648,6 @@ func (c *Cluster) Snapshot() Stats {
 		s.TotalMaps += len(j.maps)
 		s.DoneMaps += j.mapsDone
 		s.TotalReduces += len(j.reduces)
-		s.DoneReduces += j.reducesDone
 	}
 	for _, j := range c.jt.queue {
 		s.ShufflePerReduceMB = j.expectedShufflePerReduceMB()
@@ -691,14 +661,9 @@ func (c *Cluster) Snapshot() Stats {
 		s.FrontJobID = j.ID
 		s.FrontJobName = j.Spec.Profile.Name
 		s.FrontTotalReduces = len(j.reduces)
-		s.FrontShufflePerRedMB = j.expectedShufflePerReduceMB()
 		for _, r := range j.reduces {
-			if r.state != TaskRunning {
-				continue
-			}
-			s.FrontRunningReduces++
-			if r.phase == 0 {
-				s.FrontShuffleReduces++
+			if r.state == TaskRunning {
+				s.FrontRunningReduces++
 			}
 		}
 		break
@@ -706,9 +671,6 @@ func (c *Cluster) Snapshot() Stats {
 	perReducerCap := float64(fetchers) * c.cfg.PerFetchMBps
 	for _, tt := range c.trackers {
 		s.RunningMaps += len(tt.runningMaps)
-		s.RunningReduces += len(tt.runningReduces)
-		s.MapInputMBps += tt.mapInputRate.Value()
-		s.MapOutputMBps += tt.mapOutputRate.Value()
 		s.ShuffleMBps += tt.shuffleRate.Value()
 		s.MapInputProcessedMB += tt.mapInputDoneMB + tt.inFlightMapInputMB()
 		s.MapOutputProducedMB += tt.mapOutputDoneMB + tt.inFlightMapOutputMB()
@@ -719,20 +681,10 @@ func (c *Cluster) Snapshot() Stats {
 				shuffling++
 			}
 		}
-		s.ShufflingReduces += shuffling
 		if shuffling > 0 {
 			s.PotentialShuffleMBps += math.Min(float64(shuffling)*perReducerCap, c.cfg.Net.IngressMBps)
 		}
-		s.Trackers = append(s.Trackers, TrackerStats{
-			ID:             tt.id,
-			MapTarget:      tt.mapTarget,
-			ReduceTarget:   tt.reduceTarget,
-			RunningMaps:    len(tt.runningMaps),
-			RunningReduces: len(tt.runningReduces),
-			MapInputMBps:   tt.mapInputRate.Value(),
-		})
 	}
 	s.PendingMaps = c.jt.PendingMapCount()
-	s.PendingReduces = c.jt.PendingReduceCount()
 	return s
 }

@@ -132,6 +132,11 @@ const (
 	heartbeatPeriod float64 = 1
 	// sampleInterval is the progress sampling interval, seconds.
 	sampleInterval float64 = 2
+	// controlPeriod is the period between slot-controller ticks and
+	// between capacity-policy rebalances, seconds. The paper's manager
+	// runs "after every time period" long enough for all trackers to
+	// have heartbeated; with 1 s heartbeats 5 s is comfortable.
+	controlPeriod float64 = 5
 	// reduceSlowstart is the fraction of maps finished before reduces
 	// launch.
 	reduceSlowstart float64 = 0.05

@@ -60,7 +60,6 @@ func (c *Cluster) failTracker(tt *TaskTracker) {
 	tt.failed = true
 	tt.stop()
 	tt.mapInputRate.Reset()
-	tt.mapOutputRate.Reset()
 	tt.shuffleRate.Reset()
 	c.note(transition{kind: EvTrackerDown, tracker: tt.id})
 

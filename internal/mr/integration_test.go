@@ -116,7 +116,6 @@ func TestQuickDynamicPolicyCompletes(t *testing.T) {
 // jitterController wiggles slot targets adversarially every tick.
 type jitterController struct{ n int }
 
-func (j *jitterController) Interval() float64 { return 3 }
 func (j *jitterController) Tick(c *Cluster) {
 	j.n++
 	maps := 1 + (j.n*3)%6

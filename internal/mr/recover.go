@@ -61,11 +61,9 @@ func (c *Cluster) recoverTracker(tt *TaskTracker) {
 	// are the job tracker's ledger, not the daemon's, and the
 	// telemetry invariant requires them monotone.
 	tt.mapInputRate.Reset()
-	tt.mapOutputRate.Reset()
 	tt.shuffleRate.Reset()
 	tt.lastHB = now
 	tt.lastMapInputMB = tt.mapInputDoneMB
-	tt.lastMapOutputMB = tt.mapOutputDoneMB
 	tt.lastShuffleMB = tt.shuffleDoneMB
 
 	// Slot targets re-seed to the configured initial values, for the
@@ -189,7 +187,6 @@ func (c *Cluster) endHeartbeatLoss(tt *TaskTracker) {
 	// first beat back does not average across the gap.
 	tt.lastHB = now
 	tt.lastMapInputMB = tt.mapInputDoneMB + tt.inFlightMapInputMB()
-	tt.lastMapOutputMB = tt.mapOutputDoneMB + tt.inFlightMapOutputMB()
 	tt.lastShuffleMB = tt.shuffleDoneMB + tt.inFlightShuffleMB()
 
 	c.note(transition{kind: EvTrackerHBRestored, tracker: tt.id})

@@ -37,9 +37,8 @@ type TaskTracker struct {
 	mapOutputDoneMB float64
 	shuffleDoneMB   float64
 
-	mapInputRate  *stats.EWMA // MB/s of map input processed
-	mapOutputRate *stats.EWMA // MB/s of shuffle-bound map output produced
-	shuffleRate   *stats.EWMA // MB/s of shuffle bytes received
+	mapInputRate *stats.EWMA // MB/s of map input processed
+	shuffleRate  *stats.EWMA // MB/s of shuffle bytes received
 
 	failed bool
 
@@ -57,7 +56,6 @@ type TaskTracker struct {
 
 	lastHB            float64
 	lastMapInputMB    float64
-	lastMapOutputMB   float64
 	lastShuffleMB     float64
 	hbEvent           sim.EventRef
 	disturbance       *resource.Activity // &disturbAct while a slot change perturbs the node
@@ -91,15 +89,14 @@ type TaskTracker struct {
 
 func newTaskTracker(c *Cluster, id int, node *resource.Node) *TaskTracker {
 	tt := &TaskTracker{
-		c:             c,
-		id:            id,
-		node:          node,
-		mapTarget:     c.cfg.MapSlots,
-		reduceTarget:  c.cfg.ReduceSlots,
-		mapInputRate:  stats.NewEWMA(0.3),
-		mapOutputRate: stats.NewEWMA(0.3),
-		shuffleRate:   stats.NewEWMA(0.3),
-		hbLabel:       fmt.Sprintf("hb tt%d", id),
+		c:            c,
+		id:           id,
+		node:         node,
+		mapTarget:    c.cfg.MapSlots,
+		reduceTarget: c.cfg.ReduceSlots,
+		mapInputRate: stats.NewEWMA(0.3),
+		shuffleRate:  stats.NewEWMA(0.3),
+		hbLabel:      fmt.Sprintf("hb tt%d", id),
 	}
 	tt.hbFn = tt.heartbeat
 	tt.hbTickFn = tt.hbTick
@@ -389,22 +386,19 @@ func (tt *TaskTracker) sampleRates() {
 	now := tt.c.clock.Now()
 	// With nothing in flight a sum is exactly 0, and adding it leaves
 	// the counter's bits unchanged (counters are never -0): skip it.
-	mapInMB, mapOutMB, shuffleMB := tt.mapInputDoneMB, tt.mapOutputDoneMB, tt.shuffleDoneMB
+	mapInMB, shuffleMB := tt.mapInputDoneMB, tt.shuffleDoneMB
 	if len(tt.runningMaps) > 0 {
 		mapInMB += tt.inFlightMapInputMB()
-		mapOutMB += tt.inFlightMapOutputMB()
 	}
 	if len(tt.runningReduces) > 0 {
 		shuffleMB += tt.inFlightShuffleMB()
 	}
 	if dt := now - tt.lastHB; dt > 0 {
 		tt.mapInputRate.Observe((mapInMB - tt.lastMapInputMB) / dt)
-		tt.mapOutputRate.Observe((mapOutMB - tt.lastMapOutputMB) / dt)
 		tt.shuffleRate.Observe((shuffleMB - tt.lastShuffleMB) / dt)
 	}
 	tt.lastHB = now
 	tt.lastMapInputMB = mapInMB
-	tt.lastMapOutputMB = mapOutMB
 	tt.lastShuffleMB = shuffleMB
 }
 

@@ -147,7 +147,6 @@ type shrinkController struct {
 	shrunk bool
 }
 
-func (s *shrinkController) Interval() float64 { return 4 }
 func (s *shrinkController) Tick(c *Cluster) {
 	s.ticks++
 	if s.ticks == 2 {

@@ -30,6 +30,16 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// Width is the number of workers a pool over n iterations runs: a
+// non-positive workers means Workers(), and the count never exceeds n.
+// Callers that keep per-worker state size it with Width.
+func Width(n, workers int) int {
+	if workers <= 0 {
+		workers = Workers()
+	}
+	return min(workers, n)
+}
+
 // For runs fn(i) for i in [0, n) across Workers() workers. When several
 // iterations fail, the error from the lowest index is returned —
 // deterministic regardless of which goroutine reported first.
@@ -55,12 +65,7 @@ func ForN(n, workers int, fn func(worker, i int) error) error {
 // (a journal, a result slice). stop may be called concurrently from
 // every worker and must be safe for that; nil means never stop.
 func ForNUntil(n, workers int, stop func() bool, fn func(worker, i int) error) error {
-	if workers <= 0 {
-		workers = Workers()
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = Width(n, workers)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if stop != nil && stop() {

@@ -100,6 +100,23 @@ func TestForNSerialWorkerZero(t *testing.T) {
 	}
 }
 
+func TestWidth(t *testing.T) {
+	t.Setenv("SMR_WORKERS", "3")
+	cases := []struct{ n, workers, want int }{
+		{10, 0, 3},  // non-positive: Workers()
+		{10, -2, 3}, // non-positive: Workers()
+		{2, 0, 2},   // Workers() capped at n
+		{10, 5, 5},  // explicit count
+		{4, 8, 4},   // explicit count capped at n
+		{0, 0, 0},   // nothing to run: no workers
+	}
+	for _, c := range cases {
+		if got := Width(c.n, c.workers); got != c.want {
+			t.Errorf("Width(%d, %d) = %d, want %d", c.n, c.workers, got, c.want)
+		}
+	}
+}
+
 func TestWorkersEnvOverride(t *testing.T) {
 	t.Setenv("SMR_WORKERS", "3")
 	if got := Workers(); got != 3 {

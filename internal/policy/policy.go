@@ -19,10 +19,6 @@ import (
 	"smapreduce/internal/mr"
 )
 
-// DefaultInterval is the rebalance period used when Options.Interval
-// is zero — the same 5 s cadence as the paper's slot manager.
-const DefaultInterval = 5.0
-
 // Tenant configures one known tenant. Tenants not listed here receive
 // Weight 1 and no guarantee when they appear at runtime.
 type Tenant struct {
@@ -36,11 +32,9 @@ type Tenant struct {
 	Guarantee float64 `json:"guarantee,omitempty"`
 }
 
-// Options configures a policy.
+// Options configures a policy. The rebalance period is the runtime's
+// control period, not a policy setting.
 type Options struct {
-	// Interval is the rebalance period in virtual seconds; 0 means
-	// DefaultInterval.
-	Interval float64
 	// Tenants lists known tenants with weights/guarantees.
 	Tenants []Tenant
 }
@@ -53,22 +47,14 @@ func (o Options) Validate() error {
 }
 
 type config struct {
-	interval   float64
 	weights    map[string]float64
 	guarantees map[string]float64
 }
 
 func newConfig(o Options) (config, error) {
 	c := config{
-		interval:   o.Interval,
 		weights:    make(map[string]float64, len(o.Tenants)),
 		guarantees: make(map[string]float64, len(o.Tenants)),
-	}
-	if c.interval == 0 {
-		c.interval = DefaultInterval
-	}
-	if c.interval <= 0 {
-		return config{}, fmt.Errorf("policy: interval %v must be positive", o.Interval)
 	}
 	sum := 0.0
 	for _, t := range o.Tenants {
@@ -257,9 +243,6 @@ func NewFairShare(o Options) (*FairShare, error) {
 // Name implements mr.CapacityPolicy.
 func (p *FairShare) Name() string { return "fair-share" }
 
-// Interval implements mr.CapacityPolicy.
-func (p *FairShare) Interval() float64 { return p.cfg.interval }
-
 // Allocate implements mr.CapacityPolicy.
 func (p *FairShare) Allocate(now float64, total int, tenants []mr.TenantSnapshot, dst []mr.TenantAllocation) []mr.TenantAllocation {
 	if totalDemand(tenants) <= total {
@@ -288,9 +271,6 @@ func NewCapacityQueue(o Options) (*CapacityQueue, error) {
 
 // Name implements mr.CapacityPolicy.
 func (p *CapacityQueue) Name() string { return "capacity-queue" }
-
-// Interval implements mr.CapacityPolicy.
-func (p *CapacityQueue) Interval() float64 { return p.cfg.interval }
 
 // Allocate implements mr.CapacityPolicy.
 func (p *CapacityQueue) Allocate(now float64, total int, tenants []mr.TenantSnapshot, dst []mr.TenantAllocation) []mr.TenantAllocation {
@@ -349,9 +329,6 @@ func NewGameTheoretic(o Options) (*GameTheoretic, error) {
 
 // Name implements mr.CapacityPolicy.
 func (p *GameTheoretic) Name() string { return "game-theoretic" }
-
-// Interval implements mr.CapacityPolicy.
-func (p *GameTheoretic) Interval() float64 { return p.cfg.interval }
 
 // Allocate implements mr.CapacityPolicy.
 func (p *GameTheoretic) Allocate(now float64, total int, tenants []mr.TenantSnapshot, dst []mr.TenantAllocation) []mr.TenantAllocation {

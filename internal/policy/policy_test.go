@@ -37,7 +37,6 @@ func capsOf(t *testing.T, allocs []mr.TenantAllocation) map[string]int {
 
 func TestOptionsValidation(t *testing.T) {
 	bad := []Options{
-		{Interval: -1},
 		{Tenants: []Tenant{{Name: ""}}},
 		{Tenants: []Tenant{{Name: "a"}, {Name: "a"}}},
 		{Tenants: []Tenant{{Name: "a", Weight: -2}}},
@@ -53,9 +52,6 @@ func TestOptionsValidation(t *testing.T) {
 	p, err := NewFairShare(Options{})
 	if err != nil {
 		t.Fatalf("default options rejected: %v", err)
-	}
-	if p.Interval() != DefaultInterval {
-		t.Errorf("default interval = %v, want %v", p.Interval(), DefaultInterval)
 	}
 	if p.Name() != "fair-share" {
 		t.Errorf("name = %q", p.Name())
