@@ -184,7 +184,7 @@ func run(args []string, stdout, stderr io.Writer, stop func() <-chan os.Signal) 
 	plan.Options.Events = *eventsPath != "" || *traceLog
 	var telem *telemetry.Collector
 	if *telemPath != "" || *serveAddr != "" {
-		telem = telemetry.NewCollector(0)
+		telem = telemetry.NewCollector()
 		plan.Options.Telemetry = telem
 	}
 	var tracer *trace.Tracer

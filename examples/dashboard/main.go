@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	col := telemetry.NewCollector(0)
+	col := telemetry.NewCollector()
 	opts := core.Options{Telemetry: col, Events: true}
 	progress := core.RecordProgress(&opts)
 	res, err := core.Run(core.EngineSMapReduce, opts, mr.JobSpec{

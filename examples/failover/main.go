@@ -47,7 +47,7 @@ func run(sched *chaos.Schedule) (*mr.Job, *mr.EventLog) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	logged := c.EnableEventLog(0)
+	logged := c.EnableEventLog()
 	if sched != nil {
 		if err := sched.Apply(c); err != nil {
 			log.Fatal(err)

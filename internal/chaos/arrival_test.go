@@ -40,7 +40,7 @@ func chaosArrivalSpecs() []mr.JobSpec {
 
 func TestMidRunSubmissionDuringFaults(t *testing.T) {
 	c := mr.MustNewCluster(chaosArrivalConfig())
-	log := c.EnableEventLog(0)
+	log := c.EnableEventLog()
 	sched, err := ParseSchedule(`
 crash tt3 @10
 hbloss tt2 @8 for 40
@@ -109,7 +109,7 @@ slow node5 @20 for 30 cpu 0.5 disk 0.5
 func TestMidRunSubmissionDuringFaultsDeterministic(t *testing.T) {
 	run := func() []byte {
 		c := mr.MustNewCluster(chaosArrivalConfig())
-		log := c.EnableEventLog(0)
+		log := c.EnableEventLog()
 		sched, err := ParseSchedule("crash tt3 @10\nhbloss tt2 @8 for 40\nrejoin tt3 @60\n")
 		if err != nil {
 			t.Fatal(err)

@@ -191,7 +191,7 @@ func TestApplySchedulesFaults(t *testing.T) {
 	cfg.Workers = 8
 	cfg.Net.Nodes = 8
 	c := mr.MustNewCluster(cfg)
-	log := c.EnableEventLog(0)
+	log := c.EnableEventLog()
 	s, err := ParseSchedule("crash tt3 @2\nrejoin tt3 @6\nslow node4 @1 for 2 cpu 0.5 disk 0.5\nlink node1 @1 for 2 egress 0.5 ingress 0.5\nhbloss tt2 @1 for 2\n")
 	if err != nil {
 		t.Fatal(err)

@@ -70,7 +70,7 @@ func runSoakWith(t *testing.T, seed uint64, sched *Schedule, drive func(*mr.Clus
 	if err := c.SetController(mgr); err != nil {
 		t.Fatal(err)
 	}
-	log := c.EnableEventLog(0)
+	log := c.EnableEventLog()
 	tr := trace.New(trace.Options{})
 	c.EnableTracing(tr)
 	mgr.AttachTracer(tr)

@@ -208,7 +208,7 @@ func Run(engine Engine, opts Options, specs ...mr.JobSpec) (*Result, error) {
 
 	res := &Result{Engine: engine, Cluster: c}
 	if opts.Events {
-		res.Events = c.EnableEventLog(0)
+		res.Events = c.EnableEventLog()
 	}
 	if capacity != nil {
 		c.SetCapacityPolicy(capacity)

@@ -40,7 +40,7 @@ func tenantJob(name, tenant string, inputMB float64) JobSpec {
 
 func TestTenantDefaultNormalization(t *testing.T) {
 	c := MustNewCluster(smallConfig())
-	log := c.EnableEventLog(0)
+	log := c.EnableEventLog()
 	jobs, err := c.Run(grepJob(512))
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestCapacityCapsEnforced(t *testing.T) {
 	// replay the event log checking that no task for "a" ever starts
 	// while 2 attempts are already running after the cap lands.
 	c := MustNewCluster(smallConfig())
-	log := c.EnableEventLog(0)
+	log := c.EnableEventLog()
 	c.SetCapacityPolicy(&stubPolicy{
 		alloc: func(now float64, total int, tenants []TenantSnapshot) []TenantAllocation {
 			out := make([]TenantAllocation, len(tenants))
@@ -202,7 +202,7 @@ func TestCapacityEventsOnlyOnChange(t *testing.T) {
 	// A constant allocation must emit exactly one cap event per capped
 	// tenant, then one uncap event when the policy lifts it.
 	c := MustNewCluster(smallConfig())
-	log := c.EnableEventLog(0)
+	log := c.EnableEventLog()
 	calls := 0
 	c.SetCapacityPolicy(&stubPolicy{
 		alloc: func(now float64, total int, tenants []TenantSnapshot) []TenantAllocation {
@@ -306,7 +306,7 @@ func TestRunArrivalsDeterministicEventLog(t *testing.T) {
 	// byte-identical, with a capacity policy in the loop.
 	run := func() []byte {
 		c := MustNewCluster(smallConfig())
-		log := c.EnableEventLog(0)
+		log := c.EnableEventLog()
 		c.SetCapacityPolicy(&stubPolicy{
 			alloc: func(now float64, total int, tenants []TenantSnapshot) []TenantAllocation {
 				out := make([]TenantAllocation, len(tenants))

@@ -54,22 +54,22 @@ type Event struct {
 	Detail  string    `json:"detail,omitempty"`
 }
 
+// eventLogLimit caps an event log's retained entries.
+const eventLogLimit = 1 << 18
+
 // EventLog collects structured events up to a cap; beyond it the oldest
 // entries are dropped (the Dropped counter records how many), so a
 // pathological run cannot exhaust memory.
 type EventLog struct {
-	limit   int
+	limit   int // eventLogLimit
 	events  []Event
 	Dropped int
 }
 
 // EnableEventLog attaches a structured event log to the cluster and
-// returns it. Call before Run. A limit of 0 uses a generous default.
-func (c *Cluster) EnableEventLog(limit int) *EventLog {
-	if limit <= 0 {
-		limit = 1 << 18
-	}
-	c.events = &EventLog{limit: limit}
+// returns it. Call before Run.
+func (c *Cluster) EnableEventLog() *EventLog {
+	c.events = &EventLog{limit: eventLogLimit}
 	return c.events
 }
 

@@ -12,7 +12,7 @@ import (
 
 func TestEventLogCollectsLifecycle(t *testing.T) {
 	c := MustNewCluster(smallConfig())
-	log := c.EnableEventLog(0)
+	log := c.EnableEventLog()
 	jobs, err := c.Run(grepJob(1024))
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestEventLogCollectsLifecycle(t *testing.T) {
 func TestEventLogFailureEvents(t *testing.T) {
 	cfg := failureConfig()
 	c := MustNewCluster(cfg)
-	log := c.EnableEventLog(0)
+	log := c.EnableEventLog()
 	c.ScheduleFailure(2, 10)
 	if _, err := c.Run(JobSpec{Name: "ts", Profile: terasortJob(4096).Profile, InputMB: 4096, Reduces: 8}); err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestEventLogFailureEvents(t *testing.T) {
 
 func TestEventLogJSONL(t *testing.T) {
 	c := MustNewCluster(smallConfig())
-	log := c.EnableEventLog(0)
+	log := c.EnableEventLog()
 	if _, err := c.Run(grepJob(512)); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,8 @@ func TestEventLogJSONL(t *testing.T) {
 
 func TestEventLogCapDropsOldest(t *testing.T) {
 	c := MustNewCluster(smallConfig())
-	log := c.EnableEventLog(16)
+	log := c.EnableEventLog()
+	log.limit = 16
 	if _, err := c.Run(grepJob(2048)); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,8 @@ func emitN(c *Cluster, n int) {
 
 func TestEventLogLimitOneStillEvicts(t *testing.T) {
 	c := MustNewCluster(smallConfig())
-	log := c.EnableEventLog(1)
+	log := c.EnableEventLog()
+	log.limit = 1
 	emitN(c, 5)
 	if n := len(log.Events()); n != 1 {
 		t.Fatalf("log length = %d, want 1 (eviction was a no-op for limit 1)", n)
@@ -122,7 +124,8 @@ func TestEventLogLimitOneStillEvicts(t *testing.T) {
 func TestEventLogDroppedAccounting(t *testing.T) {
 	c := MustNewCluster(smallConfig())
 	const limit, emitted = 8, 50
-	log := c.EnableEventLog(limit)
+	log := c.EnableEventLog()
+	log.limit = limit
 	emitN(c, emitted)
 	evs := log.Events()
 	if len(evs) > limit {
@@ -142,7 +145,8 @@ func TestEventLogDroppedAccounting(t *testing.T) {
 func TestEventLogJSONLAfterEviction(t *testing.T) {
 	c := MustNewCluster(smallConfig())
 	const limit, emitted = 8, 50
-	log := c.EnableEventLog(limit)
+	log := c.EnableEventLog()
+	log.limit = limit
 	emitN(c, emitted)
 	var b strings.Builder
 	if err := log.WriteJSONL(&b); err != nil {
@@ -182,7 +186,8 @@ func TestEventLogJSONLAfterEviction(t *testing.T) {
 
 func TestEventsReturnsCopy(t *testing.T) {
 	c := MustNewCluster(smallConfig())
-	log := c.EnableEventLog(4)
+	log := c.EnableEventLog()
+	log.limit = 4
 	emitN(c, 4)
 	snap := log.Events()
 	before := fmt.Sprint(snap)
@@ -213,7 +218,7 @@ func TestEventLogDisabledIsFree(t *testing.T) {
 // rates, summed over the trackers.
 func TestUtilisationSeries(t *testing.T) {
 	c := MustNewCluster(smallConfig())
-	col := telemetry.NewCollector(0)
+	col := telemetry.NewCollector()
 	c.EnableTelemetry(col)
 	if _, err := c.Run(grepJob(2048)); err != nil {
 		t.Fatal(err)

@@ -217,7 +217,7 @@ func TestQuickKitchenSink(t *testing.T) {
 		c := MustNewCluster(cfg)
 		c.ScheduleFailure(1, 25)
 		c.ScheduleNodeDegrade(2, 10, 30, 0.5, 0.5)
-		log := c.EnableEventLog(0)
+		log := c.EnableEventLog()
 		jobs, err := c.Run(
 			JobSpec{Name: "ts", Profile: puma.MustGet("terasort"), InputMB: 1536, Reduces: 6, PartitionSkew: 0.5},
 			JobSpec{Name: "g", Profile: puma.MustGet("grep"), InputMB: 1024, Reduces: 4, SubmitAt: 5},

@@ -65,7 +65,7 @@ func TestFailureEventLogByteIdenticalAcrossRuns(t *testing.T) {
 		cfg := failureConfig()
 		cfg.Speculation = true
 		c := MustNewCluster(cfg)
-		log := c.EnableEventLog(0)
+		log := c.EnableEventLog()
 		c.ScheduleFailure(3, 18)
 		specs := []JobSpec{
 			{Name: "ts", Profile: puma.MustGet("terasort"), InputMB: 4096, Reduces: 8},

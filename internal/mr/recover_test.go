@@ -52,14 +52,14 @@ func TestRecoverRejoinDifferential(t *testing.T) {
 	spec := JobSpec{Name: "ts", Profile: puma.MustGet("terasort"), InputMB: 2048, Reduces: 8, SubmitAt: 10}
 
 	clean := MustNewCluster(failureConfig())
-	cleanLog := clean.EnableEventLog(0)
+	cleanLog := clean.EnableEventLog()
 	cleanJobs, err := clean.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	c := MustNewCluster(failureConfig())
-	log := c.EnableEventLog(0)
+	log := c.EnableEventLog()
 	c.ScheduleFailure(5, 2.0)
 	c.ScheduleRecovery(5, 4.625)
 	jobs, err := c.Run(spec)
@@ -107,7 +107,7 @@ func TestRecoverMidRunRejoinWorks(t *testing.T) {
 	// the returning tracker has pending work to pick up.
 	spec := JobSpec{Name: "ts", Profile: puma.MustGet("terasort"), InputMB: 8192, Reduces: 8}
 	c := MustNewCluster(failureConfig())
-	log := c.EnableEventLog(0)
+	log := c.EnableEventLog()
 	c.ScheduleFailure(5, 10)
 	c.ScheduleRecovery(5, 30)
 	jobs, err := c.Run(spec)
@@ -145,7 +145,7 @@ func TestRecoverMidRunRejoinWorks(t *testing.T) {
 func TestScheduleFailureTwiceLogsFaultError(t *testing.T) {
 	spec := JobSpec{Name: "g", Profile: puma.MustGet("grep"), InputMB: 1024, Reduces: 4}
 	c := MustNewCluster(failureConfig())
-	log := c.EnableEventLog(0)
+	log := c.EnableEventLog()
 	c.ScheduleFailure(3, 2)
 	c.ScheduleFailure(3, 4) // tracker already dead when this fires
 	jobs, err := c.Run(spec)
@@ -212,7 +212,7 @@ func findEvent(t *testing.T, events []Event, kind EventKind, tracker int, from f
 func TestHeartbeatLossLifecycle(t *testing.T) {
 	spec := JobSpec{Name: "ts", Profile: puma.MustGet("terasort"), InputMB: 2048, Reduces: 8}
 	c := MustNewCluster(failureConfig())
-	log := c.EnableEventLog(0)
+	log := c.EnableEventLog()
 	c.ScheduleHeartbeatLoss(2, 5, 6)  // blacklists at 8, restores at 11, probation to 16
 	c.ScheduleHeartbeatLoss(2, 20, 6) // second incident: probation doubles to 10s, 26..36
 	jobs, err := c.Run(spec)
@@ -266,7 +266,7 @@ func TestHeartbeatLossLifecycle(t *testing.T) {
 func TestHeartbeatLossBelowTimeoutNoBlacklist(t *testing.T) {
 	spec := JobSpec{Name: "ts", Profile: puma.MustGet("terasort"), InputMB: 2048, Reduces: 8}
 	c := MustNewCluster(failureConfig())
-	log := c.EnableEventLog(0)
+	log := c.EnableEventLog()
 	c.ScheduleHeartbeatLoss(6, 5, 2) // 2s < blacklistTimeout 3s
 	if _, err := c.Run(spec); err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func TestHeartbeatLossBelowTimeoutNoBlacklist(t *testing.T) {
 func TestCrashDuringHeartbeatLoss(t *testing.T) {
 	spec := JobSpec{Name: "ts", Profile: puma.MustGet("terasort"), InputMB: 2048, Reduces: 8}
 	c := MustNewCluster(failureConfig())
-	log := c.EnableEventLog(0)
+	log := c.EnableEventLog()
 	c.ScheduleHeartbeatLoss(4, 5, 10)
 	c.ScheduleFailure(4, 8)   // mid-window crash
 	c.ScheduleRecovery(4, 20) // rejoin after the window would have closed
@@ -344,7 +344,7 @@ func TestNodeDegradeSlowsWork(t *testing.T) {
 	}
 
 	c := MustNewCluster(failureConfig())
-	log := c.EnableEventLog(0)
+	log := c.EnableEventLog()
 	c.ScheduleNodeDegrade(3, 2, 20, 0.25, 0.25)
 	jobs, err := c.Run(spec)
 	if err != nil {
@@ -369,7 +369,7 @@ func TestNodeDegradeSlowsWork(t *testing.T) {
 func TestLinkSeverStallsAndRecovers(t *testing.T) {
 	spec := JobSpec{Name: "ts", Profile: puma.MustGet("terasort"), InputMB: 2048, Reduces: 8}
 	c := MustNewCluster(failureConfig())
-	log := c.EnableEventLog(0)
+	log := c.EnableEventLog()
 	c.ScheduleLinkDegrade(2, 14, 8, 0, 0) // full partition across the barrier region
 	jobs, err := c.Run(spec)
 	if err != nil {

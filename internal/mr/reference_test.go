@@ -35,7 +35,7 @@ func referenceWorkload(t *testing.T, reference, noPool bool) diffRun {
 	if noPool {
 		c.noPool = true
 	}
-	log := c.EnableEventLog(0)
+	log := c.EnableEventLog()
 	tr := trace.New(trace.Options{Verbosity: trace.VerbosityAllFlows})
 	c.EnableTracing(tr)
 	c.ScheduleFailure(5, 6.0)
@@ -87,7 +87,7 @@ func idleGapWorkload(t *testing.T, policy Policy, reference bool) (diffRun, uint
 			t.Fatal(err)
 		}
 	}
-	log := c.EnableEventLog(0)
+	log := c.EnableEventLog()
 	c.ScheduleHeartbeatLoss(2, 100.5, 20)
 	c.ScheduleFailure(3, 105.25)
 	c.ScheduleRecovery(3, 125)

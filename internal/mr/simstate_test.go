@@ -23,7 +23,7 @@ func runArtifacts(t *testing.T, st *SimState, col *telemetry.Collector, tr *trac
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := c.EnableEventLog(0)
+	log := c.EnableEventLog()
 	c.EnableTelemetry(col)
 	c.EnableTracing(tr)
 	jobs, err := c.Run(
@@ -62,11 +62,11 @@ func TestSimStateReuseMatchesFresh(t *testing.T) {
 	// Fresh-state reference: new substrate and observers per run.
 	var want []string
 	for _, seed := range seeds {
-		want = append(want, runArtifacts(t, nil, telemetry.NewCollector(0), trace.New(trace.Options{}), seed))
+		want = append(want, runArtifacts(t, nil, telemetry.NewCollector(), trace.New(trace.Options{}), seed))
 	}
 	// Pooled worker: one SimState, one collector, one tracer.
 	st := NewSimState()
-	col := telemetry.NewCollector(0)
+	col := telemetry.NewCollector()
 	tr := trace.New(trace.Options{})
 	for i, seed := range seeds {
 		if i > 0 {

@@ -106,7 +106,7 @@ func TestSinksDoNotPerturbSimulation(t *testing.T) {
 func checkSinks(t *testing.T, cell sinkCell) {
 	bare, bareStats := cell(t, func(*Cluster) {})
 	var log *EventLog
-	logged, loggedStats := cell(t, func(c *Cluster) { log = c.EnableEventLog(0) })
+	logged, loggedStats := cell(t, func(c *Cluster) { log = c.EnableEventLog() })
 	var snaps []Progress
 	hooked, hookedStats := cell(t, func(c *Cluster) { c.SetOnProgress(func(p Progress) { snaps = append(snaps, p) }) })
 	flowsTr := trace.New(trace.Options{Verbosity: trace.VerbosityFlows})

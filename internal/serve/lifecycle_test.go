@@ -17,7 +17,7 @@ import (
 // suite bypasses: a real listener via Start, /metrics and /trace with
 // a live collector and tracer attached, then Shutdown and Wait.
 func TestRealServerLifecycle(t *testing.T) {
-	col := telemetry.NewCollector(8)
+	col := telemetry.NewCollector()
 	col.Register("cluster/running-maps", func() float64 { return 3 })
 	col.Tick(1)
 	tr := trace.New(trace.Options{})

@@ -98,7 +98,7 @@ func (p *pool) loop() {
 	defer p.wg.Done()
 	w := &worker{
 		sim: mr.NewSimState(),
-		col: telemetry.NewCollector(0),
+		col: telemetry.NewCollector(),
 	}
 	for r := range p.queue {
 		p.execute(w, r)

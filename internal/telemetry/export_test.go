@@ -11,7 +11,7 @@ import (
 // TestWriteFilePicksFormatByExtension pins the shared CLI export
 // helper: .csv (any case) means CSV, everything else means JSONL.
 func TestWriteFilePicksFormatByExtension(t *testing.T) {
-	col := NewCollector(8)
+	col := NewCollector()
 	col.Register("v", func() float64 { return 7 })
 	col.Tick(1)
 
@@ -48,7 +48,7 @@ func TestWriteFilePicksFormatByExtension(t *testing.T) {
 }
 
 func TestWriteFileBadPath(t *testing.T) {
-	col := NewCollector(8)
+	col := NewCollector()
 	if err := WriteFile(col, filepath.Join(t.TempDir(), "no", "such", "dir.csv")); err == nil {
 		t.Fatal("expected error for unwritable path")
 	}
@@ -57,7 +57,7 @@ func TestWriteFileBadPath(t *testing.T) {
 // TestWritePrometheus pins the /metrics rendering: one gauge per
 // series, smr_ prefix, sanitised names, newest sample as the value.
 func TestWritePrometheus(t *testing.T) {
-	col := NewCollector(8)
+	col := NewCollector()
 	vals := map[string]float64{"slotmgr/map-target": 3, "cluster.running maps": 12}
 	col.Register("slotmgr/map-target", func() float64 { return vals["slotmgr/map-target"] })
 	col.Register("cluster.running maps", func() float64 { return vals["cluster.running maps"] })
@@ -81,7 +81,7 @@ func TestWritePrometheus(t *testing.T) {
 }
 
 func TestWritePrometheusNonFinite(t *testing.T) {
-	col := NewCollector(8)
+	col := NewCollector()
 	col.Register("f", func() float64 { return math.NaN() })
 	col.Register("g", func() float64 { return math.Inf(1) })
 	col.Tick(1)
@@ -98,7 +98,8 @@ func TestWritePrometheusNonFinite(t *testing.T) {
 // pattern under the race detector: one goroutine ticking, another
 // reading every export.
 func TestCollectorConcurrentTickAndExport(t *testing.T) {
-	col := NewCollector(64)
+	col := NewCollector()
+	col.rows = 64 // the 200 ticks wrap the ring under concurrent reads
 	col.Register("v", func() float64 { return 1 })
 	done := make(chan struct{})
 	go func() {
@@ -124,7 +125,7 @@ func TestCollectorConcurrentTickAndExport(t *testing.T) {
 // TestWritePrometheusBuildInfo pins the smr_build_info metric and the
 // HELP/TYPE metadata lines the satellite adds.
 func TestWritePrometheusBuildInfo(t *testing.T) {
-	col := NewCollector(8)
+	col := NewCollector()
 	col.Register("v", func() float64 { return 7 })
 	col.Tick(1)
 	var b strings.Builder

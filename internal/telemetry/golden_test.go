@@ -96,10 +96,10 @@ func exports(t *testing.T, col *telemetry.Collector) map[string][]byte {
 // go test ./internal/telemetry -run TestCollectorGolden -update only
 // when a change is meant to move them.
 func TestCollectorGolden(t *testing.T) {
-	reused := telemetry.NewCollector(0)
+	reused := telemetry.NewCollector()
 	for _, gr := range goldenRuns {
 		t.Run(gr.name, func(t *testing.T) {
-			col := telemetry.NewCollector(0)
+			col := telemetry.NewCollector()
 			gr.run(t, col)
 			got := exports(t, col)
 			if gr.name == "fairshare-arrivals" && !bytes.Contains(got["jsonl"], []byte(`"series":"tenant/etl/task-cap","t":2,"v":null}`)) {

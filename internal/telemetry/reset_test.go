@@ -20,10 +20,10 @@ func TestCollectorResetMatchesFresh(t *testing.T) {
 		}
 		return b.String()
 	}
-	reused := NewCollector(16)
+	reused := NewCollector()
 	drive(reused)
 	reused.Reset()
-	want := drive(NewCollector(16))
+	want := drive(NewCollector())
 	got := drive(reused)
 	if want != got {
 		t.Fatalf("reset collector diverges from fresh:\nfresh:\n%s\nreused:\n%s", want, got)
@@ -31,7 +31,7 @@ func TestCollectorResetMatchesFresh(t *testing.T) {
 }
 
 func TestCollectorResetClearsState(t *testing.T) {
-	c := NewCollector(8)
+	c := NewCollector()
 	s := c.Register("a", func() float64 { return 1 })
 	c.Tick(1)
 	c.Reset()
@@ -61,7 +61,7 @@ func TestCollectorResetClearsState(t *testing.T) {
 }
 
 func TestCollectorResetBackfillAfterReuse(t *testing.T) {
-	c := NewCollector(8)
+	c := NewCollector()
 	c.Register("a", func() float64 { return 1 })
 	c.Tick(1)
 	c.Tick(2)
@@ -73,5 +73,32 @@ func TestCollectorResetBackfillAfterReuse(t *testing.T) {
 	late := c.Register("late", func() float64 { return 4 })
 	if late.Len() != 1 || !math.IsNaN(late.At(0).V) || late.At(0).T != 10 {
 		t.Fatalf("late backfill after Reset: len=%d first=%v", late.Len(), late.At(0))
+	}
+}
+
+// TestCollectorResetCycleAllocFree pins the pooled worker's cycle: on a
+// warm collector, Reset, re-registering every series (one of them
+// after a tick, so it backfills) and ticking allocate nothing, and
+// Reset drops every probe closure of the previous run.
+func TestCollectorResetCycleAllocFree(t *testing.T) {
+	c := NewCollector()
+	fn := func() float64 { return 1 }
+	cycle := func() {
+		c.Reset()
+		c.Register("a", fn)
+		c.Register("b", fn)
+		c.Tick(1)
+		c.Register("late", fn)
+		c.Tick(2)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("reset-and-re-register cycle allocates %v times, want 0", allocs)
+	}
+	c.Reset()
+	for i, p := range c.probes[:cap(c.probes)] {
+		if p.fn != nil {
+			t.Fatalf("probe %d (%s) keeps its closure after Reset", i, p.s.name)
+		}
 	}
 }

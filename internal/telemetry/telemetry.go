@@ -1,14 +1,14 @@
 // Package telemetry provides the tick-sampled time-series layer the
 // runtime exposes for inspection: a Collector of named probe series
-// sampled on the cluster's progress cadence, ring-buffered so long
-// runs stay bounded, exportable as JSONL or CSV, plus the runtime
-// invariant checker (invariants.go) built on the same observation
-// points.
+// sampled on the cluster's progress cadence into one bounded ring,
+// exportable as JSONL or CSV, plus the runtime invariant checker
+// (invariants.go) built on the same observation points.
 //
 // The collector is pull-based: components register probe closures once
 // during setup, and every Tick samples all of them at the same virtual
-// instant. All series therefore stay row-aligned — equal lengths, equal
-// timestamps — which makes the wide-table exports trivially correct.
+// instant into one row of the shared ring. All series are therefore
+// row-aligned — equal lengths, equal timestamps — by construction,
+// which makes the wide-table exports trivially correct.
 package telemetry
 
 import (
@@ -22,95 +22,53 @@ import (
 	"smapreduce/internal/metrics"
 )
 
-// DefaultCapacity is the per-series ring capacity used when the caller
-// passes a non-positive capacity to NewCollector. At the default 2 s
-// sampling cadence it retains over four virtual hours.
-const DefaultCapacity = 8192
+// ringRows is the ring's row capacity. At the 2 s sampling cadence it
+// retains over four virtual hours.
+const ringRows = 8192
 
-// Series is a fixed-capacity ring buffer of time samples. Once full,
-// each append evicts the oldest sample and counts it in Dropped.
-// Timestamps must be non-decreasing; Append panics otherwise, because
-// an out-of-order sample always indicates a probe wiring bug.
+// Series is a read-only view of one value column of a Collector's
+// ring. Its rows are the collector's: the same length, the same tick
+// instants and the same eviction count as every other series.
 type Series struct {
-	name    string
-	buf     []metrics.Point
-	head    int // index of the oldest retained sample
-	n       int
-	dropped int
-	lastT   float64
-	primed  bool
-}
-
-// NewSeries returns an empty ring series with the given capacity
-// (non-positive means DefaultCapacity).
-func NewSeries(name string, capacity int) *Series {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	return &Series{name: name, buf: make([]metrics.Point, capacity)}
+	c    *Collector
+	name string
+	vals []float64 // indexed like the collector's times column
 }
 
 // Name returns the series name.
 func (s *Series) Name() string { return s.name }
 
 // Len returns the number of retained samples.
-func (s *Series) Len() int { return s.n }
+func (s *Series) Len() int { return len(s.vals) }
 
-// Cap returns the ring capacity.
-func (s *Series) Cap() int { return len(s.buf) }
-
-// Dropped returns how many old samples the ring has evicted.
-func (s *Series) Dropped() int { return s.dropped }
-
-// Append records one sample. Panics if t precedes the previous sample.
-func (s *Series) Append(t, v float64) {
-	if s.primed && t < s.lastT {
-		panic(fmt.Sprintf("telemetry: series %q sample at %v before last %v", s.name, t, s.lastT))
-	}
-	s.lastT, s.primed = t, true
-	if s.n == len(s.buf) {
-		s.buf[s.head] = metrics.Point{T: t, V: v}
-		s.head = (s.head + 1) % len(s.buf)
-		s.dropped++
-		return
-	}
-	s.buf[(s.head+s.n)%len(s.buf)] = metrics.Point{T: t, V: v}
-	s.n++
-}
+// Dropped returns how many old rows the collector's ring has evicted.
+func (s *Series) Dropped() int { return s.c.dropped }
 
 // At returns the i-th oldest retained sample, 0 <= i < Len.
 func (s *Series) At(i int) metrics.Point {
-	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("telemetry: series %q index %d out of range [0,%d)", s.name, i, s.n))
+	if i < 0 || i >= len(s.vals) {
+		panic(fmt.Sprintf("telemetry: series %q index %d out of range [0,%d)", s.name, i, len(s.vals)))
 	}
-	return s.buf[(s.head+i)%len(s.buf)]
+	j := s.c.row(i)
+	return metrics.Point{T: s.c.times[j], V: s.vals[j]}
 }
 
 // Last returns the newest sample, or a zero Point when empty.
 func (s *Series) Last() metrics.Point {
-	if s.n == 0 {
+	if len(s.vals) == 0 {
 		return metrics.Point{}
 	}
-	return s.At(s.n - 1)
+	return s.At(len(s.vals) - 1)
 }
 
 // Points returns the retained samples oldest-first, as a copy the
-// caller may keep across further appends.
+// caller may keep across further ticks.
 func (s *Series) Points() []metrics.Point {
-	out := make([]metrics.Point, s.n)
-	for i := 0; i < s.n; i++ {
+	out := make([]metrics.Point, len(s.vals))
+	for i := range out {
 		out[i] = s.At(i)
 	}
 	return out
-}
-
-// reset empties the series for reuse under a new name, keeping the
-// ring buffer. Stale samples beyond the (now zero) length are
-// unreachable through the accessors, so they are left in place.
-func (s *Series) reset(name string) {
-	s.name = name
-	s.head, s.n, s.dropped = 0, 0, 0
-	s.lastT, s.primed = 0, false
 }
 
 // probe pairs a registered series with the closure that samples it.
@@ -119,10 +77,13 @@ type probe struct {
 	fn func() float64
 }
 
-// Collector samples a set of named probes on every Tick. Late
-// registration (after ticks have already run) backfills the new series
-// with NaN samples at the earlier tick instants, so all series always
-// stay row-aligned.
+// Collector samples a set of named probes on every Tick into one ring:
+// a column of tick instants and one value column per series, sharing a
+// single head, length and eviction count, so every series is
+// row-aligned by construction. The columns grow by append up to
+// ringRows and then wrap, evicting the oldest row. Late registration
+// (after ticks have already run) backfills the new column with NaN at
+// every retained row.
 //
 // Collector methods are safe for concurrent use (the serve mode reads
 // exports while the simulation goroutine ticks). Series handles
@@ -130,84 +91,100 @@ type probe struct {
 // read them through the Collector's exports, or only once ticking has
 // stopped.
 type Collector struct {
-	mu       sync.Mutex
-	capacity int
-	probes   []probe
-	byName   map[string]*Series
-	times    *Series // tick instants, for late-registration backfill
-	ticks    int
-	free     []*Series // retired rings recycled by Register after Reset
+	mu      sync.Mutex
+	rows    int       // row capacity: ringRows
+	times   []float64 // tick instants, one per retained row
+	head    int       // index of the oldest row once the ring wraps
+	dropped int
+	ticks   int
+	// probes holds the registered series in registration order. Reset
+	// truncates it but keeps the entries past its length, whose series
+	// handles and columns Register recycles.
+	probes []probe
+	byName map[string]*Series
 }
 
-// NewCollector returns an empty collector whose series each retain up
-// to capacity samples (non-positive means DefaultCapacity).
-func NewCollector(capacity int) *Collector {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	return &Collector{
-		capacity: capacity,
-		byName:   make(map[string]*Series),
-		times:    NewSeries("t", capacity),
-	}
+// NewCollector returns an empty collector.
+func NewCollector() *Collector {
+	return &Collector{rows: ringRows, byName: make(map[string]*Series)}
 }
 
 // Register adds a named probe and returns its series. A series
 // registered after ticks have already run is backfilled with NaN at
-// every retained tick instant, keeping all series row-aligned. Panics
-// on a duplicate name.
+// every retained row. Panics on a duplicate name.
 func (c *Collector) Register(name string, fn func() float64) *Series {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.byName[name]; dup {
 		panic(fmt.Sprintf("telemetry: duplicate series %q", name))
 	}
-	var s *Series
-	if n := len(c.free); n > 0 {
-		s = c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-		s.reset(name)
-	} else {
-		s = NewSeries(name, c.capacity)
+	// Entries past len(c.probes) hold the handles Reset retired, or
+	// are zero where append grew the slice.
+	n := len(c.probes)
+	if n == cap(c.probes) {
+		c.probes = append(c.probes, probe{})
 	}
-	for i := 0; i < c.times.Len(); i++ {
-		s.Append(c.times.At(i).T, math.NaN())
+	c.probes = c.probes[:n+1]
+	p := &c.probes[n]
+	if p.s == nil {
+		p.s = &Series{c: c}
 	}
-	c.byName[name] = s
-	c.probes = append(c.probes, probe{s: s, fn: fn})
-	return s
+	p.fn = fn
+	p.s.name = name
+	p.s.vals = p.s.vals[:0]
+	for range c.times {
+		p.s.vals = append(p.s.vals, math.NaN())
+	}
+	c.byName[name] = p.s
+	return p.s
 }
 
-// Reset discards every registered probe and all retained samples so a
+// Reset discards every registered probe and all retained rows so a
 // pooled worker can recycle the collector across consecutive runs. The
 // probe closures are dropped (they close over the previous run's
-// cluster), but their ring buffers move to a free list that Register
-// consumes, so a reset-and-re-register cycle performs no large
-// allocations. A reset collector is observationally identical to a
-// fresh NewCollector with the same capacity.
+// cluster), but the series handles and their columns stay for Register
+// to recycle, so once the collector is warm a reset-and-re-register
+// cycle allocates nothing. A reset collector is observationally
+// identical to a fresh NewCollector.
 func (c *Collector) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, p := range c.probes {
-		c.free = append(c.free, p.s)
+	for i := range c.probes {
+		c.probes[i].fn = nil
 	}
 	c.probes = c.probes[:0]
 	clear(c.byName)
-	c.times.reset("t")
-	c.ticks = 0
+	c.times = c.times[:0]
+	c.head, c.dropped, c.ticks = 0, 0, 0
 }
 
-// Tick samples every registered probe at virtual time now.
+// Tick samples every registered probe at virtual time now, in
+// registration order. Panics if now precedes the previous tick, which
+// always indicates a wiring bug.
 func (c *Collector) Tick(now float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ticks++
-	c.times.Append(now, 0)
-	for _, p := range c.probes {
-		p.s.Append(now, p.fn())
+	if n := len(c.times); n > 0 && now < c.times[c.row(n-1)] {
+		panic(fmt.Sprintf("telemetry: tick at %v before last %v", now, c.times[c.row(n-1)]))
 	}
+	c.ticks++
+	if len(c.times) < c.rows {
+		c.times = append(c.times, now)
+		for _, p := range c.probes {
+			p.s.vals = append(p.s.vals, p.fn())
+		}
+		return
+	}
+	c.times[c.head] = now
+	for _, p := range c.probes {
+		p.s.vals[c.head] = p.fn()
+	}
+	c.head = (c.head + 1) % c.rows
+	c.dropped++
 }
+
+// row returns the column index of the i-th oldest retained row.
+func (c *Collector) row(i int) int { return (c.head + i) % len(c.times) }
 
 // Ticks returns how many times Tick has run.
 func (c *Collector) Ticks() int {
@@ -234,9 +211,11 @@ func (c *Collector) Latest() TickSample {
 	defer c.mu.Unlock()
 	s := TickSample{
 		Seq:    c.ticks,
-		T:      c.times.Last().T,
 		Names:  make([]string, len(c.probes)),
 		Values: make([]float64, len(c.probes)),
+	}
+	if n := len(c.times); n > 0 {
+		s.T = c.times[c.row(n-1)]
 	}
 	for i, p := range c.probes {
 		s.Names[i] = p.s.name
@@ -282,10 +261,9 @@ func (c *Collector) table() *metrics.Table {
 	if len(c.probes) == 0 {
 		return t
 	}
-	first := c.probes[0].s
-	for i := 0; i < first.Len(); i++ {
+	for i := range c.times {
 		row := make([]string, 0, len(cols))
-		row = append(row, formatValue(first.At(i).T))
+		row = append(row, formatValue(c.times[c.row(i)]))
 		for _, p := range c.probes {
 			row = append(row, formatValue(p.s.At(i).V))
 		}

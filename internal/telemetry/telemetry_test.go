@@ -7,7 +7,8 @@ import (
 )
 
 func TestSeriesRingEviction(t *testing.T) {
-	col := NewCollector(4)
+	col := NewCollector()
+	col.rows = 4
 	k := 0.0
 	s := col.Register("counter", func() float64 { k++; return k })
 	for i := 0; i < 10; i++ {
@@ -32,22 +33,28 @@ func TestSeriesRingEviction(t *testing.T) {
 	}
 }
 
-func TestSeriesAppendOutOfOrderPanics(t *testing.T) {
-	s := NewSeries("x", 8)
-	s.Append(5, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on out-of-order append")
-		}
-	}()
-	s.Append(4, 1)
+// TestTickOutOfOrderPanics pins the one ordering check: a tick before
+// the previous one panics, also once the ring has wrapped, while an
+// equal instant and a clock restarting after Reset are legal.
+func TestTickOutOfOrderPanics(t *testing.T) {
+	col := NewCollector()
+	col.rows = 2
+	col.Register("x", func() float64 { return 1 })
+	for _, now := range []float64{1, 5, 5, 6} {
+		col.Tick(now)
+	}
+	col.Reset()
+	col.Tick(0)
+	col.Tick(6)
+	col.Tick(7)
+	expectPanic(t, "tick at 6 before last 7", func() { col.Tick(6) })
 }
 
 // TestRegisterAfterTickBackfills pins the late-registration contract:
 // a series registered mid-run gets NaN samples at every earlier tick
 // instant, so it stays row-aligned with the rest.
 func TestRegisterAfterTickBackfills(t *testing.T) {
-	col := NewCollector(8)
+	col := NewCollector()
 	a := col.Register("a", func() float64 { return 1 })
 	col.Tick(2)
 	col.Tick(4)
@@ -80,7 +87,8 @@ func TestRegisterAfterTickBackfills(t *testing.T) {
 // has already wrapped; the backfill must cover exactly the retained
 // window.
 func TestRegisterBackfillAfterEviction(t *testing.T) {
-	col := NewCollector(4)
+	col := NewCollector()
+	col.rows = 4
 	a := col.Register("a", func() float64 { return 1 })
 	for i := 0; i < 10; i++ {
 		col.Tick(float64(i))
@@ -90,14 +98,14 @@ func TestRegisterBackfillAfterEviction(t *testing.T) {
 		t.Fatalf("late series len = %d, want %d", b.Len(), a.Len())
 	}
 	for i := 0; i < b.Len(); i++ {
-		if a.At(i).T != b.At(i).T {
-			t.Fatalf("row %d misaligned after eviction", i)
+		if a.At(i).T != b.At(i).T || !math.IsNaN(b.At(i).V) {
+			t.Fatalf("row %d after eviction: a=%v late=%v", i, a.At(i), b.At(i))
 		}
 	}
 }
 
 func TestRegisterDuplicatePanics(t *testing.T) {
-	col := NewCollector(8)
+	col := NewCollector()
 	col.Register("a", func() float64 { return 0 })
 	defer func() {
 		if recover() == nil {
@@ -108,7 +116,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 }
 
 func TestCollectorTableAligned(t *testing.T) {
-	col := NewCollector(16)
+	col := NewCollector()
 	col.Register("a", func() float64 { return 1 })
 	col.Register("b", func() float64 { return 2 })
 	for i := 0; i < 3; i++ {
@@ -133,7 +141,7 @@ func TestCollectorTableAligned(t *testing.T) {
 }
 
 func TestWriteJSONLNonFiniteAsNull(t *testing.T) {
-	col := NewCollector(8)
+	col := NewCollector()
 	vals := []float64{1.5, math.NaN(), math.Inf(1)}
 	i := 0
 	col.Register("f", func() float64 { v := vals[i]; i++; return v })
@@ -161,7 +169,7 @@ func TestWriteJSONLNonFiniteAsNull(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	col := NewCollector(8)
+	col := NewCollector()
 	col.Register("v", func() float64 { return 7 })
 	col.Tick(1)
 	var b strings.Builder
@@ -273,7 +281,7 @@ func TestInvariantViolationsPanic(t *testing.T) {
 // the last Tick's values, names in registration order, the tick
 // ordinal restarting after Reset, and slices the caller owns.
 func TestLatestRowAligned(t *testing.T) {
-	col := NewCollector(16)
+	col := NewCollector()
 	if s := col.Latest(); s.Seq != 0 || len(s.Names) != 0 {
 		t.Fatalf("empty collector: %+v", s)
 	}

@@ -13,7 +13,7 @@ import (
 func TestTimelineCaptureAndChart(t *testing.T) {
 	cluster := mr.DefaultConfig()
 	cluster.Workers, cluster.Net.Nodes = 8, 8
-	col := telemetry.NewCollector(0)
+	col := telemetry.NewCollector()
 	spec := mr.JobSpec{Name: "histogram-ratings", Profile: puma.MustGet("histogram-ratings"), InputMB: 20 * 1024 * 0.05, Reduces: 8}
 	if _, err := core.Run(core.EngineSMapReduce, core.Options{Cluster: cluster, Telemetry: col}, spec); err != nil {
 		t.Fatal(err)

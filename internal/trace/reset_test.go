@@ -24,10 +24,10 @@ func TestTracerResetMatchesFresh(t *testing.T) {
 		}
 		return refs, b.String() + tr.Summary()
 	}
-	reused := New(Options{Limit: 64})
+	reused := New(Options{})
 	drive(reused)
 	reused.Reset()
-	fresh := New(Options{Limit: 64})
+	fresh := New(Options{})
 	wantRefs, wantSum := drive(fresh)
 	gotRefs, gotSum := drive(reused)
 	for i := range wantRefs {
@@ -43,7 +43,7 @@ func TestTracerResetMatchesFresh(t *testing.T) {
 }
 
 func TestTracerResetClearsState(t *testing.T) {
-	tr := New(Options{Limit: 8})
+	tr := New(Options{})
 	ref := tr.Begin(0, PIDJobs, "job", "j")
 	tr.Instant(1, PIDJobs, "i", "x")
 	tr.Reset()

@@ -54,10 +54,11 @@ const (
 	PIDTrackerBase = 10
 )
 
-// DefaultLimit bounds the retained event count when Options.Limit is
-// non-positive. At roughly 100 bytes/event this caps memory near
-// 100 MB for pathological runs; normal runs stay far below it.
-const DefaultLimit = 1 << 20
+// eventLimit bounds the retained event count; the oldest half is
+// evicted beyond it (counted in Dropped). At roughly 100 bytes/event
+// this caps memory near 100 MB for pathological runs; normal runs stay
+// far below it.
+const eventLimit = 1 << 20
 
 // Field is one key/value argument attached to a span or instant. Build
 // with Str or Num; the zero Field is skipped on export.
@@ -83,9 +84,6 @@ type SpanRef int64
 
 // Options tunes a Tracer.
 type Options struct {
-	// Limit caps retained events; the oldest half is evicted beyond it
-	// (counted in Dropped). Non-positive means DefaultLimit.
-	Limit int
 	// Verbosity selects which span sources record (Verbosity* consts).
 	Verbosity int
 }
@@ -145,6 +143,7 @@ func (l *laneSet) release(i int) {
 type Tracer struct {
 	mu       sync.Mutex
 	opt      Options
+	limit    int     // eventLimit
 	meta     []event // track-name metadata, never evicted
 	events   []event
 	dropped  int
@@ -156,10 +155,7 @@ type Tracer struct {
 
 // New builds a tracer. To disable tracing, use a nil *Tracer instead.
 func New(opt Options) *Tracer {
-	if opt.Limit <= 0 {
-		opt.Limit = DefaultLimit
-	}
-	return &Tracer{opt: opt, freeSpan: -1, lanes: make(map[int]*laneSet)}
+	return &Tracer{opt: opt, limit: eventLimit, freeSpan: -1, lanes: make(map[int]*laneSet)}
 }
 
 // Reset discards all recorded events, track metadata, open spans and
@@ -286,8 +282,8 @@ func (t *Tracer) Instant(now float64, pid int, cat, name string, fields ...Field
 // append stores one event, evicting the oldest half at the limit (the
 // same amortised policy as mr.EventLog).
 func (t *Tracer) append(e event) {
-	if len(t.events) >= t.opt.Limit {
-		half := t.opt.Limit / 2
+	if len(t.events) >= t.limit {
+		half := t.limit / 2
 		if half < 1 {
 			half = 1
 		}

@@ -111,7 +111,8 @@ func TestEndIsIdempotentAndZeroRefSafe(t *testing.T) {
 }
 
 func TestEvictionCountsDropped(t *testing.T) {
-	tr := New(Options{Limit: 4})
+	tr := New(Options{})
+	tr.limit = 4
 	for i := 0; i < 6; i++ {
 		tr.Instant(float64(i), PIDJobs, "x", "e")
 	}
