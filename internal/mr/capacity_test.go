@@ -166,35 +166,130 @@ func TestCapacityCapsEnforced(t *testing.T) {
 	}
 }
 
-func TestCapacityCapDeadlockBroken(t *testing.T) {
-	// Regression: a cap smaller than a job's reduce count used to
-	// deadlock the tenant against its own cap — reduces launched at the
-	// slow-start threshold filled every cap unit, then sat at the
-	// shuffle barrier waiting for maps the full cap refused to launch,
-	// and the capacity tick kept the clock alive forever. The reserve
-	// rule (reduces may not take the last unit while maps are pending)
-	// plus the single-map overshoot must let this run terminate.
-	c := MustNewCluster(smallConfig())
-	c.SetCapacityPolicy(&stubPolicy{
-		alloc: func(now float64, total int, tenants []TenantSnapshot) []TenantAllocation {
-			out := make([]TenantAllocation, len(tenants))
-			for i, ts := range tenants {
-				out[i] = TenantAllocation{Tenant: ts.Tenant, TaskCap: 3, Reason: "stub"}
+// capReplay counts, over a one-tenant event log, the launches a cap
+// of its tenant-cap events saw: map launches that overshot the cap
+// through tenantMapBlocked's carve-out, reduce launches that left
+// exactly one unit free while maps were pending (the edge of
+// tenantReduceBlocked's reserve), and launches either guard should
+// have refused.
+type capReplay struct {
+	overshoots, reserveEdge, refused int
+}
+
+// replayCap replays log for a job of maps map tasks. A tracker failure
+// must abort no running attempt: an aborted reduce logs no event, so
+// the replay could not follow it.
+func replayCap(t *testing.T, log *EventLog, maps int) capReplay {
+	t.Helper()
+	var r capReplay
+	capped, cap := false, 0
+	running, runningMaps, pending := 0, 0, maps
+	for _, e := range log.Events() {
+		isMap := strings.HasPrefix(e.Task, "map/")
+		switch e.Kind {
+		case EvTenantCap:
+			_, v, _ := strings.Cut(e.Detail, "=")
+			n, err := strconv.Atoi(v)
+			capped, cap = err == nil, n
+		case EvTaskStarted:
+			switch {
+			case !capped:
+			case isMap && running >= cap && runningMaps == 0:
+				r.overshoots++
+			case isMap && running >= cap, !isMap && running >= cap, !isMap && running == cap-1 && pending > 0:
+				r.refused++
+			case !isMap && running == cap-2 && pending > 0:
+				r.reserveEdge++
 			}
-			return out
-		},
-	})
-	spec := tenantJob("a1", "a", 2048)
-	spec.Reduces = 8 // more reduces than the cap of 3
-	jobs, err := c.Run(spec)
-	if err != nil {
-		t.Fatal(err)
+			running++
+			if isMap {
+				runningMaps++
+				pending--
+			}
+		case EvTaskDone:
+			running--
+			if isMap {
+				runningMaps--
+			}
+		case EvRequeued:
+			if e.Detail != "output lost" {
+				t.Fatalf("replay cannot follow an aborted attempt: %+v", e)
+			}
+			pending++
+		}
 	}
-	if !jobs[0].Finished() {
-		t.Fatal("job deadlocked under a cap smaller than its reduce count")
+	if running != 0 || pending != 0 {
+		t.Fatalf("replay ends with %d running attempts and %d pending maps", running, pending)
 	}
-	if n := c.TenantRunning("a"); n != 0 {
-		t.Fatalf("tenant ends with %d running attempts", n)
+	return r
+}
+
+// TestCapacityCapDeadlockBroken drives a capped tenant into the two
+// states its liveness guards exist for:
+//
+//   - requeue: a 3-reduce terasort under a cap of 3 launches its
+//     reduces only once every map has launched, so they take all three
+//     units. Tracker 0 then crashes, running nothing but holding map
+//     outputs the reducers still need. The re-queued maps can only run
+//     through tenantMapBlocked's one-map overshoot.
+//   - slow-start: under a cap of 14 the maps fill all 12 map slots and
+//     the reduces past slow-start compete for the last two units while
+//     maps are pending; tenantReduceBlocked must hold the last one back.
+//
+// A deadlocked tenant keeps the capacity tick alive forever, so the
+// stub policy lifts the cap once the run is far past its natural end
+// (about 390 s) and the test fails rather than hangs.
+func TestCapacityCapDeadlockBroken(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cap     int
+		reduces int
+		crashAt float64 // tracker 0 fails then; 0 for no failure
+	}{
+		{"requeue", 3, 3, 100},
+		{"slow-start", 14, 8, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := MustNewCluster(smallConfig())
+			log := c.EnableEventLog()
+			stalled := false
+			c.SetCapacityPolicy(&stubPolicy{
+				alloc: func(now float64, total int, tenants []TenantSnapshot) []TenantAllocation {
+					cap := tc.cap
+					if now > 2000 {
+						stalled, cap = true, -1
+					}
+					out := make([]TenantAllocation, len(tenants))
+					for i, ts := range tenants {
+						out[i] = TenantAllocation{Tenant: ts.Tenant, TaskCap: cap, Reason: "stub"}
+					}
+					return out
+				},
+			})
+			if tc.crashAt > 0 {
+				c.ScheduleFailure(0, tc.crashAt)
+			}
+			jobs, err := c.Run(JobSpec{Name: "sort", Profile: puma.MustGet("terasort"), InputMB: 4096, Reduces: tc.reduces, Tenant: "a"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stalled {
+				t.Fatal("tenant deadlocked against its own cap until the stub lifted it")
+			}
+			if n := c.TenantRunning("a"); n != 0 {
+				t.Fatalf("tenant ends with %d running attempts", n)
+			}
+			r := replayCap(t, log, jobs[0].NumMaps())
+			if r.refused > 0 {
+				t.Errorf("%d launches broke the cap discipline", r.refused)
+			}
+			if tc.crashAt > 0 && r.overshoots == 0 {
+				t.Error("no re-queued map overshot a reduce-saturated cap: the scenario misses the deadlock state")
+			}
+			if tc.crashAt == 0 && r.reserveEdge == 0 {
+				t.Error("no reduce reached the last free unit while maps were pending: the scenario misses the reserve")
+			}
+		})
 	}
 }
 
