@@ -6,7 +6,7 @@ import (
 )
 
 // hubReplayLimit bounds each run's replay buffer. Beyond it the oldest
-// half is evicted (counted in dropped), mirroring the event log's
+// half is evicted, mirroring the event log's
 // amortised compaction — a pathological run cannot hold the service's
 // memory hostage, and late subscribers still see the stream's tail
 // plus every terminal event.
@@ -30,21 +30,15 @@ type StreamEvent struct {
 // never block — a slow subscriber drops intermediate events rather
 // than pacing the simulation.
 type hub struct {
-	mu      sync.Mutex
-	events  []StreamEvent
-	nextID  int
-	dropped int
-	subs    map[chan StreamEvent]*hubSub
-	done    bool
-}
-
-type hubSub struct {
-	ch      chan StreamEvent
-	dropped int
+	mu     sync.Mutex
+	events []StreamEvent
+	nextID int
+	subs   map[chan StreamEvent]struct{}
+	done   bool
 }
 
 func newHub() *hub {
-	return &hub{subs: make(map[chan StreamEvent]*hubSub)}
+	return &hub{subs: make(map[chan StreamEvent]struct{})}
 }
 
 // publish appends one event (v is JSON-marshalled) and fans it out.
@@ -66,14 +60,12 @@ func (h *hub) publish(name string, v any) {
 		half := hubReplayLimit / 2
 		n := copy(h.events, h.events[half:])
 		h.events = h.events[:n]
-		h.dropped += half
 	}
 	h.events = append(h.events, ev)
-	for _, sub := range h.subs {
+	for ch := range h.subs {
 		select {
-		case sub.ch <- ev:
-		default:
-			sub.dropped++
+		case ch <- ev:
+		default: // a slow subscriber loses this frame
 		}
 	}
 }
@@ -86,8 +78,8 @@ func (h *hub) terminate(name string, v any) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.done = true
-	for ch, sub := range h.subs {
-		close(sub.ch)
+	for ch := range h.subs {
+		close(ch)
 		delete(h.subs, ch)
 	}
 }
@@ -106,13 +98,12 @@ func (h *hub) subscribe() (replay []StreamEvent, live <-chan StreamEvent, cancel
 		close(ch)
 		return replay, ch, func() {}
 	}
-	sub := &hubSub{ch: ch}
-	h.subs[ch] = sub
+	h.subs[ch] = struct{}{}
 	return replay, ch, func() {
 		h.mu.Lock()
 		defer h.mu.Unlock()
-		if s, ok := h.subs[ch]; ok {
-			close(s.ch)
+		if _, ok := h.subs[ch]; ok {
+			close(ch)
 			delete(h.subs, ch)
 		}
 	}

@@ -155,8 +155,10 @@ func TestHubEviction(t *testing.T) {
 	if len(replay) > hubReplayLimit {
 		t.Fatalf("replay holds %d events, limit %d", len(replay), hubReplayLimit)
 	}
-	if h.dropped == 0 {
-		t.Error("eviction not counted")
+	// The oldest events went first: the replay starts at the first
+	// one not evicted.
+	if first, evicted := replay[0].ID, total-len(replay); first != evicted {
+		t.Errorf("first replayed ID = %d, want %d (the evicted count)", first, evicted)
 	}
 	for i := 1; i < len(replay); i++ {
 		if replay[i].ID != replay[i-1].ID+1 {
