@@ -85,12 +85,15 @@ perf-smoke:
 
 # trace-smoke proves the observability pipeline end to end: a traced
 # default run must produce a valid Chrome trace (tracecheck) and a
-# telemetry CSV.
+# telemetry CSV with data rows, every row as wide as the header (the
+# collector's row-aligned contract on a real run).
 trace-smoke:
 	$(GO) run ./cmd/smrsim -bench terasort -input-gb 10 \
 		-trace trace-smoke.json -telemetry trace-smoke.csv -explain
 	$(GO) run ./cmd/tracecheck trace-smoke.json
 	head -1 trace-smoke.csv
+	awk -F, 'NR == 1 { n = NF } NF != n { printf "trace-smoke.csv:%d: %d fields, header has %d\n", NR, NF, n; bad = 1 } \
+		END { if (NR < 2) print "trace-smoke.csv: no data rows"; exit bad || NR < 2 }' trace-smoke.csv
 
 # grid-smoke proves the experiment-grid harness end to end: sweep the
 # checked-in CI smoke grid (engines × workloads × scales × seeds) into
