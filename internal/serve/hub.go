@@ -6,10 +6,9 @@ import (
 )
 
 // hubReplayLimit bounds each run's replay buffer. Beyond it the oldest
-// half is evicted, mirroring the event log's
-// amortised compaction — a pathological run cannot hold the service's
-// memory hostage, and late subscribers still see the stream's tail
-// plus every terminal event.
+// half is evicted, mirroring the event log's amortised compaction — a
+// pathological run cannot hold the service's memory hostage, and late
+// subscribers still see the stream's tail plus every terminal event.
 const hubReplayLimit = 16384
 
 // subBuffer is a subscriber channel's depth; a consumer further than
